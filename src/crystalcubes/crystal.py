@@ -318,10 +318,6 @@ def tensor(b1, b2) -> TensorElement:
     return TensorElement(left + right)
 
 
-def as_tensor(b) -> TensorElement:
-    return b if isinstance(b, TensorElement) else TensorElement((b,))
-
-
 # -- crystal graphs -----------------------------------------------------------
 
 

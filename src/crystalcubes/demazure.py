@@ -16,7 +16,6 @@ two agree on images because the crystal graphs are identical; tests pin this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .crystal import (
     DEFAULT_BUDGET,
@@ -27,7 +26,6 @@ from .crystal import (
     highest_path,
     path_e,
     path_f,
-    wt,
 )
 from .rootsys import BudgetExceededError, RootSystem, SubsetSequence, Weight, WordSequence
 
@@ -44,14 +42,6 @@ class StringVector:
             raise ValueError("block sizes do not match entry count")
         if any(x < 0 for x in self.entries):
             raise ValueError("string vector entries must be nonnegative")
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        pos = 0
-        for size in self.block_sizes:
-            out.append(self.entries[pos : pos + size])
-            pos += size
-        return tuple(out)
 
     def tail(self, from_block: int = 1) -> tuple[int, ...]:
         pos = sum(self.block_sizes[:from_block])
@@ -205,6 +195,15 @@ def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) 
     )
 
 
+def check_weights(subsets: SubsetSequence, lams) -> None:
+    """Require one dominant integral weight per subset."""
+    if len(lams) != subsets.r:
+        raise ValueError("need one weight per subset")
+    for lam in lams:
+        if not lam.is_dominant() or not lam.is_integral():
+            raise ValueError("weights must be dominant integral")
+
+
 def gen_demazure_crystal_weights(
     rs: RootSystem,
     subsets: SubsetSequence,
@@ -215,11 +214,7 @@ def gen_demazure_crystal_weights(
     """B_{I,λ_1..λ_r}: per-block saturation of b_{λ_1} ⊗ (... ⊗ saturation of b_{λ_r})."""
     subsets = subsets.validate(rs)
     lams = [lam if isinstance(lam, Weight) else rs.weight(lam) for lam in lams]
-    if len(lams) != subsets.r:
-        raise ValueError("need one weight per subset")
-    for lam in lams:
-        if not lam.is_dominant() or not lam.is_integral():
-            raise ValueError("weights must be dominant integral")
+    check_weights(subsets, lams)
     if words is None:
         words = WordSequence.for_subsets(rs, subsets)
     words.validate(rs, subsets)

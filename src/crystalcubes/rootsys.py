@@ -243,23 +243,6 @@ class RootSystem:
             self._positive_roots = tuple(sorted(roots))
         return self._positive_roots
 
-    def coroot_pairing(self, lam: Weight, beta: tuple[int, ...]) -> Fraction:
-        """⟨λ, β^∨⟩ for a root β given by simple-root coefficients."""
-        num = sum(m * d * x for m, d, x in zip(beta, self._d, lam.coords))
-        dbeta = self._root_half_norm(beta)
-        return Fraction(num) / dbeta
-
-    def _root_half_norm(self, beta: tuple[int, ...]) -> Fraction:
-        c = self.cartan.entries
-        total = Fraction(0)
-        for i in range(self.n):
-            if beta[i] == 0:
-                continue
-            for j in range(self.n):
-                if beta[j]:
-                    total += beta[i] * beta[j] * self._d[i] * c[i][j]
-        return total / 2
-
     def positive_roots_in(self, subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         inside = set(subset)
         outside = [k for k in range(self.n) if (k + 1) not in inside]

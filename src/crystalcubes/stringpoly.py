@@ -1,10 +1,15 @@
 """Lattice-point combinatorics of generalized string polytopes.
 
-The projected polytope, multiplicities, component counts, and fiber string
-polytopes are all computed from Ω-images of generated crystals, never from
-inequality systems; the one H-description the source example provides is a
-test fixture only.  Exported points use the positive string orientation, i.e.
-they are the negatives of Newton-Okounkov valuation vectors.
+Lattice points, multiplicities, component counts and fibers are Ω-images of
+generated crystals, never solutions of inequality systems.  The projected
+polytope (first block forgotten, first block [n]) uses the string form of
+Littelmann's path-model Littlewood-Richardson rule (Invent. Math. 116, 1994):
+raising maximally along a reduced word of w0 ends at the highest-weight element
+b_{λ_1} ⊗ x of a component, with x in X = B_{I_2..I_r, λ_2..λ_r}, so the
+projected points are the Ω_X(x) with ε_i(b_{λ_1} ⊗ x) = 0 for all i, and only
+X is built.  The fiber over such a point is the Ω-image of that component B(ν).
+Exported points use the positive string orientation, i.e. they are the
+negatives of Newton-Okounkov valuation vectors.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .crystal import DEFAULT_BUDGET
-from .demazure import gen_demazure_crystal, gen_demazure_crystal_weights
+from .crystal import DEFAULT_BUDGET, TensorElement, epsilon, highest_path
+from .demazure import _f_power_closure, check_weights, gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
 from .rootsys import RootSystem, SubsetSequence, UnsupportedInputError, Weight, WordSequence
 
 
@@ -93,12 +98,35 @@ def _require_full_first_block(rs: RootSystem, subsets: SubsetSequence) -> None:
         raise UnsupportedInputError("the first subset must be all of [n] for this operation")
 
 
+def _highest_weight_tails(rs: RootSystem, subsets: SubsetSequence, lams, words: WordSequence, budget: int) -> dict:
+    """Projected point Ω_X(x) → factors of x, over the x ∈ X with b_{λ_1} ⊗ x highest weight."""
+    check_weights(subsets, lams)
+    if subsets.r == 1:
+        return {(): ()}
+    tail_subsets = SubsetSequence(subsets.sets[1:])
+    tail_words = WordSequence(words.blocks[1:])
+    rest = gen_demazure_crystal_weights(rs, tail_subsets, lams[1:], tail_words, budget)
+    top = highest_path(rs, lams[0])
+    tails: dict = {}
+    for x in rest.elements:
+        if any(epsilon(rs, TensorElement((top,) + x.factors), i) for i in range(1, rs.n + 1)):
+            continue
+        tail = omega_blocked(rs, tail_subsets, tail_words, lams[1:], x).entries
+        if tail in tails:
+            raise AssertionError("string parametrization failed to separate elements")
+        tails[tail] = x.factors
+    return tails
+
+
 def hat_lattice_points(rs: RootSystem, subsets, lams, words=None, budget: int = DEFAULT_BUDGET):
-    """Lattice points of the projected polytope: Ω-images with the first block forgotten."""
+    """Lattice points of the projected polytope: Ω-images with the first block forgotten.
+
+    Only X = B_{I_2..I_r, λ_2..λ_r} is generated, so ``budget`` caps |X|, not
+    |B_{I,λ_1..λ_r}|.
+    """
     subsets, lams, words = _prepare(rs, subsets, lams, words)
     _require_full_first_block(rs, subsets)
-    crystal = gen_demazure_crystal_weights(rs, subsets, lams, words, budget)
-    return tuple(sorted({sv.tail(1) for sv in crystal.omega_map().values()}))
+    return tuple(sorted(_highest_weight_tails(rs, subsets, lams, words, budget)))
 
 
 def _weight_of_hat_point(rs: RootSystem, words: WordSequence, lams, x) -> tuple:
@@ -157,12 +185,21 @@ def _as_blocks(words) -> tuple:
 
 
 def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: int = DEFAULT_BUDGET):
-    """First-block coordinates of the Ω-points over a projected lattice point x."""
+    """First-block coordinates of the Ω-points over a projected lattice point x.
+
+    These are the Ω-heads of the component B(ν) generated from b_{λ_1} ⊗ x;
+    ``budget`` caps |X| (as in ``hat_lattice_points``) and |B(ν)|.
+    """
     subsets, lams, words = _prepare(rs, subsets, lams, words)
     _require_full_first_block(rs, subsets)
-    crystal = gen_demazure_crystal_weights(rs, subsets, lams, words, budget)
+    tails = _highest_weight_tails(rs, subsets, lams, words, budget)
     x = tuple(int(t) for t in x)
-    fiber = sorted({sv.head(1) for sv in crystal.omega_map().values() if sv.tail(1) == x})
-    if not fiber:
+    if x not in tails:
         raise ValueError(f"projected point {x} is not attained")
-    return tuple(fiber)
+    component = {TensorElement((highest_path(rs, lams[0]),) + tails[x])}
+    for i in reversed(words.blocks[0]):
+        component = _f_power_closure(rs, component, i, budget)
+    strings = [omega_blocked(rs, subsets, words, lams, b) for b in component]
+    if any(sv.tail(1) != x for sv in strings):
+        raise AssertionError(f"the component over {x} has elements with another string tail")
+    return tuple(sorted({sv.head(1) for sv in strings}))

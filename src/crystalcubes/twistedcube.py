@@ -364,7 +364,7 @@ class SignedHistogram:
         lines = [",".join(header)]
         centers = [self.bin_centers(t) for t in range(self.dim)]
         for idx in np.ndindex(self.values.shape):
-            row = [repr(centers[t][k]) for t, k in enumerate(idx)] + [repr(float(self.values[idx]))]
+            row = [repr(float(centers[t][k])) for t, k in enumerate(idx)] + [repr(float(self.values[idx]))]
             lines.append(",".join(row))
         return lines
 

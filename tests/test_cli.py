@@ -65,6 +65,11 @@ def test_byte_reproducible_including_seeded_mc(tmp_path):
     }
     assert run_cli(tmp_path, config) == 0
     first = (tmp_path / "hist.csv").read_bytes()
+    header, *rows = first.decode().splitlines()
+    assert header == "center_1,center_2,value"
+    assert len(rows) == 64
+    for row in rows:
+        assert [float(field) for field in row.split(",")]
     assert run_cli(tmp_path, config) == 0
     assert (tmp_path / "hist.csv").read_bytes() == first
 
@@ -212,3 +217,102 @@ def test_custom_cartan_grid(tmp_path, capsys):
     }
     assert run_cli(tmp_path, config) == 0
     assert "5 vertices" in capsys.readouterr().out  # = weyl_dimension for this B2 weight
+
+
+B2_GRID = [[2, -1], [-2, 2]]
+
+# Artifacts of the projected-point commands, pinned from the full-saturation
+# implementation that the highest-weight route replaced.
+PROJECTED_GOLDENS = [
+    (
+        "A3",
+        "tensor-decompose",
+        {"weights": [[1, 0, 1], [0, 1, 0], [1, 0, 0]]},
+        b'{"multiplicities":{"0,0,1":2,"0,2,1":1,"1,0,2":2,"1,1,0":3,"2,1,1":1,"3,0,0":1},'
+        b'"words":[[1,2,1,3,2,1],[1,2,1,3,2,1],[1,2,1,3,2,1]]}\n',
+    ),
+    (
+        "A3",
+        "multiplicity",
+        {
+            "subsets": [[1, 2, 3], [1, 2, 3], [2, 3]],
+            "weights": [[1, 0, 1], [0, 1, 0], [0, 1, 1]],
+            "nu": [1, 0, 2],
+            "words": [[2, 1, 3, 2, 1, 3], [3, 2, 1, 3, 2, 3], [3, 2, 3]],
+        },
+        b'{"multiplicity":4,"nu":[1,0,2]}\n',
+    ),
+    (
+        "A3",
+        "component-count",
+        {"subsets": [[1, 3], [2, 3]], "weights": [[1, 0, 1], [0, 1, 1]]},
+        b'{"component_count":3,"words":[[1,3],[2,3,2]]}\n',
+    ),
+    (
+        "A3",
+        "fiber",
+        {"subsets": [[1, 2, 3], [1, 3]], "weights": [[1, 0, 0], [1, 0, 1]], "x": [1, 0]},
+        b'{"count":20,"points":[[0,0,0,0,0,0],[0,0,0,1,0,0],[0,0,0,1,1,0],[0,0,0,2,1,0],'
+        b"[0,1,0,0,0,0],[0,1,0,1,0,0],[0,1,0,2,1,0],[0,1,1,1,1,0],[0,1,1,2,1,0],[0,2,0,1,0,0],"
+        b"[0,2,1,2,1,0],[1,0,0,1,1,0],[1,0,0,2,1,0],[1,1,0,0,0,0],[1,1,0,1,0,0],[1,1,0,2,1,0],"
+        b"[1,2,0,1,0,0],[1,2,1,2,1,0],[2,1,0,2,1,0],[2,2,0,1,0,0]],"
+        b'"words":[[1,2,1,3,2,1],[1,3]],"x":[1,0]}\n',
+    ),
+    (
+        B2_GRID,
+        "tensor-decompose",
+        {"weights": [[1, 1], [0, 1]]},
+        b'{"multiplicities":{"0,2":1,"1,0":1,"1,2":1,"2,0":1},"words":[[1,2,1,2],[1,2,1,2]]}\n',
+    ),
+    (
+        B2_GRID,
+        "multiplicity",
+        {
+            "subsets": [[1, 2], [1, 2]],
+            "weights": [[1, 1], [1, 1]],
+            "nu": [1, 2],
+            "words": [[2, 1, 2, 1], [1, 2, 1, 2]],
+        },
+        b'{"multiplicity":2,"nu":[1,2]}\n',
+    ),
+    (
+        B2_GRID,
+        "component-count",
+        {"subsets": [[2], [1, 2]], "weights": [[1, 0], [1, 1]]},
+        b'{"component_count":4,"words":[[2],[1,2,1,2]]}\n',
+    ),
+    (
+        B2_GRID,
+        "fiber",
+        {"subsets": [[1, 2], [1, 2]], "weights": [[1, 1], [0, 1]], "x": [0, 1, 1, 1]},
+        b'{"count":5,"points":[[0,0,0,0],[0,1,1,0],[0,2,1,0],[1,0,0,0],[1,2,1,0]],'
+        b'"words":[[1,2,1,2],[1,2,1,2]],"x":[0,1,1,1]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "root_system,command,params,expected",
+    PROJECTED_GOLDENS,
+    ids=[f"{'A3' if rs == 'A3' else 'B2'}-{cmd}" for rs, cmd, _, _ in PROJECTED_GOLDENS],
+)
+def test_projected_point_artifacts_golden(tmp_path, root_system, command, params, expected):
+    config = {"root_system": root_system, "command": command, "params": params, "output": {"path": "out.json"}}
+    assert run_cli(tmp_path, config) == 0
+    assert (tmp_path / "out.json").read_bytes() == expected
+
+
+def test_projection_budget_caps_tail_crystal(tmp_path, capsys):
+    # |B(2,2) ⊗ B(2,2)| = 729, while the crystal X of the second block is B(2,2), 27 elements
+    config = {"root_system": "A2", "command": "tensor-decompose", "params": {"weights": [[2, 2], [2, 2]]}}
+    assert run_cli(tmp_path, {**config, "budget": 20}) == 4
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "budget"
+    assert run_cli(tmp_path, {**config, "budget": 200}) == 0
+
+
+def test_non_dominant_first_weight_exit_2(tmp_path, capsys):
+    config = {"root_system": "A2", "command": "tensor-decompose", "params": {"weights": [[1, -1], [1, 1]]}}
+    assert run_cli(tmp_path, config) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"kind": "invalid", "message": "weights must be dominant integral"}
+    }

@@ -1,9 +1,13 @@
 """Lattice points, projected polytope, multiplicities, fibers."""
 
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crystalcubes.crystal import highest_weight_decompose, tensor_product_elements
 from crystalcubes.demazure import gen_demazure_crystal_weights
@@ -20,6 +24,9 @@ from crystalcubes.stringpoly import (
 A1 = RootSystem.preset("A1")
 A2 = RootSystem.preset("A2")
 A3 = RootSystem.preset("A3")
+B2 = RootSystem([[2, -1], [-2, 2]])
+C2 = RootSystem([[2, -2], [-1, 2]])
+G2 = RootSystem([[2, -1], [-3, 2]])
 
 SL3_SUBSETS = [(1, 2), (1, 2)]
 SL3_WORDS = [(1, 2, 1), (1, 2, 1)]
@@ -276,3 +283,68 @@ class TestAgainstCrystalOracle:
             table = tensor_decompose(A2, [lam, mu])
             total = sum(c * A2.weyl_dimension(A2.weight(nu)) for nu, c in table.entries)
             assert total == A2.weyl_dimension(lam) * A2.weyl_dimension(mu)
+
+
+def full_saturation_route(rs, subsets, lams, words):
+    """The definitional route, kept as the oracle: Ω over all of B_{I,λ}, first block forgotten.
+
+    Returns the crystal, the projected points, and the first-block heads over each point.
+    """
+    crystal = gen_demazure_crystal_weights(rs, SubsetSequence(subsets), lams, WordSequence(words))
+    omegas = list(crystal.omega_map().values())
+    hat = tuple(sorted({sv.tail(1) for sv in omegas}))
+    fibers = {x: tuple(sorted({sv.head(1) for sv in omegas if sv.tail(1) == x})) for x in hat}
+    return crystal, hat, fibers
+
+
+def decomposition_from_points(rs, lams, words, points):
+    """ν = Σλ_k − Σ x_j α_{i_j} over the letters of blocks 2..r, counted per projected point."""
+    letters = [i for block in words[1:] for i in block]
+    counts = Counter()
+    for x in points:
+        nu = sum(lams[1:], start=lams[0])
+        for i, m in zip(letters, x, strict=True):
+            nu = nu - m * rs.simple_root_as_weight(i)
+        counts[tuple(nu.coords)] += 1
+    return dict(counts)
+
+
+@st.composite
+def reduced_longest_words(draw, rs, subset):
+    """A reduced word of w0 of W_subset, grown one ascent at a time in drawn order."""
+    target = len(rs.longest_word(subset))
+    word: list = []
+    while len(word) < target:
+        ascents = [i for i in subset if rs.is_reduced(word + [i])]
+        word.append(draw(st.sampled_from(ascents)))
+    return tuple(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_highest_weight_route_matches_full_saturation(data):
+    rs = data.draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
+    full = tuple(range(1, rs.n + 1))
+    later = st.sampled_from([s for k in range(1, rs.n + 1) for s in combinations(full, k)])
+    subsets = [full] + data.draw(st.lists(later, min_size=1, max_size=2), label="later blocks")
+    lams = [rs.weight(*data.draw(st.tuples(*[st.integers(0, 1)] * rs.n))) for _ in subsets]
+    assume(prod(rs.weyl_dimension(lam) for lam in lams) <= 800)
+    if data.draw(st.booleans(), label="explicit words"):
+        words = [data.draw(reduced_longest_words(rs, s)) for s in subsets]
+    else:
+        words = list(WordSequence.for_subsets(rs, SubsetSequence(subsets)).blocks)
+
+    crystal, hat, fibers = full_saturation_route(rs, subsets, lams, words)
+    assert hat_lattice_points(rs, subsets, lams, words) == hat
+    x = data.draw(st.sampled_from(hat), label="projected point")
+    assert fiber_string_points(rs, subsets, lams, x, words) == fibers[x]
+    assert component_count(rs, subsets, lams, words) == len(hat) == len(crystal.components())
+    counts = decomposition_from_points(rs, lams, words, hat)
+    nu = data.draw(st.sampled_from(sorted(counts)), label="ν")
+    assert multiplicity(rs, subsets, lams, rs.weight(nu), words) == counts[nu]
+
+    full_words = [rs.longest_word(full)] * len(lams)
+    _, full_hat, _ = full_saturation_route(rs, [full] * len(lams), lams, full_words)
+    table = tensor_decompose(rs, lams).as_dict()
+    assert table == decomposition_from_points(rs, lams, full_words, full_hat)
+    assert table == dict(highest_weight_decompose(rs, tensor_product_elements(rs, lams)))
