@@ -126,8 +126,12 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _cube_setup(rs: RootSystem, p: dict, budget: int):
-    """Cube plus projection from either (word, a) or (subsets, weights)."""
+def _cube_setup(rs: RootSystem, p: dict, extra=()):
+    """Cube plus projection from either (word, a) or (subsets, weights); extra names command params."""
+    p = _take(p, dict.fromkeys(("word", "a", "subsets", "weights", "words", *extra), False))
+    for key in ("word", "a") if "word" in p else ("subsets", "weights"):
+        if key not in p:
+            raise ConfigError(f"missing param {key!r}")
     words_used = None
     if "word" in p:
         word = tuple(p["word"])
@@ -152,6 +156,8 @@ def _cube_setup(rs: RootSystem, p: dict, budget: int):
 
 
 def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_override: str | None = None):
+    if config.budget < 1:
+        raise ConfigError("budget must be at least 1")
     rs = _root_system(config.root_system)
     p = config.params
     budget = config.budget
@@ -247,15 +253,16 @@ def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_over
         summary = "bundle vectors computed"
 
     elif command == "cube-volume":
-        cube, _, words_used = _cube_setup(rs, p, budget)
+        cube, _, words_used = _cube_setup(rs, p)
         vol = cube.signed_volume()
         artifact = {"word": list(cube.word), "a": list(cube.a), "signed_volume": _frac_str(vol)}
         summary = _frac_str(vol)
 
     elif command == "cube-moments":
-        q = dict(p)
-        degree = int(q.pop("degree", 1))
-        cube, proj, words_used = _cube_setup(rs, q, budget)
+        cube, proj, words_used = _cube_setup(rs, p, ("degree",))
+        degree = int(p.get("degree", 1))
+        if degree < 0:
+            raise ConfigError("degree must be nonnegative")
         moments = {}
         for m in _multi_indices(proj.rows, degree):
             moments[",".join(str(t) for t in m)] = _frac_str(cube.pushforward_moments(proj, m))
@@ -263,11 +270,10 @@ def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_over
         summary = f"{len(moments)} moments up to degree {degree}"
 
     elif command == "cube-histogram":
-        q = dict(p)
-        bins = q.pop("bins", 20)
-        samples = int(q.pop("samples", 10**5))
-        shards = int(q.pop("shards", 1))
-        cube, proj, words_used = _cube_setup(rs, q, budget)
+        cube, proj, words_used = _cube_setup(rs, p, ("bins", "samples", "shards"))
+        bins = p.get("bins", 20)
+        samples = int(p.get("samples", 10**5))
+        shards = int(p.get("shards", 1))
         hist = twistedcube.mc_histogram(cube, proj, bins, samples, config.seed, shards)
         text = "\n".join(hist.to_csv_lines()) + "\n"
         default_fmt = "csv"
@@ -275,11 +281,10 @@ def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_over
         summary = f"histogram total {hist.total():.6g}"
 
     elif command == "cube-svg":
-        q = dict(p)
-        bins = q.pop("bins", 20)
-        samples = int(q.pop("samples", 10**5))
-        shards = int(q.pop("shards", 1))
-        cube, proj, words_used = _cube_setup(rs, q, budget)
+        cube, proj, words_used = _cube_setup(rs, p, ("bins", "samples", "shards"))
+        bins = p.get("bins", 20)
+        samples = int(p.get("samples", 10**5))
+        shards = int(p.get("shards", 1))
         if proj.rows != 2:
             raise UnsupportedInputError("cube-svg needs a 2-D projection target; export CSV instead")
         hist = twistedcube.mc_histogram(cube, proj, bins, samples, config.seed, shards)
@@ -364,7 +369,11 @@ def main(argv=None) -> int:
         return code
 
     try:
-        raw = sys.stdin.read() if args.config == "-" else open(args.config).read()
+        if args.config == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.config) as handle:
+                raw = handle.read()
         config = JobConfig.from_dict(json.loads(raw))
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
         return fail(2, "config", str(exc))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from .rootsys import BudgetExceededError, RootSystem, Weight
 
@@ -131,48 +131,35 @@ def _reflect_dir(rs: RootSystem, v: tuple, i: int) -> tuple:
     return tuple(a - k * c for a, c in zip(v, col))
 
 
+def _crossing(p: PathElement, times, hs, j: int, target) -> Fraction:
+    """Time inside segment j-1 at which h reaches target."""
+    return times[j - 1] + p.segs[j - 1][1] * (target - hs[j - 1]) / (hs[j] - hs[j - 1])
+
+
 def _f_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
-    idx = i - 1
-    hs = _height_profile(p, idx)
+    hs = _height_profile(p, i - 1)
     m = min(hs)
     if hs[-1] - m < 1:
         return None
     # t0: last time h = m (a breakpoint); t1: first time h = m+1 after t0
-    j0 = max(j for j, h in enumerate(hs) if h == m)
-    times = [Fraction(0)]
-    for _, d in p.segs:
-        times.append(times[-1] + d)
-    t0 = times[j0]
-    t1 = None
     target = m + 1
-    for j in range(j0 + 1, len(hs)):
-        if hs[j] >= target:
-            t1 = times[j - 1] + p.segs[j - 1][1] * (target - hs[j - 1]) / (hs[j] - hs[j - 1])
-            break
-    assert t1 is not None
-    return _rebuild(rs, p, times, t0, t1, i)
+    j0 = max(j for j, h in enumerate(hs) if h == m)
+    j1 = next(j for j in range(j0 + 1, len(hs)) if hs[j] >= target)
+    times = list(accumulate((d for _, d in p.segs), initial=Fraction(0)))
+    return _rebuild(rs, p, times, times[j0], _crossing(p, times, hs, j1, target), i)
 
 
 def _e_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
-    idx = i - 1
-    hs = _height_profile(p, idx)
+    hs = _height_profile(p, i - 1)
     m = min(hs)
     if m > -1:
         return None
-    # t1: first time h = m; t0: last time h = m+1 before t1
-    j1 = min(j for j, h in enumerate(hs) if h == m)
-    times = [Fraction(0)]
-    for _, d in p.segs:
-        times.append(times[-1] + d)
-    t1 = times[j1]
-    t0 = None
+    # t1: first time h = m (a breakpoint); t0: last time h = m+1 before t1
     target = m + 1
-    for j in range(j1, 0, -1):
-        if hs[j - 1] >= target:
-            t0 = times[j - 1] + p.segs[j - 1][1] * (target - hs[j - 1]) / (hs[j] - hs[j - 1])
-            break
-    assert t0 is not None
-    return _rebuild(rs, p, times, t0, t1, i)
+    j1 = hs.index(m)
+    j0 = next(j for j in range(j1, 0, -1) if hs[j - 1] >= target)
+    times = list(accumulate((d for _, d in p.segs), initial=Fraction(0)))
+    return _rebuild(rs, p, times, _crossing(p, times, hs, j0, target), times[j1], i)
 
 
 def _rebuild(rs: RootSystem, p: PathElement, times, t0, t1, i: int) -> PathElement:
@@ -207,93 +194,79 @@ def wt(rs: RootSystem, b) -> Weight:
     return Weight(b.endpoint())
 
 
+def _eps_suffix(factors, idx: int) -> list:
+    """Kashiwara's signature rule: entry k is ε_i(b_k ⊗ ... ⊗ b_r), entry r is 0."""
+    eps = [0] * (len(factors) + 1)
+    for k in range(len(factors) - 1, -1, -1):
+        ef, _ = _eps_phi_path(factors[k], idx)
+        eps[k] = max(ef, eps[k + 1] - factors[k].endpoint()[idx])
+    return eps
+
+
 def epsilon(rs: RootSystem, b, i: int) -> int:
     rs._check_index(i)
     if isinstance(b, TensorElement):
-        eps = 0
-        for f in reversed(b.factors):
-            ef, _ = _eps_phi_path(f, i - 1)
-            eps = max(ef, eps - f.endpoint()[i - 1])
-        return int(eps)
+        return int(_eps_suffix(b.factors, i - 1)[0])
     return _eps_phi_path(b, i - 1)[0]
 
 
 def phi(rs: RootSystem, b, i: int) -> int:
+    """φ_i(b) = ε_i(b) + ⟨wt(b), α_i^∨⟩."""
+    return epsilon(rs, b, i) + int(wt(rs, b).coords[i - 1])
+
+
+def _cached(op, cache_name: str):
+    """op memoized per root system in rs.<cache_name>, with results interned in rs._paths."""
+
+    def cached(rs: RootSystem, b: PathElement, i: int):
+        cache = getattr(rs, cache_name)
+        key = (b, i)
+        if key in cache:
+            return cache[key]
+        res = op(rs, b, i)
+        if res is not None:
+            res = rs._paths.setdefault(res, res)
+        cache[key] = res
+        return res
+
+    return cached
+
+
+_f_path_cached = _cached(_f_path, "_f_cache")
+_e_path_cached = _cached(_e_path, "_e_cache")
+
+
+def _apply(rs: RootSystem, b, i: int, op, strict: bool):
+    """op on a path; on a tensor, op on the factor the signature rule picks.
+
+    That is the first b_k with φ_i(b_k) > ε_i(b_{k+1} ⊗ ... ⊗ b_r) for f_i
+    (strict), or ≥ for e_i, and the last factor if there is none.
+    """
     rs._check_index(i)
-    if isinstance(b, TensorElement):
-        ph = 0
-        first = True
-        for f in b.factors:
-            _, pf = _eps_phi_path(f, i - 1)
-            ph = pf if first else max(pf, ph + f.endpoint()[i - 1])
-            first = False
-        return int(ph)
-    return _eps_phi_path(b, i - 1)[1]
-
-
-def _f_path_cached(rs: RootSystem, b: PathElement, i: int):
-    key = (b, i)
-    cache = rs._f_cache
-    if key in cache:
-        return cache[key]
-    res = _f_path(rs, b, i)
-    if res is not None:
-        res = rs._paths.setdefault(res, res)
-    cache[key] = res
-    return res
-
-
-def _e_path_cached(rs: RootSystem, b: PathElement, i: int):
-    key = (b, i)
-    cache = rs._e_cache
-    if key in cache:
-        return cache[key]
-    res = _e_path(rs, b, i)
-    if res is not None:
-        res = rs._paths.setdefault(res, res)
-    cache[key] = res
-    return res
+    if not isinstance(b, TensorElement):
+        return op(rs, b, i)
+    factors, idx = b.factors, i - 1
+    eps = _eps_suffix(factors, idx)
+    k = 0
+    while k < len(factors) - 1:
+        pf = _eps_phi_path(factors[k], idx)[1]
+        if pf > eps[k + 1] or (not strict and pf == eps[k + 1]):
+            break
+        k += 1
+    child = op(rs, factors[k], i)
+    if child is None:
+        return None
+    return TensorElement(factors[:k] + (child,) + factors[k + 1 :])
 
 
 def path_f(rs: RootSystem, b, i: int):
     """Kashiwara lowering operator; None exactly when φ_i(b) = 0."""
-    rs._check_index(i)
-    if isinstance(b, TensorElement):
-        factors = b.factors
-        # suffix ε values: eps_suffix[k] = ε_i(b_{k+1} ⊗ ... ⊗ b_r)
-        eps_suffix = [0] * (len(factors) + 1)
-        for k in range(len(factors) - 1, -1, -1):
-            ef, _ = _eps_phi_path(factors[k], i - 1)
-            eps_suffix[k] = max(ef, eps_suffix[k + 1] - factors[k].endpoint()[i - 1])
-        for k, f in enumerate(factors):
-            _, pf = _eps_phi_path(f, i - 1)
-            if k == len(factors) - 1 or pf > eps_suffix[k + 1]:
-                child = _f_path_cached(rs, f, i)
-                if child is None:
-                    return None
-                return TensorElement(factors[:k] + (child,) + factors[k + 1 :])
-        return None
-    return _f_path_cached(rs, b, i)
+    return _apply(rs, b, i, _f_path_cached, strict=True)
 
 
 def path_e(rs: RootSystem, b, i: int):
     """Kashiwara raising operator; None exactly when ε_i(b) = 0."""
-    rs._check_index(i)
-    if isinstance(b, TensorElement):
-        factors = b.factors
-        eps_suffix = [0] * (len(factors) + 1)
-        for k in range(len(factors) - 1, -1, -1):
-            ef, _ = _eps_phi_path(factors[k], i - 1)
-            eps_suffix[k] = max(ef, eps_suffix[k + 1] - factors[k].endpoint()[i - 1])
-        for k, f in enumerate(factors):
-            _, pf = _eps_phi_path(f, i - 1)
-            if k == len(factors) - 1 or pf >= eps_suffix[k + 1]:
-                child = _e_path_cached(rs, f, i)
-                if child is None:
-                    return None
-                return TensorElement(factors[:k] + (child,) + factors[k + 1 :])
-        return None
-    return _e_path_cached(rs, b, i)
+    return _apply(rs, b, i, _e_path_cached, strict=False)
 
 
 def highest_path(rs: RootSystem, lam: Weight) -> PathElement:

@@ -1,25 +1,24 @@
 """Demazure crystals, generalized Demazure crystals, and string parametrizations.
 
-Two shapes are supported.  The word/exponent shape B_{i,a} lives inside
-B(a_1 ϖ_{i_1}) ⊗ ... ⊗ B(a_N ϖ_{i_N}) and is saturated innermost-first:
-the rightmost factor is closed under powers of f_{i_N}, then tensored under
-the next factor and closed again, letter by letter outward.  The
-subset/weight shape B_{I,λ_1..λ_r} does the same with one factor per block,
-closing under the block's word letters right to left.
+A generalized Demazure crystal B_{I,λ_1..λ_r} lives inside
+B(λ_1) ⊗ ... ⊗ B(λ_r) and is saturated innermost-first: b_{λ_r} is closed
+under f_i for the letters of block r's word, right to left, then b_{λ_{r-1}}
+is tensored on the left and the set is closed under block r-1's letters, and
+so on outward.  The parametrization Ω peels the same way from the outside:
+raise maximally along block k's letters, then drop the exposed b_{λ_k}.
 
-The parametrization peels maximal raising chains: for B_{i,a} one letter at a
-time with the exposed highest factor dropped after each letter; for the
-subset/weight shape one block at a time, dropping b_{λ_k} after block k.  The
-two agree on images because the crystal graphs are identical; tests pin this.
+The word shape B_{i,a} is the case of singleton blocks ({i_k}, a_k ϖ_{i_k}),
+as Bott-Samelson varieties are the flag Bott-Samelson varieties with singleton
+blocks, so both shapes share one saturation and one peeling loop.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 from .crystal import (
     DEFAULT_BUDGET,
-    PathElement,
     TensorElement,
     epsilon,
     graph_from_elements,
@@ -66,27 +65,62 @@ def _f_power_closure(rs: RootSystem, elements, i: int, budget: int):
     return out
 
 
+def _close(rs: RootSystem, elements, word, budget: int):
+    """Closure of elements under f_{i_1}^* ... f_{i_N}^*, the last letter applied first."""
+    for i in reversed(word):
+        elements = _f_power_closure(rs, elements, i, budget)
+    return elements
+
+
+def _saturate(rs: RootSystem, tops, blocks, budget: int) -> frozenset:
+    """b_{λ_1} ⊗ (... ⊗ b_{λ_r}), closed under each block's letters, innermost block first."""
+    tails = [()]
+    for top, block in zip(reversed(tops), reversed(blocks)):
+        current = _close(rs, {TensorElement((top,) + tail) for tail in tails}, block, budget)
+        tails = [b.factors for b in current]
+    return frozenset(current)
+
+
+def _peel(rs: RootSystem, tops, blocks, b: TensorElement) -> StringVector:
+    """Ω: raise maximally along each block's letters, then drop the exposed top path."""
+    xs = []
+    for k, (top, block) in enumerate(zip(tops, blocks)):
+        for i in block:
+            x = 0
+            while (c := path_e(rs, b, i)) is not None:
+                b, x = c, x + 1
+            xs.append(x)
+        if b.factors[0] != top:
+            raise ValueError("element is not in the generalized Demazure crystal (peeling failed)")
+        if k < len(blocks) - 1:
+            b = TensorElement(b.factors[1:])
+    return StringVector(tuple(xs), tuple(len(block) for block in blocks))
+
+
 def demazure_crystal(rs: RootSystem, lam, word, budget: int = DEFAULT_BUDGET) -> frozenset:
     """B_w(λ) = {f_{i_1}^{x_1} ... f_{i_N}^{x_N} b_λ} \\ {0} for a reduced word of w."""
     lam = lam if isinstance(lam, Weight) else rs.weight(lam)
     word = tuple(word)
     if not rs.is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
-    current = {highest_path(rs, lam)}
-    for i in reversed(word):
-        current = _f_power_closure(rs, current, i, budget)
-    return frozenset(current)
+    return frozenset(_close(rs, {highest_path(rs, lam)}, word, budget))
 
 
 @dataclass
 class GenDemazureCrystal:
-    """Generated element set with its parametrization word and cached Ω-vectors."""
+    """Generated element set with its parametrization word and cached Ω-vectors.
+
+    ``tops`` and ``blocks`` are the b_{λ_k} and block words it was saturated
+    from; ``shape`` is the input shape in its exported JSON form.
+    """
 
     rs: RootSystem
     elements: frozenset
     word: tuple[int, ...]
     block_sizes: tuple[int, ...]
     shape: dict
+    tops: tuple
+    blocks: tuple
     _omega: dict | None = field(default=None, repr=False)
 
     @property
@@ -95,14 +129,7 @@ class GenDemazureCrystal:
 
     def omega_map(self) -> dict:
         if self._omega is None:
-            if self.shape["kind"] == "word":
-                a = self.shape["a"]
-                mapping = {b: omega(self.rs, self.word, a, b) for b in self.elements}
-            else:
-                subsets = SubsetSequence(self.shape["subsets"])
-                words = WordSequence(self.shape["words"])
-                lams = [self.rs.weight(w) for w in self.shape["weights"]]
-                mapping = {b: omega_blocked(self.rs, subsets, words, lams, b) for b in self.elements}
+            mapping = {b: _peel(self.rs, self.tops, self.blocks, b) for b in self.elements}
             values = set(mapping.values())
             if len(values) != len(mapping):
                 raise AssertionError("string parametrization failed to separate elements")
@@ -150,7 +177,7 @@ class GenDemazureCrystal:
     def to_json_dict(self) -> dict:
         omega_sorted = self.omega_vectors()
         return {
-            "shape": _shape_json(self.shape),
+            "shape": deepcopy(self.shape),
             "word": list(self.word),
             "block_sizes": list(self.block_sizes),
             "element_count": self.element_count,
@@ -159,40 +186,37 @@ class GenDemazureCrystal:
         }
 
 
-def _shape_json(shape: dict) -> dict:
-    out = {"kind": shape["kind"]}
-    if shape["kind"] == "word":
-        out["a"] = list(shape["a"])
-    else:
-        out["subsets"] = [list(s) for s in shape["subsets"]]
-        out["weights"] = [list(w) for w in shape["weights"]]
-        out["words"] = [list(b) for b in shape["words"]]
-    return out
-
-
 def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) -> GenDemazureCrystal:
-    """B_{i,a}: nested saturation of f_{i_1}^{x_1}(b_{a_1 ϖ_{i_1}} ⊗ f_{i_2}^{x_2}(...))."""
+    """B_{i,a}: nested saturation of f_{i_1}^{x_1}(b_{a_1 ϖ_{i_1}} ⊗ f_{i_2}^{x_2}(...)).
+
+    This is B_{I,λ} with singleton blocks ({i_k}, a_k ϖ_{i_k}).
+    """
     word = tuple(int(i) for i in word)
     a = tuple(int(x) for x in a)
+    if not word:
+        raise ValueError("the word must not be empty")
     if len(word) != len(a):
         raise ValueError("word and exponent vector lengths differ")
     if any(x < 0 for x in a):
         raise ValueError("exponent vector entries must be nonnegative")
     for i in word:
         rs._check_index(i)
-    current: set = {TensorElement((highest_path(rs, a[-1] * rs.fundamental_weight(word[-1])),))}
-    current = _f_power_closure(rs, current, word[-1], budget)
-    for k in range(len(word) - 2, -1, -1):
-        top = highest_path(rs, a[k] * rs.fundamental_weight(word[k]))
-        current = {TensorElement((top,) + b.factors) for b in current}
-        current = _f_power_closure(rs, current, word[k], budget)
+    tops, blocks = _singleton_blocks(rs, word, a)
     return GenDemazureCrystal(
         rs=rs,
-        elements=frozenset(current),
+        elements=_saturate(rs, tops, blocks, budget),
         word=word,
         block_sizes=(1,) * len(word),
-        shape={"kind": "word", "a": a},
+        shape={"kind": "word", "a": list(a)},
+        tops=tops,
+        blocks=blocks,
     )
+
+
+def _singleton_blocks(rs: RootSystem, word, a) -> tuple:
+    """The tops b_{a_k ϖ_{i_k}} and blocks (i_k,) of B_{i,a}."""
+    tops = tuple(highest_path(rs, a[k] * rs.fundamental_weight(i)) for k, i in enumerate(word))
+    return tops, tuple((i,) for i in word)
 
 
 def check_weights(subsets: SubsetSequence, lams) -> None:
@@ -218,86 +242,51 @@ def gen_demazure_crystal_weights(
     if words is None:
         words = WordSequence.for_subsets(rs, subsets)
     words.validate(rs, subsets)
-
-    current: set = {TensorElement((highest_path(rs, lams[-1]),))}
-    for i in reversed(words.blocks[-1]):
-        current = _f_power_closure(rs, current, i, budget)
-    for k in range(subsets.r - 2, -1, -1):
-        top = highest_path(rs, lams[k])
-        current = {TensorElement((top,) + b.factors) for b in current}
-        for i in reversed(words.blocks[k]):
-            current = _f_power_closure(rs, current, i, budget)
+    tops = tuple(highest_path(rs, lam) for lam in lams)
     return GenDemazureCrystal(
         rs=rs,
-        elements=frozenset(current),
+        elements=_saturate(rs, tops, words.blocks, budget),
         word=words.flat,
         block_sizes=words.block_sizes,
         shape={
             "kind": "weights",
-            "subsets": subsets.sets,
-            "weights": [tuple(lam.coords) for lam in lams],
-            "words": words.blocks,
+            "subsets": [list(s) for s in subsets.sets],
+            "weights": [list(lam.coords) for lam in lams],
+            "words": [list(b) for b in words.blocks],
         },
+        tops=tops,
+        blocks=words.blocks,
     )
-
-
-def _max_raise(rs: RootSystem, b, i: int):
-    count = 0
-    while True:
-        c = path_e(rs, b, i)
-        if c is None:
-            return b, count
-        b = c
-        count += 1
 
 
 def omega(rs: RootSystem, word, a, b) -> StringVector:
     """Generalized string parametrization on B_{i,a}: raise maximally, peel, repeat."""
     word = tuple(word)
-    a = tuple(a)
     current = b if isinstance(b, TensorElement) else TensorElement((b,))
     if len(current.factors) != len(word):
         raise ValueError("element factor count does not match the word")
-    xs = []
-    for k, i in enumerate(word):
-        current, x = _max_raise(rs, current, i)
-        xs.append(x)
-        top = highest_path(rs, a[k] * rs.fundamental_weight(i))
-        if current.factors[0] != top:
-            raise ValueError("element is not in the generalized Demazure crystal (peeling failed)")
-        if k < len(word) - 1:
-            current = TensorElement(current.factors[1:])
-    return StringVector(tuple(xs), (1,) * len(word))
+    return _peel(rs, *_singleton_blocks(rs, word, a), current)
 
 
 def omega_blocked(rs: RootSystem, subsets: SubsetSequence, words: WordSequence, lams, b) -> StringVector:
     """Parametrization of B_{I,λ_1..λ_r}: per-block maximal raising, peeling b_{λ_k} after block k."""
-    lams = [lam if isinstance(lam, Weight) else rs.weight(lam) for lam in lams]
     current = b if isinstance(b, TensorElement) else TensorElement((b,))
     if len(current.factors) != subsets.r:
         raise ValueError("element factor count does not match the subset sequence")
-    xs = []
-    for k, block in enumerate(words.blocks):
-        for i in block:
-            current, x = _max_raise(rs, current, i)
-            xs.append(x)
-        if current.factors[0] != highest_path(rs, lams[k]):
-            raise ValueError("element is not in the generalized Demazure crystal (peeling failed)")
-        if k < subsets.r - 1:
-            current = TensorElement(current.factors[1:])
-    return StringVector(tuple(xs), words.block_sizes)
+    tops = [highest_path(rs, lam if isinstance(lam, Weight) else rs.weight(lam)) for lam in lams]
+    return _peel(rs, tops, words.blocks, current)
 
 
 def rebuild_from_omega(rs: RootSystem, word, a, sv: StringVector) -> TensorElement:
     """Inverse of omega: apply the nested f-pattern with the given exponents."""
     word = tuple(word)
-    a = tuple(a)
-    current = None
-    for k in range(len(word) - 1, -1, -1):
-        top = highest_path(rs, a[k] * rs.fundamental_weight(word[k]))
-        current = TensorElement((top,)) if current is None else TensorElement((top,) + current.factors)
+    tops, _ = _singleton_blocks(rs, word, a)
+    tail = ()
+    for k in reversed(range(len(word))):
+        current = TensorElement((tops[k],) + tail)
         for _ in range(sv.entries[k]):
             current = path_f(rs, current, word[k])
             if current is None:
                 raise ValueError("exponent pattern leaves the crystal")
-    return current
+        tail = current.factors
+    return TensorElement(tail)

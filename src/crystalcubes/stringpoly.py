@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .crystal import DEFAULT_BUDGET, TensorElement, epsilon, highest_path
-from .demazure import _f_power_closure, check_weights, gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
+from .demazure import _close, check_weights, gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
 from .rootsys import RootSystem, SubsetSequence, UnsupportedInputError, Weight, WordSequence
 
 
@@ -196,9 +196,7 @@ def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: in
     x = tuple(int(t) for t in x)
     if x not in tails:
         raise ValueError(f"projected point {x} is not attained")
-    component = {TensorElement((highest_path(rs, lams[0]),) + tails[x])}
-    for i in reversed(words.blocks[0]):
-        component = _f_power_closure(rs, component, i, budget)
+    component = _close(rs, {TensorElement((highest_path(rs, lams[0]),) + tails[x])}, words.blocks[0], budget)
     strings = [omega_blocked(rs, subsets, words, lams, b) for b in component]
     if any(sv.tail(1) != x for sv in strings):
         raise AssertionError(f"the component over {x} has elements with another string tail")

@@ -1,6 +1,8 @@
 """Batch CLI: artifacts, summaries, exit codes, reproducibility."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -302,6 +304,187 @@ def test_projected_point_artifacts_golden(tmp_path, root_system, command, params
     assert (tmp_path / "out.json").read_bytes() == expected
 
 
+# Artifacts of the enumeration commands, pinned before the word shape became the
+# singleton-block case of the weights shape; gen-demazure covers the word shape
+# and the weights shape with auto-selected and with explicit words.
+ENUMERATION_GOLDENS = [
+    (
+        "A3",
+        "crystal",
+        {"weight": [1, 0, 0]},
+        "json",
+        b'{"edges":[[0,2,1],[1,3,2],[3,1,0]],"highest":3,"vertex_count":4,"vertices":[{"index":0,'
+        b'"weight":[-1,1,0]},{"index":1,"weight":[0,-1,1]},{"index":2,"weight":[0,0,-1]},{"index":3,'
+        b'"weight":[1,0,0]}]}\n'
+    ),
+    (
+        "A3",
+        "crystal",
+        {"weight": [1, 0, 0]},
+        "txt",
+        b'0 -> 1 [label=2]\n1 -> 2 [label=3]\n3 -> 0 [label=1]\n'
+    ),
+    (
+        "A3",
+        "demazure",
+        {"weight": [0, 1, 0], "word": [1, 3, 2]},
+        "json",
+        b'{"edges":[[0,3,1],[2,2,3],[3,1,0],[3,3,4],[4,1,1]],"highest":2,"vertex_count":5,'
+        b'"vertices":[{"index":0,"weight":[-1,0,1]},{"index":1,"weight":[-1,1,-1]},{"index":2,"weight":[0,'
+        b'1,0]},{"index":3,"weight":[1,-1,1]},{"index":4,"weight":[1,0,-1]}]}\n'
+    ),
+    (
+        "A3",
+        "demazure",
+        {"weight": [0, 1, 0], "word": [1, 3, 2]},
+        "txt",
+        b'0 -> 1 [label=3]\n2 -> 3 [label=2]\n3 -> 0 [label=1]\n3 -> 4 [label=3]\n4 -> 1 [label=1]\n'
+    ),
+    (
+        "A3",
+        "lattice-points",
+        {"word": [1, 2, 3, 1], "a": [1, 0, 1, 1]},
+        "json",
+        b'{"a":[1,0,1,1],"count":19,"level":1,"points":[[0,0,0,0],[0,0,0,1],[0,0,1,0],[0,0,1,1],[0,1,0,1],'
+        b'[0,1,1,0],[0,1,1,1],[0,2,1,1],[1,0,0,0],[1,0,1,0],[1,1,0,1],[1,1,1,0],[1,1,1,1],[1,2,1,1],[2,0,'
+        b'0,0],[2,0,1,0],[2,1,1,0],[2,2,1,1],[3,1,1,0]],"word":[1,2,3,1]}\n'
+    ),
+    (
+        "A3",
+        "lattice-points",
+        {"word": [1, 2, 3, 1], "a": [1, 0, 1, 1]},
+        "csv",
+        b'x1_1,x2_1,x3_1,x4_1\n0,0,0,0\n0,0,0,1\n0,0,1,0\n0,0,1,1\n0,1,0,1\n0,1,1,0\n0,1,1,1\n0,2,1,1\n1,0,0,0\n1,0,'
+        b'1,0\n1,1,0,1\n1,1,1,0\n1,1,1,1\n1,2,1,1\n2,0,0,0\n2,0,1,0\n2,1,1,0\n2,2,1,1\n3,1,1,0\n'
+    ),
+    (
+        "A3",
+        "gen-demazure",
+        {"word": [2, 1, 3, 2], "a": [1, 1, 0, 1]},
+        "json",
+        b'{"block_sizes":[1,1,1,1],"components":[{"highest_weights":[[2,0,1]],"size":15},'
+        b'{"highest_weights":[[1,2,0]],"size":7}],"element_count":22,"omega_vectors":[[0,0,0,0],[0,0,0,1],'
+        b'[0,0,1,1],[0,1,0,0],[0,1,0,1],[0,1,1,1],[0,2,0,1],[0,2,1,1],[1,0,0,0],[1,0,1,1],[1,1,0,0],[1,1,'
+        b'0,1],[1,1,1,1],[1,2,0,1],[1,2,1,1],[2,0,0,0],[2,1,0,0],[2,1,1,1],[2,2,0,1],[2,2,1,1],[3,1,0,0],'
+        b'[3,2,1,1]],"shape":{"a":[1,1,0,1],"kind":"word"},"word":[2,1,3,2]}\n'
+    ),
+    (
+        "A3",
+        "gen-demazure",
+        {"subsets": [[1, 2], [2, 3]], "weights": [[1, 0, 0], [0, 0, 1]]},
+        "json",
+        b'{"block_sizes":[3,3],"components":[{"highest_weights":[[1,0,1]],"size":11}],"element_count":11,'
+        b'"omega_vectors":[[0,0,0,0,0,0],[0,0,0,0,1,0],[0,1,0,0,1,0],[0,1,1,0,0,0],[0,1,1,0,1,0],[0,2,1,0,'
+        b'1,0],[1,0,0,0,0,0],[1,0,0,0,1,0],[1,1,0,0,1,0],[1,2,1,0,1,0],[2,1,0,0,1,0]],'
+        b'"shape":{"kind":"weights","subsets":[[1,2],[2,3]],"weights":[[1,0,0],[0,0,1]],"words":[[1,2,1],'
+        b'[2,3,2]]},"word":[1,2,1,2,3,2],"words":[[1,2,1],[2,3,2]]}\n'
+    ),
+    (
+        "A3",
+        "gen-demazure",
+        {"subsets": [[2, 3], [1]], "weights": [[0, 0, 1], [1, 0, 0]], "words": [[3, 2, 3], [1]]},
+        "json",
+        b'{"block_sizes":[3,1],"components":[{"highest_weights":[[1,0,1]],"size":11}],"element_count":11,'
+        b'"omega_vectors":[[0,0,0,0],[0,0,0,1],[0,1,0,1],[0,1,1,0],[0,1,1,1],[0,2,1,1],[1,0,0,0],[1,0,0,'
+        b'1],[1,1,0,1],[1,2,1,1],[2,1,0,1]],"shape":{"kind":"weights","subsets":[[2,3],[1]],"weights":[[0,'
+        b'0,1],[1,0,0]],"words":[[3,2,3],[1]]},"word":[3,2,3,1]}\n'
+    ),
+    (
+        B2_GRID,
+        "crystal",
+        {"weight": [0, 1]},
+        "json",
+        b'{"edges":[[0,2,1],[2,2,3],[3,1,0]],"highest":2,"vertex_count":4,"vertices":[{"index":0,'
+        b'"weight":[-1,1]},{"index":1,"weight":[0,-1]},{"index":2,"weight":[0,1]},{"index":3,"weight":[1,'
+        b'-1]}]}\n'
+    ),
+    (
+        B2_GRID,
+        "crystal",
+        {"weight": [0, 1]},
+        "txt",
+        b'0 -> 1 [label=2]\n2 -> 3 [label=2]\n3 -> 0 [label=1]\n'
+    ),
+    (
+        B2_GRID,
+        "demazure",
+        {"weight": [1, 1], "word": [1, 2]},
+        "json",
+        b'{"edges":[[0,1,1],[3,1,2],[3,2,4],[4,1,0]],"highest":3,"vertex_count":5,"vertices":[{"index":0,'
+        b'"weight":[0,1]},{"index":1,"weight":[-2,3]},{"index":2,"weight":[-1,3]},{"index":3,"weight":[1,'
+        b'1]},{"index":4,"weight":[2,-1]}]}\n'
+    ),
+    (
+        B2_GRID,
+        "demazure",
+        {"weight": [1, 1], "word": [1, 2]},
+        "txt",
+        b'0 -> 1 [label=1]\n3 -> 2 [label=1]\n3 -> 4 [label=2]\n4 -> 0 [label=1]\n'
+    ),
+    (
+        B2_GRID,
+        "lattice-points",
+        {"word": [2, 1, 2], "a": [1, 1, 0], "level": 2},
+        "json",
+        b'{"a":[1,1,0],"count":15,"level":2,"points":[[0,0,0],[0,1,0],[0,2,0],[1,0,0],[1,1,0],[1,2,0],[2,'
+        b'0,0],[2,1,0],[2,2,0],[3,1,0],[3,2,0],[4,1,0],[4,2,0],[5,2,0],[6,2,0]],"word":[2,1,2]}\n'
+    ),
+    (
+        B2_GRID,
+        "lattice-points",
+        {"word": [2, 1, 2], "a": [1, 1, 0], "level": 2},
+        "csv",
+        b'x1_1,x2_1,x3_1\n0,0,0\n0,1,0\n0,2,0\n1,0,0\n1,1,0\n1,2,0\n2,0,0\n2,1,0\n2,2,0\n3,1,0\n3,2,0\n4,1,0\n4,2,0\n5,'
+        b'2,0\n6,2,0\n'
+    ),
+    (
+        B2_GRID,
+        "gen-demazure",
+        {"word": [2, 1, 2], "a": [1, 1, 1]},
+        "json",
+        b'{"block_sizes":[1,1,1],"components":[{"highest_weights":[[2,0]],"size":9},'
+        b'{"highest_weights":[[1,2]],"size":8}],"element_count":17,"omega_vectors":[[0,0,0],[0,0,1],[0,1,'
+        b'0],[0,1,1],[0,2,1],[1,0,0],[1,1,0],[1,1,1],[1,2,1],[2,0,0],[2,1,0],[2,1,1],[2,2,1],[3,1,0],[3,2,'
+        b'1],[4,1,0],[4,2,1]],"shape":{"a":[1,1,1],"kind":"word"},"word":[2,1,2]}\n'
+    ),
+    (
+        B2_GRID,
+        "gen-demazure",
+        {"subsets": [[2], [1]], "weights": [[0, 1], [1, 0]]},
+        "json",
+        b'{"block_sizes":[1,1],"components":[{"highest_weights":[[1,1]],"size":6}],"element_count":6,'
+        b'"omega_vectors":[[0,0],[0,1],[1,0],[1,1],[2,1],[3,1]],"shape":{"kind":"weights","subsets":[[2],'
+        b'[1]],"weights":[[0,1],[1,0]],"words":[[2],[1]]},"word":[2,1],"words":[[2],[1]]}\n'
+    ),
+    (
+        B2_GRID,
+        "gen-demazure",
+        {"subsets": [[1], [1, 2]], "weights": [[1, 0], [0, 1]], "words": [[1], [2, 1, 2, 1]]},
+        "json",
+        b'{"block_sizes":[1,4],"components":[{"highest_weights":[[1,1]],"size":5},{"highest_weights":[[0,'
+        b'1]],"size":3}],"element_count":8,"omega_vectors":[[0,0,0,0,0],[0,0,1,1,0],[0,1,0,0,0],[0,1,1,1,'
+        b'0],[1,0,0,0,0],[1,1,0,0,0],[1,1,1,1,0],[2,1,0,0,0]],"shape":{"kind":"weights","subsets":[[1],[1,'
+        b'2]],"weights":[[1,0],[0,1]],"words":[[1],[2,1,2,1]]},"word":[1,2,1,2,1]}\n'
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "root_system,command,params,fmt,expected",
+    ENUMERATION_GOLDENS,
+    ids=[
+        f"{'A3' if rs == 'A3' else 'B2'}-{cmd}-"
+        + ("word" if "word" in p and cmd == "gen-demazure" else "words" if "words" in p else "auto" if "subsets" in p else fmt)
+        for rs, cmd, p, fmt, _ in ENUMERATION_GOLDENS
+    ],
+)
+def test_enumeration_artifacts_golden(tmp_path, root_system, command, params, fmt, expected):
+    output = {"path": f"out.{fmt}", "format": fmt}
+    config = {"root_system": root_system, "command": command, "params": params, "output": output}
+    assert run_cli(tmp_path, config) == 0
+    assert (tmp_path / f"out.{fmt}").read_bytes() == expected
+
+
 def test_projection_budget_caps_tail_crystal(tmp_path, capsys):
     # |B(2,2) ⊗ B(2,2)| = 729, while the crystal X of the second block is B(2,2), 27 elements
     config = {"root_system": "A2", "command": "tensor-decompose", "params": {"weights": [[2, 2], [2, 2]]}}
@@ -316,3 +499,49 @@ def test_non_dominant_first_weight_exit_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err) == {
         "error": {"kind": "invalid", "message": "weights must be dominant integral"}
     }
+
+
+@pytest.mark.parametrize("command", ["gen-demazure", "lattice-points"])
+def test_empty_word_exit_2(tmp_path, capsys, command):
+    config = {"root_system": "A2", "command": command, "params": {"word": [], "a": []}}
+    assert run_cli(tmp_path, config) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": {"kind": "invalid", "message": "the word must not be empty"}}
+
+
+def test_config_file_is_closed(tmp_path):
+    config = {"root_system": "A1", "command": "cube-volume", "params": {"word": [1], "a": [2]}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(tmp_path, config) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+CUBE_PARAMS = {"word": [1, 2], "a": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "command,params,message",
+    [
+        ("cube-volume", {**CUBE_PARAMS, "bogus": 1}, "unknown params: ['bogus']"),
+        ("cube-histogram", {**CUBE_PARAMS, "samples": 100, "bogus": 1}, "unknown params: ['bogus']"),
+        ("cube-volume", {**CUBE_PARAMS, "degree": 1}, "unknown params: ['degree']"),
+        ("cube-moments", {**CUBE_PARAMS, "degree": -1}, "degree must be nonnegative"),
+        ("cube-volume", {"word": [1, 2]}, "missing param 'a'"),
+        ("cube-volume", {"subsets": [[1, 2]]}, "missing param 'weights'"),
+    ],
+    ids=["volume-unknown", "histogram-unknown", "volume-degree", "moments-negative-degree", "missing-a", "missing-weights"],
+)
+def test_cube_params_rejected_exit_2(tmp_path, capsys, command, params, message):
+    config = {"root_system": "A2", "command": command, "params": params}
+    assert run_cli(tmp_path, config) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": {"kind": "invalid", "message": message}}
+
+
+def test_budget_below_one_exit_2(tmp_path, capsys):
+    config = {"root_system": "A2", "command": "crystal", "params": {"weight": [1, 0]}}
+    assert run_cli(tmp_path, {**config, "budget": -5}) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == "budget must be at least 1"
+    assert run_cli(tmp_path, config, "--budget", "0") == 2
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == "budget must be at least 1"
+    assert run_cli(tmp_path, config, "--budget", "1") == 4

@@ -22,6 +22,9 @@ from crystalcubes.rootsys import BudgetExceededError, RootSystem
 
 A2 = RootSystem.preset("A2")
 A3 = RootSystem.preset("A3")
+B2 = RootSystem([[2, -1], [-2, 2]])
+C2 = RootSystem([[2, -2], [-1, 2]])
+G2 = RootSystem([[2, -1], [-3, 2]])
 
 
 def alpha(rs, i):
@@ -293,3 +296,66 @@ def test_tensor_axioms(coords1, coords2, word, i):
     d = path_e(A2, b, i)
     if d is not None:
         assert path_f(A2, d, i) == b
+
+
+# -- the Kashiwara signature rule written out once per statistic and operator, kept as the oracle
+
+
+def oracle_eps_phi_path(p, i):
+    """(ε_i, φ_i) of one path: −min of h(t) = ⟨π(t), α_i^∨⟩, and h(1) − min."""
+    heights = [0]
+    for v, d in p.segs:
+        heights.append(heights[-1] + v[i - 1] * d)
+    low = min(heights)
+    return -low, heights[-1] - low
+
+
+def oracle_epsilon(b, i):
+    eps = 0
+    for f in reversed(b.factors):
+        ef, _ = oracle_eps_phi_path(f, i)
+        eps = max(ef, eps - f.endpoint()[i - 1])
+    return eps
+
+
+def oracle_phi(b, i):
+    ph = None
+    for f in b.factors:
+        _, pf = oracle_eps_phi_path(f, i)
+        ph = pf if ph is None else max(pf, ph + f.endpoint()[i - 1])
+    return ph
+
+
+def oracle_operator(rs, b, i, raising):
+    """f_i (or e_i) acts on the first factor k with φ_i(b_k) > (≥ for e_i) ε_i(b_{k+1} ⊗ ... ⊗ b_r)."""
+    factors = b.factors
+    for k, f in enumerate(factors):
+        _, pf = oracle_eps_phi_path(f, i)
+        rest = oracle_epsilon(TensorElement(factors[k + 1 :]), i) if k < len(factors) - 1 else None
+        if rest is None or pf > rest or (raising and pf == rest):
+            child = (path_e if raising else path_f)(rs, f, i)
+            return None if child is None else TensorElement(factors[:k] + (child,) + factors[k + 1 :])
+
+
+@st.composite
+def tensor_elements(draw):
+    """A root system and a random element of B(λ_1) ⊗ ... ⊗ B(λ_r), r = 2 or 3."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2]))
+    factors = []
+    for _ in range(draw(st.integers(2, 3))):
+        b = highest_path(rs, rs.weight(*draw(st.tuples(*[st.integers(0, 2)] * rs.n))))
+        for j in draw(st.lists(st.integers(1, rs.n), max_size=6)):
+            b = path_f(rs, b, j) or b
+        factors.append(b)
+    return rs, TensorElement(factors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=tensor_elements())
+def test_signature_rule_matches_oracle(drawn):
+    rs, b = drawn
+    for i in range(1, rs.n + 1):
+        assert epsilon(rs, b, i) == oracle_epsilon(b, i)
+        assert phi(rs, b, i) == oracle_phi(b, i)
+        assert path_f(rs, b, i) == oracle_operator(rs, b, i, raising=False)
+        assert path_e(rs, b, i) == oracle_operator(rs, b, i, raising=True)

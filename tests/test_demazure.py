@@ -1,8 +1,10 @@
 """Demazure and generalized Demazure crystals, string parametrizations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crystalcubes.crystal import TensorElement, epsilon, highest_path, path_f, wt
+from crystalcubes.crystal import TensorElement, epsilon, highest_path, path_e, path_f, wt
 from crystalcubes.demazure import (
     demazure_crystal,
     gen_demazure_crystal,
@@ -15,6 +17,9 @@ from crystalcubes.rootsys import BudgetExceededError, RootSystem, SubsetSequence
 
 A2 = RootSystem.preset("A2")
 A3 = RootSystem.preset("A3")
+B2 = RootSystem([[2, -1], [-2, 2]])
+C2 = RootSystem([[2, -2], [-1, 2]])
+G2 = RootSystem([[2, -1], [-3, 2]])
 
 SL3_SUBSETS = SubsetSequence([(1, 2), (1, 2)])
 SL3_WORDS = WordSequence([(1, 2, 1), (1, 2, 1)])
@@ -90,6 +95,10 @@ class TestGenDemazure:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             gen_demazure_crystal(A2, (1, 2), (1,))
+
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            gen_demazure_crystal(A2, (), ())
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -226,3 +235,59 @@ class TestExport:
         doc = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS).to_json_dict()
         assert doc["shape"]["kind"] == "weights"
         assert doc["block_sizes"] == [3, 3]
+
+
+def word_shape_oracle(rs, word, a):
+    """The word shape written out on its own, kept as the oracle: element → Ω-vector.
+
+    Saturation tensors b_{a_k ϖ_{i_k}} on the left and closes under f_{i_k},
+    innermost letter first; Ω raises maximally along i_k and drops the exposed
+    b_{a_k ϖ_{i_k}}, one letter at a time.
+    """
+    tops = [highest_path(rs, a_k * rs.fundamental_weight(i)) for i, a_k in zip(word, a)]
+    current = {()}
+    for top, i in zip(reversed(tops), reversed(word)):
+        current = {(top,) + factors for factors in current}
+        frontier = list(current)
+        while frontier:
+            c = path_f(rs, TensorElement(frontier.pop()), i)
+            if c is not None and c.factors not in current:
+                current.add(c.factors)
+                frontier.append(c.factors)
+    omegas = {}
+    for factors in current:
+        b, xs = TensorElement(factors), []
+        for k, i in enumerate(word):
+            x = 0
+            while (c := path_e(rs, b, i)) is not None:
+                b, x = c, x + 1
+            xs.append(x)
+            assert b.factors[0] == tops[k]
+            if k < len(word) - 1:
+                b = TensorElement(b.factors[1:])
+        omegas[TensorElement(factors)] = tuple(xs)
+    return omegas
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_word_shape_is_singleton_block_case(data):
+    rs = data.draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
+    letters = st.integers(1, rs.n)
+    word = tuple(data.draw(st.lists(letters, min_size=1, max_size=4 if rs.n == 2 else 3), label="word"))
+    a = tuple(data.draw(st.lists(st.integers(0, 2), min_size=len(word), max_size=len(word)), label="a"))
+
+    via_word = gen_demazure_crystal(rs, word, a)
+    subsets = SubsetSequence([(i,) for i in word])
+    lams = [a_k * rs.fundamental_weight(i) for i, a_k in zip(word, a)]
+    via_blocks = gen_demazure_crystal_weights(rs, subsets, lams, WordSequence(subsets.sets))
+    assert via_word.elements == via_blocks.elements
+    assert via_word.omega_vectors() == via_blocks.omega_vectors()
+    word_doc, blocks_doc = via_word.to_json_dict(), via_blocks.to_json_dict()
+    assert word_doc.pop("shape") == {"kind": "word", "a": list(a)}
+    assert blocks_doc.pop("shape")["kind"] == "weights"
+    assert word_doc == blocks_doc
+
+    oracle = word_shape_oracle(rs, word, a)
+    assert via_word.elements == set(oracle)
+    assert {b: sv.entries for b, sv in via_word.omega_map().items()} == oracle
