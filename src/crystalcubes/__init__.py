@@ -9,6 +9,7 @@ Grossberg-Karshon twisted cubes with exact pushforward moments.
 from .rootsys import (
     BudgetExceededError,
     CartanMatrix,
+    InvariantError,
     RootSystem,
     SubsetSequence,
     UnsupportedInputError,

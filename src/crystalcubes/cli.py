@@ -1,8 +1,9 @@
 """Batch front-end: one JSON job per invocation, artifacts written atomically.
 
 Exit codes: 0 success, 2 malformed config or computation error, 3 unsupported
-input (e.g. a Levi block not of type A), 4 element budget exceeded.  Errors go
-to stderr as a one-line JSON object.
+input (e.g. a Levi block not of type A), 4 element budget exceeded, 5 an
+internal consistency check failed (a defect of the program, not of the input).
+Errors go to stderr as a one-line JSON object.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .crystal import DEFAULT_BUDGET, generate_crystal
 from .demazure import demazure_crystal, gen_demazure_crystal, gen_demazure_crystal_weights, graph_from_elements
 from .rootsys import (
     BudgetExceededError,
+    InvariantError,
     RootSystem,
     SubsetSequence,
     UnsupportedInputError,
@@ -43,6 +45,7 @@ COMMANDS = (
 )
 
 TOP_KEYS = {"root_system", "command", "params", "output", "seed", "budget"}
+LIST_PARAMS = {"word", "a", "subsets", "weights", "words", "weight", "nu", "x"}
 
 
 class ConfigError(ValueError):
@@ -105,6 +108,8 @@ def _take(params: dict, allowed: dict) -> dict:
     out = {}
     for key, required in allowed.items():
         if key in params:
+            if key in LIST_PARAMS and not isinstance(params[key], list):
+                raise ConfigError(f"param {key!r} must be a list")
             out[key] = params[key]
         elif required:
             raise ConfigError(f"missing param {key!r}")
@@ -389,7 +394,9 @@ def main(argv=None) -> int:
         return fail(3, "unsupported", str(exc))
     except BudgetExceededError as exc:
         return fail(4, "budget", str(exc))
-    except (ConfigError, ValueError, IndexError, KeyError) as exc:
+    except InvariantError as exc:
+        return fail(5, "internal", str(exc))
+    except (ConfigError, ValueError, IndexError, KeyError, TypeError) as exc:
         return fail(2, "invalid", str(exc))
 
     print(f"{summary} -> {path}")

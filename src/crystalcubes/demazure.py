@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass, field
+from operator import index
 
 from .crystal import (
     DEFAULT_BUDGET,
@@ -26,7 +27,7 @@ from .crystal import (
     path_e,
     path_f,
 )
-from .rootsys import BudgetExceededError, RootSystem, SubsetSequence, Weight, WordSequence
+from .rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, Weight, WordSequence
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ class GenDemazureCrystal:
             mapping = {b: _peel(self.rs, self.tops, self.blocks, b) for b in self.elements}
             values = set(mapping.values())
             if len(values) != len(mapping):
-                raise AssertionError("string parametrization failed to separate elements")
+                raise InvariantError("string parametrization failed to separate elements")
             self._omega = mapping
         return self._omega
 
@@ -191,8 +192,8 @@ def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) 
 
     This is B_{I,λ} with singleton blocks ({i_k}, a_k ϖ_{i_k}).
     """
-    word = tuple(int(i) for i in word)
-    a = tuple(int(x) for x in a)
+    word = tuple(map(index, word))  # rejects a string such as "12", which int() would split into letters
+    a = tuple(map(index, a))
     if not word:
         raise ValueError("the word must not be empty")
     if len(word) != len(a):

@@ -24,6 +24,10 @@ class BudgetExceededError(RuntimeError):
     """A generation step exceeded its configured element budget."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed on valid input: a defect of the program."""
+
+
 Coords = tuple[Fraction, ...]
 
 
@@ -265,7 +269,8 @@ class RootSystem:
                 break
             word.append(i)
             v = self.reflect(v, i)
-        assert len(word) == len(self.positive_roots_in(subset))
+        if len(word) != len(self.positive_roots_in(subset)):
+            raise InvariantError(f"greedy word {word} for {subset} is not a reduced word of the longest element")
         return tuple(word)
 
     def _check_subset(self, subset: Sequence[int]) -> tuple[int, ...]:
@@ -366,7 +371,8 @@ class RootSystem:
             num = sum(m * d * (x + 1) for m, d, x in zip(beta, self._d, lam.coords))
             den = sum(m * d for m, d in zip(beta, self._d))
             result *= Fraction(num, 1) / den
-        assert result.denominator == 1
+        if result.denominator != 1:
+            raise InvariantError(f"Weyl dimension of {lam.coords} is not an integer: {result}")
         return int(result)
 
 

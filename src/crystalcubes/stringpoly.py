@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .crystal import DEFAULT_BUDGET, TensorElement, epsilon, highest_path
 from .demazure import _close, check_weights, gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
-from .rootsys import RootSystem, SubsetSequence, UnsupportedInputError, Weight, WordSequence
+from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, Weight, WordSequence
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _highest_weight_tails(rs: RootSystem, subsets: SubsetSequence, lams, words: 
             continue
         tail = omega_blocked(rs, tail_subsets, tail_words, lams[1:], x).entries
         if tail in tails:
-            raise AssertionError("string parametrization failed to separate elements")
+            raise InvariantError("string parametrization failed to separate elements")
         tails[tail] = x.factors
     return tails
 
@@ -162,7 +162,7 @@ def tensor_decompose(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> Mult
     for x in points:
         nu = _weight_of_hat_point(rs, words, lams, x)
         if any(c < 0 for c in nu):
-            raise AssertionError(f"projected point {x} produced a non-dominant weight {nu}")
+            raise InvariantError(f"projected point {x} produced a non-dominant weight {nu}")
         counts[nu] += 1
     return MultiplicityTable.from_counter(counts)
 
@@ -199,5 +199,5 @@ def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: in
     component = _close(rs, {TensorElement((highest_path(rs, lams[0]),) + tails[x])}, words.blocks[0], budget)
     strings = [omega_blocked(rs, subsets, words, lams, b) for b in component]
     if any(sv.tail(1) != x for sv in strings):
-        raise AssertionError(f"the component over {x} has elements with another string tail")
+        raise InvariantError(f"the component over {x} has elements with another string tail")
     return tuple(sorted({sv.head(1) for sv in strings}))

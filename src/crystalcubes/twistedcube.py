@@ -7,14 +7,23 @@ The cube for a word i and integer vector a is carved out by affine forms
 with coordinate l admitted when A_l(x) ≤ x_l ≤ 0 (closed) or 0 < x_l < A_l(x)
 (open), and density (-1)^N sign(x_1)...sign(x_N), sign(x) = -1 for x ≤ 0.
 
-Exact integration rests on the two-case branch identity: for any h with
-antiderivative H, H(0) = 0,
+Volumes, moments and lattice counts rest on one two-case branch identity.  For
+any h with antiderivative H, H(0) = 0,
   * A ≤ 0, closed branch:  ∫_{[A,0]} sign(x) h(x) dx = -(H(0) - H(A)) = H(A),
   * A > 0, open branch:    ∫_{(0,A)} sign(x) h(x) dx = H(A) - H(0) = H(A),
-so both equal ∫_0^A h.  Integrating x_1 innermost (A_l only involves later
-coordinates, which makes antiderivative-then-substitute well founded) gives
-∫ ρ·p dx = (-1)^N p_N with p_0 = p and p_l = (antiderivative of p_{l-1} in
-x_l vanishing at 0) evaluated at x_l = A_l.
+so both equal ∫_0^A h.  For a polynomial p with antidifference S,
+S(v) - S(v-1) = p(v) and S(0) = 0, and an integer A (the forms have integer
+coefficients, so A_l is an integer at lattice points),
+  * A ≤ 0, closed branch:  Σ_{v=A}^{0} sign(v) p(v) = -(S(0) - S(A-1)) = S(A-1),
+  * A > 0, open branch:    Σ_{v=1}^{A-1} sign(v) p(v) = S(A-1) - S(0) = S(A-1),
+so both equal S(A-1) = Σ_{0<v<A} p(v), read as a polynomial in A.
+
+Summing x_1 innermost (A_l only involves later coordinates, which makes
+step-then-substitute well founded) gives Σ or ∫ of ρ·p = (-1)^N p_N with
+p_0 = p and p_l = T_l(p_{l-1}) evaluated at x_l = A_l, where T_l is the
+antiderivative in x_l vanishing at 0 (volumes, moments) or the antidifference
+S(x_l - 1) (lattice counts).  One recursion, `_sum_out`, runs both: it carries
+integer numerators over one common denominator, which only the step multiplies.
 """
 
 from __future__ import annotations
@@ -22,10 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import add
 
 import numpy as np
 
-from .rootsys import RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
 
 class MVPolynomial:
@@ -58,7 +69,7 @@ class MVPolynomial:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return MVPolynomial(self.nvars, terms)
 
@@ -75,20 +86,48 @@ class MVPolynomial:
     def substitute(self, idx: int, value: "MVPolynomial") -> "MVPolynomial":
         """Replace variable idx by a polynomial in the remaining variables."""
         max_k = max((e[idx] for e in self.terms), default=0)
-        powers = [MVPolynomial.constant(self.nvars, 1)]
+        powers = [MVPolynomial(self.nvars, {(0,) * self.nvars: 1})]
         for _ in range(max_k):
             powers.append(powers[-1] * value)
-        out = MVPolynomial(self.nvars, {})
+        out: dict = {}
         for e, c in self.terms.items():
             rest = e[:idx] + (0,) + e[idx + 1 :]
-            out = out + (MVPolynomial(self.nvars, {rest: c}) * powers[e[idx]])
-        return out
+            for e2, c2 in powers[e[idx]].terms.items():
+                key = tuple(map(add, rest, e2))
+                out[key] = out.get(key, 0) + c * c2
+        return MVPolynomial(self.nvars, out)
 
     def constant_value(self) -> Fraction:
         for e, c in self.terms.items():
             if any(e):
                 raise ValueError("polynomial is not constant")
         return Fraction(self.terms.get((0,) * self.nvars, Fraction(0)))
+
+
+def _power_integral(k: int) -> tuple[int, tuple[int, ...]]:
+    """∫_0^x t^k dt = x^{k+1} / (k+1), as (denominator, coefficients)."""
+    return k + 1, (0,) * (k + 1) + (1,)
+
+
+@cache
+def _strict_power_sum(k: int) -> tuple[int, tuple[int, ...]]:
+    """Σ_{0<v<x} v^k = S_k(x) - x^k as (denominator, coefficients), for every integer x.
+
+    Faulhaber: S_m(x) = Σ_{v=1}^{x} v^m satisfies
+    (m+1) S_m = (x+1)^{m+1} - 1 - Σ_{j<m} C(m+1, j) S_j, and S_m(0) = 0.
+    """
+    sums: list[list[Fraction]] = []
+    for m in range(k + 1):
+        s = [Fraction(math.comb(m + 1, i)) for i in range(m + 2)]
+        s[0] -= 1
+        for j, sj in enumerate(sums):
+            for i, c in enumerate(sj):
+                s[i] -= math.comb(m + 1, j) * c
+        sums.append([c / (m + 1) for c in s])
+    s = sums[k]
+    s[k] -= 1
+    d = math.lcm(*(c.denominator for c in s))
+    return d, tuple(int(c * d) for c in s)
 
 
 def _sign(x) -> int:
@@ -174,11 +213,12 @@ class TwistedCube:
         return const + sum(c * x[j] for j, c in coeffs.items())
 
     def bound_polynomial(self, l: int) -> MVPolynomial:
+        """A_l as a polynomial with integer coefficients."""
         const, coeffs = self.forms[l]
-        terms = {(0,) * self.dim: Fraction(const)}
+        terms = {(0,) * self.dim: int(const)}
         for j, c in coeffs.items():
             e = tuple(1 if k == j else 0 for k in range(self.dim))
-            terms[e] = Fraction(c)
+            terms[e] = c
         return MVPolynomial(self.dim, terms)
 
     # -- pointwise density -------------------------------------------------
@@ -198,17 +238,41 @@ class TwistedCube:
             sign_product *= _sign(x[l])
         return (-1) ** self.dim * sign_product
 
-    # -- exact integration ---------------------------------------------------
+    # -- exact integration and lattice counts --------------------------------
 
-    def _integrate(self, p0: MVPolynomial) -> Fraction:
-        p = p0
-        for l in range(self.dim):
-            p = p.antiderivative(l).substitute(l, self.bound_polynomial(l))
-        return (-1) ** self.dim * p.constant_value()
+    def _sum_out(self, p0: MVPolynomial, step) -> Fraction:
+        """(-1)^N p_N: at each coordinate l, x_l^k becomes step(k) = (d, f), that is
+        Σ_j f_j x_l^j / d, and then x_l becomes A_l.
+
+        The polynomial is kept as integer numerators over one denominator, which
+        only the steps multiply (by the lcm of their d); the gcd of numerators and
+        denominator is divided out after each coordinate.
+        """
+        n = self.dim
+        den = math.lcm(*(Fraction(c).denominator for c in p0.terms.values()))
+        p = MVPolynomial(n, {e: int(c * den) for e, c in p0.terms.items()})
+        for l in range(n):
+            rows = {k: step(k) for k in {e[l] for e in p.terms}}
+            scale = math.lcm(*(d for d, _ in rows.values()))
+            terms: dict = {}
+            for e, c in p.terms.items():
+                d, f = rows[e[l]]
+                c *= scale // d
+                for j, fj in enumerate(f):
+                    if fj:
+                        key = e[:l] + (j,) + e[l + 1 :]
+                        terms[key] = terms.get(key, 0) + c * fj
+            den *= scale
+            p = MVPolynomial(n, terms).substitute(l, self.bound_polynomial(l))
+            g = math.gcd(den, *p.terms.values())
+            if g > 1:
+                den //= g
+                p = MVPolynomial(n, {e: c // g for e, c in p.terms.items()})
+        return (-1) ** n * Fraction(p.constant_value(), den)
 
     def signed_volume(self) -> Fraction:
         """∫ ρ dx, exactly."""
-        return self._integrate(MVPolynomial.constant(self.dim, 1))
+        return self._sum_out(MVPolynomial.constant(self.dim, 1), _power_integral)
 
     def pushforward_moments(self, projection: ProjectionMap, multi_index) -> Fraction:
         """∫ (Lx)^m ρ(x) dx, exactly; m = 0 reduces to the signed volume."""
@@ -230,33 +294,14 @@ class TwistedCube:
                     linear = linear + coef * MVPolynomial.variable(self.dim, j)
             for _ in range(power):
                 p0 = p0 * linear
-        return self._integrate(p0)
-
-    # -- signed lattice count --------------------------------------------------
+        return self._sum_out(p0, _power_integral)
 
     def signed_lattice_count(self) -> int:
         """Σ_{x ∈ Z^N} ρ(x), honoring the closed/open branch asymmetry exactly."""
-        n = self.dim
-
-        def rec(l: int, x: list) -> int:
-            if l < 0:
-                return 1
-            total = 0
-            bound = self.bound_value(l, x)
-            if bound <= 0:
-                lo = math.ceil(bound)
-                for v in range(lo, 1):
-                    x[l] = v
-                    total -= rec(l - 1, x)  # sign(v) = -1 for v ≤ 0
-            else:
-                hi = math.ceil(bound) - 1
-                for v in range(1, hi + 1):
-                    x[l] = v
-                    total += rec(l - 1, x)
-            x[l] = 0
-            return total
-
-        return (-1) ** n * rec(n - 1, [0] * n)
+        count = self._sum_out(MVPolynomial.constant(self.dim, 1), _strict_power_sum)
+        if count.denominator != 1:
+            raise InvariantError(f"signed lattice count {count} is not an integer")
+        return int(count)
 
     # -- Monte Carlo ------------------------------------------------------------
 

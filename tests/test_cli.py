@@ -545,3 +545,47 @@ def test_budget_below_one_exit_2(tmp_path, capsys):
     assert run_cli(tmp_path, config, "--budget", "0") == 2
     assert json.loads(capsys.readouterr().err)["error"]["message"] == "budget must be at least 1"
     assert run_cli(tmp_path, config, "--budget", "1") == 4
+
+
+@pytest.mark.parametrize(
+    "command,params,message",
+    [
+        ("tensor-decompose", {"weights": 3}, "param 'weights' must be a list"),
+        ("cube-volume", {"word": [1, 2], "a": None}, "param 'a' must be a list"),
+        ("gen-demazure", {"word": "12", "a": [1, 1]}, "param 'word' must be a list"),
+        ("lattice-points", {"word": "12", "a": [1, 1]}, "param 'word' must be a list"),
+    ],
+    ids=["weights-int", "a-null", "gen-demazure-word-string", "lattice-points-word-string"],
+)
+def test_wrong_param_type_exit_2(tmp_path, capsys, command, params, message):
+    config = {"root_system": "A2", "command": command, "params": params}
+    assert run_cli(tmp_path, config) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": {"kind": "invalid", "message": message}}
+
+
+@pytest.mark.parametrize(
+    "command,params",
+    [
+        ("gen-demazure", {"word": ["1", "2"], "a": [1, 1]}),
+        ("tensor-decompose", {"weights": [[1, None], [1, 1]]}),
+        ("cube-moments", {"word": [1, 2], "a": [1, 1], "degree": None}),
+    ],
+    ids=["word-letters-strings", "weight-coordinate-null", "degree-null"],
+)
+def test_wrong_nested_type_exit_2(tmp_path, capsys, command, params):
+    config = {"root_system": "A2", "command": command, "params": params}
+    assert run_cli(tmp_path, config) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "invalid"
+
+
+def test_internal_invariant_exit_5(tmp_path, capsys, monkeypatch):
+    from crystalcubes import stringpoly
+    from crystalcubes.demazure import StringVector
+
+    # an Ω that sends every element to one vector breaks the separation check
+    monkeypatch.setattr(stringpoly, "omega_blocked", lambda *args: StringVector((0, 0, 0), (3,)))
+    config = {"root_system": "A2", "command": "tensor-decompose", "params": {"weights": [[1, 1], [1, 1]]}}
+    assert run_cli(tmp_path, config) == 5
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"kind": "internal", "message": "string parametrization failed to separate elements"}
+    }

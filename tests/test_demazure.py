@@ -291,3 +291,10 @@ def test_word_shape_is_singleton_block_case(data):
     oracle = word_shape_oracle(rs, word, a)
     assert via_word.elements == set(oracle)
     assert {b: sv.entries for b, sv in via_word.omega_map().items()} == oracle
+
+
+def test_string_word_rejected():
+    with pytest.raises(TypeError):
+        gen_demazure_crystal(A2, "12", (1, 1))
+    with pytest.raises(TypeError):
+        gen_demazure_crystal(A2, (1, 2), "11")

@@ -1,5 +1,6 @@
 """Twisted cubes: density, exact measure, lattice counts, Monte Carlo."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystalcubes.cli import main
 from crystalcubes.demazure import gen_demazure_crystal
 from crystalcubes.rootsys import RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 from crystalcubes.twistedcube import (
@@ -24,6 +26,10 @@ from crystalcubes.twistedcube import (
 A1 = RootSystem.preset("A1")
 A2 = RootSystem.preset("A2")
 A3 = RootSystem.preset("A3")
+B2_GRID = [[2, -1], [-2, 2]]
+B2 = RootSystem(B2_GRID)
+C2 = RootSystem([[2, -2], [-1, 2]])
+G2 = RootSystem([[2, -1], [-3, 2]])
 
 SL4_CUBE = TwistedCube(A3, (1, 2, 1, 3), (0, 4, 2, 2))
 SL4_PROJ = projection_map(A3, SubsetSequence([(1, 2), (3,)]), WordSequence([(1, 2, 1), (3,)]))
@@ -247,6 +253,19 @@ class TestMVPolynomial:
         q = p.substitute(0, value)
         assert q.terms == {(0, 2): Fraction(1), (0, 1): Fraction(2), (0, 0): Fraction(1)}
 
+    def test_substitute_colliding_terms(self):
+        # x0^2 + 3 x0 x1 - 4 x1^2 - 2 x1 + x2 with x0 := x1 - 1/2:
+        # x1^2 - x1 + 1/4  +  3 x1^2 - 3/2 x1  -  4 x1^2  -  2 x1  +  x2, so x1^2 cancels
+        p = MVPolynomial(3, {(2, 0, 0): Fraction(1), (1, 1, 0): Fraction(3), (0, 2, 0): Fraction(-4),
+                             (0, 1, 0): Fraction(-2), (0, 0, 1): Fraction(1)})
+        value = MVPolynomial(3, {(0, 1, 0): Fraction(1), (0, 0, 0): Fraction(-1, 2)})
+        q = p.substitute(0, value)
+        assert q.terms == {(0, 1, 0): Fraction(-9, 2), (0, 0, 0): Fraction(1, 4), (0, 0, 1): Fraction(1)}
+        assert all(type(c) is Fraction for c in q.terms.values())
+        # a substitution that cancels every term leaves the zero polynomial
+        diff = MVPolynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
+        assert diff.substitute(0, MVPolynomial.variable(2, 1)).terms == {}
+
     def test_constant_value_rejects_nonconstant(self):
         with pytest.raises(ValueError):
             MVPolynomial(1, {(1,): Fraction(1)}).constant_value()
@@ -274,3 +293,144 @@ def test_branch_identity(bound, coeffs):
         left = antider(bound) - antider(Fraction(0))  # sign = +1 on (0, A)
     right = antider(bound)
     assert left == right
+
+
+# -- the exact summation engine against the routes it replaced ---------------------
+
+
+def brute_force_count(cube):
+    """Σ_{x ∈ Z^N} ρ(x) by enumerating every lattice point, coordinate N innermost-last."""
+    n = cube.dim
+
+    def rec(l, x):
+        if l < 0:
+            return 1
+        total = 0
+        bound = cube.bound_value(l, x)
+        if bound <= 0:
+            for v in range(math.ceil(bound), 1):
+                x[l] = v
+                total -= rec(l - 1, x)  # sign(v) = -1 for v ≤ 0
+        else:
+            for v in range(1, math.ceil(bound)):
+                x[l] = v
+                total += rec(l - 1, x)
+        x[l] = 0
+        return total
+
+    return (-1) ** n * rec(n - 1, [0] * n)
+
+
+def old_substitute(p, idx, value):
+    """MVPolynomial.substitute as it was: one polynomial sum per term."""
+    max_k = max((e[idx] for e in p.terms), default=0)
+    powers = [MVPolynomial.constant(p.nvars, 1)]
+    for _ in range(max_k):
+        powers.append(powers[-1] * value)
+    out = MVPolynomial(p.nvars, {})
+    for e, c in p.terms.items():
+        rest = e[:idx] + (0,) + e[idx + 1 :]
+        out = out + (MVPolynomial(p.nvars, {rest: c}) * powers[e[idx]])
+    return out
+
+
+def fraction_integral(cube, p0):
+    """The Fraction antiderivative-then-substitute recursion the engine replaced."""
+    p = p0
+    for l in range(cube.dim):
+        p = old_substitute(p.antiderivative(l), l, cube.bound_polynomial(l))
+    return (-1) ** cube.dim * p.constant_value()
+
+
+def moment_integrand(cube, projection, m):
+    p0 = MVPolynomial.constant(cube.dim, 1)
+    for row, power in zip(projection.matrix, m):
+        linear = MVPolynomial(cube.dim, {})
+        for j, coef in enumerate(row):
+            if coef:
+                linear = linear + coef * MVPolynomial.variable(cube.dim, j)
+        for _ in range(power):
+            p0 = p0 * linear
+    return p0
+
+
+@st.composite
+def twisted_cubes(draw, max_len=5):
+    """Cubes over A2, A3, B2, C2, G2 with words of 1..max_len letters and a in -2..3."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
+    word = draw(st.lists(st.integers(1, rs.n), min_size=1, max_size=max_len), label="word")
+    a = draw(st.lists(st.integers(-2, 3), min_size=len(word), max_size=len(word)), label="a")
+    return TwistedCube(rs, word, a)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cube=twisted_cubes())
+def test_count_matches_brute_force(cube):
+    assert cube.signed_lattice_count() == brute_force_count(cube)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cube=twisted_cubes(), data=st.data())
+def test_volume_and_moments_match_fraction_recursion(cube, data):
+    assert cube.signed_volume() == fraction_integral(cube, MVPolynomial.constant(cube.dim, 1))
+    proj = identity_projection(cube.dim)
+    m = tuple(data.draw(st.lists(st.integers(0, 2), min_size=cube.dim, max_size=cube.dim), label="m"))
+    assert cube.pushforward_moments(proj, m) == fraction_integral(cube, moment_integrand(cube, proj, m))
+
+
+def test_sl4_moments_match_fraction_recursion():
+    for m in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1)]:
+        want = fraction_integral(SL4_CUBE, moment_integrand(SL4_CUBE, SL4_PROJ, m))
+        assert SL4_CUBE.pushforward_moments(SL4_PROJ, m) == want, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(cube=twisted_cubes(max_len=4))
+def test_count_leading_coefficient_is_volume(cube):
+    """count(k·a) is a polynomial of degree N in k whose k^N coefficient is the signed
+    volume, so its N-th finite difference over k = 0..N is N!·volume."""
+    n = cube.dim
+    counts = [TwistedCube(cube.rs, cube.word, [k * x for x in cube.a]).signed_lattice_count() for k in range(n + 1)]
+    difference = sum((-1) ** (n - k) * math.comb(n, k) * c for k, c in enumerate(counts))
+    assert difference == math.factorial(n) * cube.signed_volume()
+
+
+# Artifacts of cube-volume and cube-moments, pinned from the Fraction
+# antiderivative recursion that the integer-numerator engine replaced.
+CUBE_GOLDENS = [
+    ("A2", "cube-volume", {"word": [1, 2, 1], "a": [1, -2, 3]},
+     b'{"a":[1,-2,3],"signed_volume":"-9/2","word":[1,2,1]}\n'),
+    ("A2", "cube-moments", {"subsets": [[1, 2], [1]], "weights": [[2, 1], [3, 0]], "degree": 2},
+     b'{"a":[0,1,2,3],"degree":2,"moments":{"0,0,0":"27","0,0,1":"-909/40","0,0,2":"189/8","0,1,0":"-63",'
+     b'"0,1,1":"2121/40","0,2,0":"357/2","1,0,0":"-3051/40","1,0,1":"597/10","1,1,0":"7749/40",'
+     b'"2,0,0":"10059/40"},"word":[1,2,1,1],"words":[[1,2,1],[1]]}\n'),
+    ("A3", "cube-volume", {"subsets": [[1, 2, 3], [1, 3]], "weights": [[1, 0, 2], [2, 0, 1]]},
+     b'{"a":[0,0,0,2,0,1,2,1],"signed_volume":"110/9","word":[1,2,1,3,2,1,1,3],'
+     b'"words":[[1,2,1,3,2,1],[1,3]]}\n'),
+    ("A3", "cube-moments",
+     {"subsets": [[1, 2], [2, 3]], "weights": [[1, 2, 0], [0, 1, 1]], "words": [[2, 1, 2], [3, 2, 3]], "degree": 2},
+     b'{"a":[0,1,2,0,1,1],"degree":2,"moments":{"0,0,0,0":"23/3","0,0,0,1":"-49/6","0,0,0,2":"299/30",'
+     b'"0,0,1,0":"-36/5","0,0,1,1":"83/10","0,0,2,0":"79/10","0,1,0,0":"-242/15","0,1,0,1":"87/5",'
+     b'"0,1,1,0":"433/30","0,2,0,0":"3637/90","1,0,0,0":"-31/2","1,0,0,1":"254/15","1,0,1,0":"443/30",'
+     b'"1,1,0,0":"1597/45","2,0,0,0":"3337/90"},"word":[2,1,2,3,2,3]}\n'),
+    (B2_GRID, "cube-volume", {"subsets": [[1, 2], [2]], "weights": [[1, 1], [0, 2]]},
+     b'{"a":[0,0,1,1,2],"signed_volume":"25/3","word":[1,2,1,2,2],"words":[[1,2,1,2],[2]]}\n'),
+    (B2_GRID, "cube-moments", {"word": [2, 1, 2, 1], "a": [1, 2, -1, 1], "degree": 2},
+     b'{"a":[1,2,-1,1],"degree":2,"moments":{"0,0,0,0":"-5/6","0,0,0,1":"-3/5","0,0,0,2":"41/60",'
+     b'"0,0,1,0":"-61/60","0,0,1,1":"47/120","0,0,2,0":"-3/20","0,1,0,0":"101/60","0,1,0,1":"179/360",'
+     b'"0,1,1,0":"467/360","0,2,0,0":"-209/60","1,0,0,0":"21/10","1,0,0,1":"71/90","1,0,1,0":"331/180",'
+     b'"1,1,0,0":"-257/60","2,0,0,0":"-64/9"},"word":[2,1,2,1]}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "root_system,command,params,expected",
+    CUBE_GOLDENS,
+    ids=[f"{rs if isinstance(rs, str) else 'B2'}-{cmd}" for rs, cmd, _, _ in CUBE_GOLDENS],
+)
+def test_cube_artifacts_golden(tmp_path, root_system, command, params, expected):
+    config = {"root_system": root_system, "command": command, "params": params, "output": {"path": "out.json"}}
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "out.json").read_bytes() == expected
