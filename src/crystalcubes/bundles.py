@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootsys import RootSystem, SubsetSequence, Weight, WordSequence
+from .rootsys import RootSystem, SubsetSequence, Weight
 
 
 @dataclass(frozen=True)
@@ -37,27 +37,23 @@ class BottTowerData:
         return {f"{k},{j}": [list(v) for v in vs] for (k, j), vs in sorted(self.vectors.items())}
 
 
-def _prepare(rs: RootSystem, subsets, lams, words):
-    subsets = subsets if isinstance(subsets, SubsetSequence) else SubsetSequence(subsets)
-    subsets.validate(rs)
-    lams = [lam if isinstance(lam, Weight) else rs.weight(lam) for lam in lams]
+def _weights(rs: RootSystem, subsets: SubsetSequence, lams) -> list[Weight]:
+    """One integral weight per subset."""
+    lams = [rs.weight(lam) for lam in lams]
     if len(lams) != subsets.r:
         raise ValueError("need one weight per subset")
     for lam in lams:
         if not lam.is_integral():
             raise ValueError("weights must be integral (ϖ-coordinates)")
-    if words is not None:
-        words = words if isinstance(words, WordSequence) else WordSequence(words)
-        words.validate(rs, subsets)
-    return subsets, lams, words
+    return lams
 
 
 def pullback_vector(rs: RootSystem, subsets, words, lams) -> PullbackVector:
     """a_k(l) = ⟨λ_k, α_s^∨⟩ + Σ ⟨λ_j, α_s^∨⟩ over later blocks where s never reappears,
-    placed at the last occurrence l of s within block k; zero elsewhere."""
-    subsets, lams, words = _prepare(rs, subsets, lams, words)
-    if words is None:
-        raise ValueError("pullback_vector needs the word sequence")
+    placed at the last occurrence l of s within block k; zero elsewhere.
+    words=None means the longest words."""
+    subsets, words = rs.blocks(subsets, words)
+    lams = _weights(rs, subsets, lams)
     blocks = words.blocks
     r = len(blocks)
     letters_of = [set(b) for b in blocks]
@@ -78,10 +74,10 @@ def pullback_vector(rs: RootSystem, subsets, words, lams) -> PullbackVector:
 
 
 def mu_weight(rs: RootSystem, subsets, words, lams) -> Weight:
-    """Shift weight: Σ_j Σ_{s not among the letters of blocks 1..j} d_{j,s} ϖ_s."""
-    subsets, lams, words = _prepare(rs, subsets, lams, words)
-    if words is None:
-        raise ValueError("mu_weight needs the word sequence")
+    """Shift weight: Σ_j Σ_{s not among the letters of blocks 1..j} d_{j,s} ϖ_s;
+    words=None means the longest words."""
+    subsets, words = rs.blocks(subsets, words)
+    lams = _weights(rs, subsets, lams)
     coords = [0] * rs.n
     seen: set[int] = set()
     for block, lam in zip(words.blocks, lams):
@@ -94,7 +90,8 @@ def mu_weight(rs: RootSystem, subsets, words, lams) -> Weight:
 
 def degeneration_vectors(rs: RootSystem, subsets, lams) -> list[tuple]:
     """a_k(l) = ⟨λ_k + ... + λ_r, α^∨_{u_{k,l}} + ... + α^∨_{u_{k,m_k}}⟩, padded with a zero."""
-    subsets, lams, _ = _prepare(rs, subsets, lams, None)
+    subsets = rs.subsets(subsets)
+    lams = _weights(rs, subsets, lams)
     out = []
     for k, subset in enumerate(subsets.sets):
         enum = rs.type_a_enumeration(subset)
@@ -112,8 +109,7 @@ def degeneration_vectors(rs: RootSystem, subsets, lams) -> list[tuple]:
 def flag_bott_vectors(rs: RootSystem, subsets) -> BottTowerData:
     """a^{(k,j)}_l(p) = ⟨α_{u_{k,l}} + ... + α_{u_{k,m_k}}, α^∨_{u_{j,p}} + ... + α^∨_{u_{j,m_j}}⟩,
     zero on the padded slots l = m_k + 1 and p = m_j + 1."""
-    subsets = subsets if isinstance(subsets, SubsetSequence) else SubsetSequence(subsets)
-    subsets.validate(rs)
+    subsets = rs.subsets(subsets)
     enums = [rs.type_a_enumeration(s) for s in subsets.sets]
     c = rs.cartan.entries
     vectors: dict = {}
@@ -141,9 +137,7 @@ def flag_bott_vectors(rs: RootSystem, subsets) -> BottTowerData:
 
 def bundle_report(rs: RootSystem, subsets, lams, words=None) -> dict:
     """JSON-ready bundle of (a, μ, degeneration vectors, tower vectors) for one job."""
-    subsets = subsets if isinstance(subsets, SubsetSequence) else SubsetSequence(subsets)
-    if words is None:
-        words = WordSequence.for_subsets(rs, subsets)
+    subsets, words = rs.blocks(subsets, words)
     a = pullback_vector(rs, subsets, words, lams)
     mu = mu_weight(rs, subsets, words, lams)
     deg = degeneration_vectors(rs, subsets, lams)

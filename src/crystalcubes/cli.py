@@ -15,34 +15,14 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import index
+from typing import Callable
 
 from . import bundles, stringpoly, twistedcube
 from .crystal import DEFAULT_BUDGET, generate_crystal
 from .demazure import demazure_crystal, gen_demazure_crystal, gen_demazure_crystal_weights, graph_from_elements
-from .rootsys import (
-    BudgetExceededError,
-    InvariantError,
-    RootSystem,
-    SubsetSequence,
-    UnsupportedInputError,
-    WordSequence,
-)
-
-COMMANDS = (
-    "crystal",
-    "demazure",
-    "gen-demazure",
-    "lattice-points",
-    "multiplicity",
-    "tensor-decompose",
-    "component-count",
-    "fiber",
-    "bundle-vectors",
-    "cube-volume",
-    "cube-moments",
-    "cube-histogram",
-    "cube-svg",
-)
+from .rootsys import BudgetExceededError, InvariantError, RootSystem, UnsupportedInputError
 
 TOP_KEYS = {"root_system", "command", "params", "output", "seed", "budget"}
 LIST_PARAMS = {"word", "a", "subsets", "weights", "words", "weight", "nu", "x"}
@@ -72,22 +52,19 @@ class JobConfig:
             if key not in raw:
                 raise ConfigError(f"missing config key {key!r}")
         command = raw["command"]
-        if command not in COMMANDS:
-            raise ConfigError(f"unknown command {command!r}; one of {COMMANDS}")
+        if not isinstance(command, str) or command not in COMMANDS:
+            raise ConfigError(f"unknown command {command!r}; one of {tuple(COMMANDS)}")
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be an object")
         output = raw.get("output", {})
         if not isinstance(output, dict) or set(output) - {"path", "format"}:
             raise ConfigError("output must be an object with keys path/format")
-        return cls(
-            root_system=raw["root_system"],
-            command=command,
-            params=params,
-            output=output,
-            seed=int(raw.get("seed", 0)),
-            budget=int(raw.get("budget", DEFAULT_BUDGET)),
-        )
+        try:
+            seed, budget = index(raw.get("seed", 0)), index(raw.get("budget", DEFAULT_BUDGET))
+        except TypeError:
+            raise ConfigError("seed and budget must be integers") from None
+        return cls(raw["root_system"], command, params, output, seed=seed, budget=budget)
 
 
 def _root_system(spec) -> RootSystem:
@@ -116,227 +93,180 @@ def _take(params: dict, allowed: dict) -> dict:
     return out
 
 
-def _subs_words(rs: RootSystem, p: dict):
-    subsets = SubsetSequence(p["subsets"]).validate(rs)
-    if "words" in p:
-        words = WordSequence(p["words"]).validate(rs, subsets)
-        auto = False
-    else:
-        words = WordSequence.for_subsets(rs, subsets)
-        auto = True
-    return subsets, words, auto
-
-
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _cube_setup(rs: RootSystem, p: dict, extra=()):
-    """Cube plus projection from either (word, a) or (subsets, weights); extra names command params."""
-    p = _take(p, dict.fromkeys(("word", "a", "subsets", "weights", "words", *extra), False))
-    for key in ("word", "a") if "word" in p else ("subsets", "weights"):
-        if key not in p:
-            raise ConfigError(f"missing param {key!r}")
-    words_used = None
-    if "word" in p:
-        word = tuple(p["word"])
-        a = tuple(p["a"])
-        if "subsets" in p:
-            subsets = SubsetSequence(p["subsets"]).validate(rs)
-            words = WordSequence.for_subsets(rs, subsets)
-            if words.flat != word:
-                raise ConfigError("word does not match the longest words of the subsets")
-            proj = twistedcube.projection_map(rs, subsets, words)
-        else:
-            proj = twistedcube.identity_projection(len(word))
+# -- handlers: (root system, params, config) -> (artifact, text, summary) ----------
+# They call generate_crystal, graph_from_elements and the Demazure constructors
+# through this module's globals, looked up at call time, so a wrapper installed
+# on the module sees every call.
+
+
+def _crystal(rs: RootSystem, q: dict, config: JobConfig):
+    graph = generate_crystal(rs, q["weight"], config.budget)
+    summary = f"crystal with {graph.vertex_count} vertices, {len(graph.edges)} edges"
+    return graph.to_json_dict(), graph.to_edge_lines(), summary
+
+
+def _demazure(rs: RootSystem, q: dict, config: JobConfig):
+    elements = demazure_crystal(rs, q["weight"], q["word"], config.budget)
+    graph = graph_from_elements(rs, elements)
+    return graph.to_json_dict(), graph.to_edge_lines(), f"Demazure crystal with {len(elements)} elements"
+
+
+def _gen_demazure(rs: RootSystem, q: dict, config: JobConfig):
+    if "word" in q:
+        crystal = gen_demazure_crystal(rs, q["word"], q["a"], config.budget)
     else:
-        subsets, words, auto = _subs_words(rs, p)
-        lams = [rs.weight(w) for w in p["weights"]]
-        word = words.flat
-        a = bundles.pullback_vector(rs, subsets, words, lams).flat
-        proj = twistedcube.projection_map(rs, subsets, words)
-        if auto:
-            words_used = [list(b) for b in words.blocks]
-    return twistedcube.TwistedCube(rs, word, a), proj, words_used
+        crystal = gen_demazure_crystal_weights(rs, q["subsets"], q["weights"], q["words"], config.budget)
+    return crystal.to_json_dict(), None, f"generalized Demazure crystal with {crystal.element_count} elements"
+
+
+def _lattice_points(rs: RootSystem, q: dict, config: JobConfig):
+    pts = stringpoly.lattice_points(rs, q["word"], q["a"], q.get("level", 1), config.budget)
+    points = [list(x) for x in pts.points]
+    artifact = {"word": q["word"], "a": q["a"], "level": pts.level, "count": len(pts), "points": points}
+    return artifact, "\n".join(pts.to_csv_lines()) + "\n", f"{len(pts)} lattice points"
+
+
+def _multiplicity(rs: RootSystem, q: dict, config: JobConfig):
+    value = stringpoly.multiplicity(rs, q["subsets"], q["weights"], q["nu"], q["words"], config.budget)
+    return {"nu": q["nu"], "multiplicity": value}, None, str(value)
+
+
+def _tensor_decompose(rs: RootSystem, q: dict, config: JobConfig):
+    table = stringpoly.tensor_decompose(rs, q["weights"], config.budget)
+    words = [list(rs.longest_word(range(1, rs.n + 1)))] * len(q["weights"])
+    summary = f"{table.total()} components over {len(table.entries)} highest weights"
+    return {"multiplicities": table.to_json_dict(), "words": words}, None, summary
+
+
+def _component_count(rs: RootSystem, q: dict, config: JobConfig):
+    value = stringpoly.component_count(rs, q["subsets"], q["weights"], q["words"], config.budget)
+    return {"component_count": value}, None, str(value)
+
+
+def _fiber(rs: RootSystem, q: dict, config: JobConfig):
+    fiber = stringpoly.fiber_string_points(rs, q["subsets"], q["weights"], q["x"], q["words"], config.budget)
+    return {"x": q["x"], "count": len(fiber), "points": [list(t) for t in fiber]}, None, f"{len(fiber)} fiber points"
+
+
+def _bundle_vectors(rs: RootSystem, q: dict, config: JobConfig):
+    return bundles.bundle_report(rs, q["subsets"], q["weights"], q["words"]), None, "bundle vectors computed"
+
+
+def _twisted_cube(rs: RootSystem, q: dict):
+    """The cube and its projection; with subsets, the word shape must use their longest words."""
+    if "word" not in q:
+        a = bundles.pullback_vector(rs, q["subsets"], q["words"], q["weights"]).flat
+        return twistedcube.TwistedCube(rs, q["words"].flat, a), twistedcube.projection_map(rs, q["subsets"], q["words"])
+    if "subsets" not in q:
+        return twistedcube.TwistedCube(rs, q["word"], q["a"]), twistedcube.identity_projection(len(q["word"]))
+    subsets, words = rs.blocks(q["subsets"])
+    if words.flat != tuple(q["word"]):
+        raise ConfigError("word does not match the longest words of the subsets")
+    return twistedcube.TwistedCube(rs, q["word"], q["a"]), twistedcube.projection_map(rs, subsets, words)
+
+
+def _cube_volume(rs: RootSystem, q: dict, config: JobConfig):
+    cube, _ = _twisted_cube(rs, q)
+    vol = _frac_str(cube.signed_volume())
+    return {"word": list(cube.word), "a": list(cube.a), "signed_volume": vol}, None, vol
+
+
+def _cube_moments(rs: RootSystem, q: dict, config: JobConfig):
+    cube, proj = _twisted_cube(rs, q)
+    degree = index(q.get("degree", 1))
+    if degree < 0:
+        raise ConfigError("degree must be nonnegative")
+    # |m| <= degree: a multiset of `degree` target coordinates, with slot `rows` as the slack
+    slots = combinations_with_replacement(range(proj.rows + 1), degree)
+    moments = {}
+    for m in sorted(tuple(c.count(t) for t in range(proj.rows)) for c in slots):
+        moments[",".join(str(t) for t in m)] = _frac_str(cube.pushforward_moments(proj, m))
+    artifact = {"word": list(cube.word), "a": list(cube.a), "degree": degree, "moments": moments}
+    return artifact, None, f"{len(moments)} moments up to degree {degree}"
+
+
+def _cube_histogram(rs: RootSystem, q: dict, config: JobConfig):
+    cube, proj = _twisted_cube(rs, q)
+    svg = config.command == "cube-svg"
+    if svg and proj.rows != 2:
+        raise UnsupportedInputError("cube-svg needs a 2-D projection target; export CSV instead")
+    samples = q.get("samples", 10**5)
+    hist = twistedcube.mc_histogram(cube, proj, q.get("bins", 20), samples, config.seed, q.get("shards", 1))
+    artifact = {"word": list(cube.word), "a": list(cube.a), "samples": samples}
+    if svg:
+        return artifact, twistedcube.render_histogram_svg(hist), "SVG rendered"
+    artifact["total"] = hist.total()
+    return artifact, "\n".join(hist.to_csv_lines()) + "\n", f"histogram total {hist.total():.6g}"
+
+
+@dataclass(frozen=True)
+class Command:
+    """A command's param schema, handler and default output format.
+
+    A schema maps each allowed param to whether it is required.  ``word_shape``,
+    when set, is the schema used instead of ``params`` when a ``word`` is given.
+    A schema that allows ``words`` is a weights shape: ``run`` resolves its
+    subsets and words before the handler, and records words it chose itself.
+    """
+
+    handler: Callable
+    params: dict
+    fmt: str = "json"
+    word_shape: dict | None = None
+
+
+WORD = {"word": True, "a": True}
+WEIGHTS = {"subsets": True, "weights": True, "words": False}
+CUBE_WORD = {**WORD, "subsets": False}
+MC = {"bins": False, "samples": False, "shards": False}
+
+COMMANDS = {
+    "crystal": Command(_crystal, {"weight": True}),
+    "demazure": Command(_demazure, {"weight": True, "word": True}),
+    "gen-demazure": Command(_gen_demazure, WEIGHTS, word_shape=WORD),
+    "lattice-points": Command(_lattice_points, {**WORD, "level": False}, "csv"),
+    "multiplicity": Command(_multiplicity, {**WEIGHTS, "nu": True}),
+    "tensor-decompose": Command(_tensor_decompose, {"weights": True}),
+    "component-count": Command(_component_count, WEIGHTS),
+    "fiber": Command(_fiber, {**WEIGHTS, "x": True}),
+    "bundle-vectors": Command(_bundle_vectors, WEIGHTS),
+    "cube-volume": Command(_cube_volume, WEIGHTS, word_shape=CUBE_WORD),
+    "cube-moments": Command(_cube_moments, {**WEIGHTS, "degree": False}, word_shape={**CUBE_WORD, "degree": False}),
+    "cube-histogram": Command(_cube_histogram, {**WEIGHTS, **MC}, "csv", word_shape={**CUBE_WORD, **MC}),
+    "cube-svg": Command(_cube_histogram, {**WEIGHTS, **MC}, "svg", word_shape={**CUBE_WORD, **MC}),
+}
 
 
 def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_override: str | None = None):
     if config.budget < 1:
         raise ConfigError("budget must be at least 1")
     rs = _root_system(config.root_system)
+    command = COMMANDS[config.command]
     p = config.params
-    budget = config.budget
-    command = config.command
-    artifact: dict | None = None
-    text: str | None = None
-    default_fmt = "json"
-    summary = ""
-    words_used = None
+    schema = command.word_shape if command.word_shape and "word" in p else command.params
+    q = _take(p, schema)
+    if "words" in schema:  # a weights shape
+        q["subsets"], q["words"] = rs.blocks(q["subsets"], q.get("words"))
+    artifact, text, summary = command.handler(rs, q, config)
+    if "words" in schema and "words" not in p:
+        artifact["words"] = [list(b) for b in q["words"].blocks]
 
-    if command == "crystal":
-        q = _take(p, {"weight": True})
-        graph = generate_crystal(rs, rs.weight(q["weight"]), budget)
-        artifact = graph.to_json_dict()
-        text = graph.to_edge_lines()
-        summary = f"crystal with {graph.vertex_count} vertices, {len(graph.edges)} edges"
-
-    elif command == "demazure":
-        q = _take(p, {"weight": True, "word": True})
-        elements = demazure_crystal(rs, rs.weight(q["weight"]), tuple(q["word"]), budget)
-        graph = graph_from_elements(rs, elements)
-        artifact = graph.to_json_dict()
-        text = graph.to_edge_lines()
-        summary = f"Demazure crystal with {len(elements)} elements"
-
-    elif command == "gen-demazure":
-        if "word" in p:
-            q = _take(p, {"word": True, "a": True})
-            crystal = gen_demazure_crystal(rs, tuple(q["word"]), tuple(q["a"]), budget)
-        else:
-            q = _take(p, {"subsets": True, "weights": True, "words": False})
-            subsets, words, auto = _subs_words(rs, q)
-            crystal = gen_demazure_crystal_weights(rs, subsets, [rs.weight(w) for w in q["weights"]], words, budget)
-            if auto:
-                words_used = [list(b) for b in words.blocks]
-        artifact = crystal.to_json_dict()
-        summary = f"generalized Demazure crystal with {crystal.element_count} elements"
-
-    elif command == "lattice-points":
-        q = _take(p, {"word": True, "a": True, "level": False})
-        pts = stringpoly.lattice_points(rs, tuple(q["word"]), tuple(q["a"]), int(q.get("level", 1)), budget)
-        artifact = {
-            "word": list(q["word"]),
-            "a": list(q["a"]),
-            "level": pts.level,
-            "count": len(pts),
-            "points": [list(x) for x in pts.points],
-        }
-        text = "\n".join(pts.to_csv_lines()) + "\n"
-        default_fmt = "csv"
-        summary = f"{len(pts)} lattice points"
-
-    elif command == "multiplicity":
-        q = _take(p, {"subsets": True, "weights": True, "nu": True, "words": False})
-        subsets, words, auto = _subs_words(rs, q)
-        value = stringpoly.multiplicity(rs, subsets, [rs.weight(w) for w in q["weights"]], rs.weight(q["nu"]), words, budget)
-        if auto:
-            words_used = [list(b) for b in words.blocks]
-        artifact = {"nu": list(q["nu"]), "multiplicity": value}
-        summary = str(value)
-
-    elif command == "tensor-decompose":
-        q = _take(p, {"weights": True})
-        table = stringpoly.tensor_decompose(rs, [rs.weight(w) for w in q["weights"]], budget)
-        words_used = [list(rs.longest_word(tuple(range(1, rs.n + 1))))] * len(q["weights"])
-        artifact = {"multiplicities": table.to_json_dict()}
-        summary = f"{table.total()} components over {len(table.entries)} highest weights"
-
-    elif command == "component-count":
-        q = _take(p, {"subsets": True, "weights": True, "words": False})
-        subsets, words, auto = _subs_words(rs, q)
-        value = stringpoly.component_count(rs, subsets, [rs.weight(w) for w in q["weights"]], words, budget)
-        if auto:
-            words_used = [list(b) for b in words.blocks]
-        artifact = {"component_count": value}
-        summary = str(value)
-
-    elif command == "fiber":
-        q = _take(p, {"subsets": True, "weights": True, "x": True, "words": False})
-        subsets, words, auto = _subs_words(rs, q)
-        fiber = stringpoly.fiber_string_points(rs, subsets, [rs.weight(w) for w in q["weights"]], tuple(q["x"]), words, budget)
-        if auto:
-            words_used = [list(b) for b in words.blocks]
-        artifact = {"x": list(q["x"]), "count": len(fiber), "points": [list(t) for t in fiber]}
-        summary = f"{len(fiber)} fiber points"
-
-    elif command == "bundle-vectors":
-        q = _take(p, {"subsets": True, "weights": True, "words": False})
-        subsets, words, auto = _subs_words(rs, q)
-        artifact = bundles.bundle_report(rs, subsets, [rs.weight(w) for w in q["weights"]], words)
-        if auto:
-            words_used = artifact["words"]
-        summary = "bundle vectors computed"
-
-    elif command == "cube-volume":
-        cube, _, words_used = _cube_setup(rs, p)
-        vol = cube.signed_volume()
-        artifact = {"word": list(cube.word), "a": list(cube.a), "signed_volume": _frac_str(vol)}
-        summary = _frac_str(vol)
-
-    elif command == "cube-moments":
-        cube, proj, words_used = _cube_setup(rs, p, ("degree",))
-        degree = int(p.get("degree", 1))
-        if degree < 0:
-            raise ConfigError("degree must be nonnegative")
-        moments = {}
-        for m in _multi_indices(proj.rows, degree):
-            moments[",".join(str(t) for t in m)] = _frac_str(cube.pushforward_moments(proj, m))
-        artifact = {"word": list(cube.word), "a": list(cube.a), "degree": degree, "moments": moments}
-        summary = f"{len(moments)} moments up to degree {degree}"
-
-    elif command == "cube-histogram":
-        cube, proj, words_used = _cube_setup(rs, p, ("bins", "samples", "shards"))
-        bins = p.get("bins", 20)
-        samples = int(p.get("samples", 10**5))
-        shards = int(p.get("shards", 1))
-        hist = twistedcube.mc_histogram(cube, proj, bins, samples, config.seed, shards)
-        text = "\n".join(hist.to_csv_lines()) + "\n"
-        default_fmt = "csv"
-        artifact = {"word": list(cube.word), "a": list(cube.a), "samples": samples, "total": hist.total()}
-        summary = f"histogram total {hist.total():.6g}"
-
-    elif command == "cube-svg":
-        cube, proj, words_used = _cube_setup(rs, p, ("bins", "samples", "shards"))
-        bins = p.get("bins", 20)
-        samples = int(p.get("samples", 10**5))
-        shards = int(p.get("shards", 1))
-        if proj.rows != 2:
-            raise UnsupportedInputError("cube-svg needs a 2-D projection target; export CSV instead")
-        hist = twistedcube.mc_histogram(cube, proj, bins, samples, config.seed, shards)
-        text = twistedcube.render_histogram_svg(hist)
-        default_fmt = "svg"
-        artifact = {"word": list(cube.word), "a": list(cube.a), "samples": samples}
-        summary = "SVG rendered"
-
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled command {command}")
-
-    if words_used is not None and artifact is not None:
-        artifact["words"] = words_used
-
-    fmt = fmt_override or config.output.get("format", default_fmt)
-    path = config.output.get("path") or f"{command}.{fmt}"
+    fmt = fmt_override or config.output.get("format", command.fmt)
+    path = config.output.get("path") or f"{config.command}.{fmt}"
     if not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    payload = _render(artifact, text, fmt)
-    _atomic_write(path, payload)
-
-    if echo_word and words_used is not None:
-        summary += f" [words {words_used}]"
+    _atomic_write(path, _render(artifact, text, fmt))
+    if echo_word and "words" not in p and "words" in artifact:
+        summary += f" [words {artifact['words']}]"
     return summary, path
-
-
-def _multi_indices(dim: int, degree: int):
-    out = [(0,) * dim]
-    frontier = [(0,) * dim]
-    for _ in range(degree):
-        nxt = []
-        for m in frontier:
-            for t in range(dim):
-                m2 = m[:t] + (m[t] + 1,) + m[t + 1 :]
-                if m2 not in nxt:
-                    nxt.append(m2)
-        for m2 in nxt:
-            if m2 not in out:
-                out.append(m2)
-        frontier = nxt
-    return sorted(out)
 
 
 def _render(artifact, text, fmt: str) -> str:
     if fmt == "json":
-        if artifact is None:
-            raise ConfigError("this command has no JSON artifact")
         return json.dumps(artifact, sort_keys=True, separators=(",", ":")) + "\n"
     if fmt in ("csv", "svg", "txt"):
         if text is None:

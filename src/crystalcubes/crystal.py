@@ -377,7 +377,7 @@ def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
 
 def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> CrystalGraph:
     """BFS closure of {b_λ} under all lowering operators; |B(λ)| = weyl_dimension(λ)."""
-    lam = lam if isinstance(lam, Weight) else rs.weight(lam)
+    lam = rs.weight(lam)
     start = highest_path(rs, lam)
     seen = {start}
     queue = deque([start])

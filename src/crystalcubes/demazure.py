@@ -27,7 +27,7 @@ from .crystal import (
     path_e,
     path_f,
 )
-from .rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, Weight, WordSequence
+from .rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, WordSequence
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _peel(rs: RootSystem, tops, blocks, b: TensorElement) -> StringVector:
 
 def demazure_crystal(rs: RootSystem, lam, word, budget: int = DEFAULT_BUDGET) -> frozenset:
     """B_w(λ) = {f_{i_1}^{x_1} ... f_{i_N}^{x_N} b_λ} \\ {0} for a reduced word of w."""
-    lam = lam if isinstance(lam, Weight) else rs.weight(lam)
+    lam = rs.weight(lam)
     word = tuple(word)
     if not rs.is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
@@ -231,18 +231,15 @@ def check_weights(subsets: SubsetSequence, lams) -> None:
 
 def gen_demazure_crystal_weights(
     rs: RootSystem,
-    subsets: SubsetSequence,
+    subsets,
     lams,
-    words: WordSequence | None = None,
+    words=None,
     budget: int = DEFAULT_BUDGET,
 ) -> GenDemazureCrystal:
     """B_{I,λ_1..λ_r}: per-block saturation of b_{λ_1} ⊗ (... ⊗ saturation of b_{λ_r})."""
-    subsets = subsets.validate(rs)
-    lams = [lam if isinstance(lam, Weight) else rs.weight(lam) for lam in lams]
+    subsets, words = rs.blocks(subsets, words)
+    lams = [rs.weight(lam) for lam in lams]
     check_weights(subsets, lams)
-    if words is None:
-        words = WordSequence.for_subsets(rs, subsets)
-    words.validate(rs, subsets)
     tops = tuple(highest_path(rs, lam) for lam in lams)
     return GenDemazureCrystal(
         rs=rs,
@@ -274,7 +271,7 @@ def omega_blocked(rs: RootSystem, subsets: SubsetSequence, words: WordSequence, 
     current = b if isinstance(b, TensorElement) else TensorElement((b,))
     if len(current.factors) != subsets.r:
         raise ValueError("element factor count does not match the subset sequence")
-    tops = [highest_path(rs, lam if isinstance(lam, Weight) else rs.weight(lam)) for lam in lams]
+    tops = [highest_path(rs, rs.weight(lam)) for lam in lams]
     return _peel(rs, tops, words.blocks, current)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 
@@ -133,6 +134,8 @@ class CartanMatrix:
             return int(f)
 
         rows = tuple(tuple(as_int(x) for x in row) for row in entries)
+        if not rows:
+            raise ValueError("Cartan matrix must not be empty")
         _validate_gcm(rows)
         d = _symmetrizer(rows)
         sym = [[d[i] * rows[i][j] for j in range(len(rows))] for i in range(len(rows))]
@@ -180,10 +183,26 @@ class RootSystem:
         return cls(PRESETS[name])
 
     def weight(self, *coords) -> Weight:
-        w = Weight(coords[0]) if len(coords) == 1 and not isinstance(coords[0], (int, Fraction)) else Weight(coords)
+        """A Weight of this rank from a Weight, one coordinate sequence, or the coordinates themselves."""
+        if len(coords) == 1 and not isinstance(coords[0], (int, Fraction)):
+            coords = coords[0]
+        w = coords if isinstance(coords, Weight) else Weight(coords)
         if len(w) != self.n:
             raise ValueError(f"weight needs {self.n} coordinates, got {len(w)}")
         return w
+
+    def subsets(self, subsets) -> "SubsetSequence":
+        """A validated SubsetSequence, from one or from a sequence of index sequences."""
+        subsets = subsets if isinstance(subsets, SubsetSequence) else SubsetSequence(subsets)
+        return subsets.validate(self)
+
+    def blocks(self, subsets, words=None) -> tuple["SubsetSequence", "WordSequence"]:
+        """Validated subsets I_1..I_r with their words; words=None means the longest word of each W_{I_k}."""
+        subsets = self.subsets(subsets)
+        if words is None:
+            return subsets, WordSequence.for_subsets(self, subsets)
+        words = words if isinstance(words, WordSequence) else WordSequence(words)
+        return subsets, words.validate(self, subsets)
 
     def zero_weight(self) -> Weight:
         return Weight((0,) * self.n)
@@ -383,7 +402,7 @@ class SubsetSequence:
     sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, sets: Iterable[Sequence[int]]):
-        object.__setattr__(self, "sets", tuple(tuple(s) for s in sets))
+        object.__setattr__(self, "sets", tuple(tuple(map(index, s)) for s in sets))
         if not self.sets:
             raise ValueError("subset sequence must be nonempty")
 
@@ -404,7 +423,7 @@ class WordSequence:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, blocks: Iterable[Sequence[int]]):
-        object.__setattr__(self, "blocks", tuple(tuple(int(i) for i in b) for b in blocks))
+        object.__setattr__(self, "blocks", tuple(tuple(map(index, b)) for b in blocks))
 
     @property
     def flat(self) -> tuple[int, ...]:

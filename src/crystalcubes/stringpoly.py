@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 
 from .crystal import DEFAULT_BUDGET, TensorElement, epsilon, highest_path
 from .demazure import _close, check_weights, gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
-from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, Weight, WordSequence
+from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class MultiplicityTable:
 
 def lattice_points(rs: RootSystem, word, a, level: int = 1, budget: int = DEFAULT_BUDGET) -> LatticePointSet:
     """Ω-image of B_{i, level·a}; at level 1 this is exactly Δ_{i,a} ∩ Z^N."""
-    a = tuple(int(x) for x in a)
+    a = tuple(map(index, a))
+    level = index(level)
     if any(x < 0 for x in a):
         raise ValueError("exponent vector entries must be nonnegative")
     if level < 1:
@@ -79,18 +81,6 @@ def lattice_points(rs: RootSystem, word, a, level: int = 1, budget: int = DEFAUL
     crystal = gen_demazure_crystal(rs, word, scaled, budget)
     pts = tuple(sorted(sv.entries for sv in crystal.omega_map().values()))
     return LatticePointSet(block_sizes=(1,) * len(tuple(word)), points=pts, level=level)
-
-
-def _prepare(rs: RootSystem, subsets, lams, words):
-    subsets = subsets if isinstance(subsets, SubsetSequence) else SubsetSequence(subsets)
-    subsets.validate(rs)
-    lams = [lam if isinstance(lam, Weight) else rs.weight(lam) for lam in lams]
-    if words is None:
-        words = WordSequence.for_subsets(rs, subsets)
-    elif not isinstance(words, WordSequence):
-        words = WordSequence(words)
-    words.validate(rs, subsets)
-    return subsets, lams, words
 
 
 def _require_full_first_block(rs: RootSystem, subsets: SubsetSequence) -> None:
@@ -124,7 +114,8 @@ def hat_lattice_points(rs: RootSystem, subsets, lams, words=None, budget: int = 
     Only X = B_{I_2..I_r, λ_2..λ_r} is generated, so ``budget`` caps |X|, not
     |B_{I,λ_1..λ_r}|.
     """
-    subsets, lams, words = _prepare(rs, subsets, lams, words)
+    subsets, words = rs.blocks(subsets, words)
+    lams = [rs.weight(lam) for lam in lams]
     _require_full_first_block(rs, subsets)
     return tuple(sorted(_highest_weight_tails(rs, subsets, lams, words, budget)))
 
@@ -142,21 +133,20 @@ def _weight_of_hat_point(rs: RootSystem, words: WordSequence, lams, x) -> tuple:
 
 def multiplicity(rs: RootSystem, subsets, lams, nu, words=None, budget: int = DEFAULT_BUDGET) -> int:
     """Number of projected lattice points whose residual weight equals ν."""
-    subsets, lams, words = _prepare(rs, subsets, lams, words)
+    subsets, words = rs.blocks(subsets, words)
+    lams = [rs.weight(lam) for lam in lams]
     _require_full_first_block(rs, subsets)
-    nu = nu if isinstance(nu, Weight) else rs.weight(nu)
+    nu = rs.weight(nu)
     points = hat_lattice_points(rs, subsets, lams, words, budget)
     return sum(1 for x in points if _weight_of_hat_point(rs, words, lams, x) == tuple(nu.coords))
 
 
 def tensor_decompose(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> MultiplicityTable:
     """Multiplicities of V(ν) in V(λ_1) ⊗ ... ⊗ V(λ_r) via projected lattice points."""
-    lams = [lam if isinstance(lam, Weight) else rs.weight(lam) for lam in lams]
+    lams = [rs.weight(lam) for lam in lams]
     if not lams:
         raise ValueError("need at least one weight")
-    full = tuple(range(1, rs.n + 1))
-    subsets = SubsetSequence([full] * len(lams))
-    words = WordSequence.for_subsets(rs, subsets)
+    subsets, words = rs.blocks([range(1, rs.n + 1)] * len(lams))
     points = hat_lattice_points(rs, subsets, lams, words, budget)
     counts: Counter = Counter()
     for x in points:
@@ -169,19 +159,14 @@ def tensor_decompose(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> Mult
 
 def component_count(rs: RootSystem, subsets, lams, words=None, budget: int = DEFAULT_BUDGET) -> int:
     """Number of connected components, prepending ([n], λ=0) when the first block is not [n]."""
-    subsets = subsets if isinstance(subsets, SubsetSequence) else SubsetSequence(subsets)
-    subsets.validate(rs)
-    lams = [lam if isinstance(lam, Weight) else rs.weight(lam) for lam in lams]
+    subsets, words = rs.blocks(subsets, words)
+    lams = [rs.weight(lam) for lam in lams]
     full = tuple(range(1, rs.n + 1))
     if subsets.sets[0] != full:
         subsets = SubsetSequence((full,) + subsets.sets)
         lams = [rs.zero_weight()] + lams
-        words = None if words is None else WordSequence((rs.longest_word(full),) + _as_blocks(words))
+        words = WordSequence((rs.longest_word(full),) + words.blocks)
     return len(hat_lattice_points(rs, subsets, lams, words, budget))
-
-
-def _as_blocks(words) -> tuple:
-    return words.blocks if isinstance(words, WordSequence) else tuple(tuple(b) for b in words)
 
 
 def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: int = DEFAULT_BUDGET):
@@ -190,10 +175,11 @@ def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: in
     These are the Ω-heads of the component B(ν) generated from b_{λ_1} ⊗ x;
     ``budget`` caps |X| (as in ``hat_lattice_points``) and |B(ν)|.
     """
-    subsets, lams, words = _prepare(rs, subsets, lams, words)
+    subsets, words = rs.blocks(subsets, words)
+    lams = [rs.weight(lam) for lam in lams]
     _require_full_first_block(rs, subsets)
     tails = _highest_weight_tails(rs, subsets, lams, words, budget)
-    x = tuple(int(t) for t in x)
+    x = tuple(map(index, x))
     if x not in tails:
         raise ValueError(f"projected point {x} is not attained")
     component = _close(rs, {TensorElement((highest_path(rs, lams[0]),) + tails[x])}, words.blocks[0], budget)

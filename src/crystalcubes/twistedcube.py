@@ -32,11 +32,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add
+from operator import add, index
 
 import numpy as np
 
-from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from .rootsys import InvariantError, RootSystem, UnsupportedInputError
 
 
 class MVPolynomial:
@@ -155,13 +155,7 @@ class ProjectionMap:
 
 
 def projection_map(rs: RootSystem, subsets, words=None) -> ProjectionMap:
-    subsets = subsets if isinstance(subsets, SubsetSequence) else SubsetSequence(subsets)
-    subsets.validate(rs)
-    if words is None:
-        words = WordSequence.for_subsets(rs, subsets)
-    elif not isinstance(words, WordSequence):
-        words = WordSequence(words)
-    words.validate(rs, subsets)
+    subsets, words = rs.blocks(subsets, words)
     row_labels = [(k + 1, u) for k, subset in enumerate(subsets.sets) for u in subset]
     row_of = {label: r for r, label in enumerate(row_labels)}
     ncols = sum(len(b) for b in words.blocks)
@@ -185,8 +179,8 @@ class TwistedCube:
 
     def __init__(self, rs: RootSystem, word, a):
         self.rs = rs
-        self.word = tuple(int(i) for i in word)
-        self.a = tuple(int(x) for x in a)
+        self.word = tuple(map(index, word))
+        self.a = tuple(map(index, a))
         if len(self.word) != len(self.a):
             raise ValueError("word and integer vector lengths differ")
         for i in self.word:
@@ -343,6 +337,7 @@ class TwistedCube:
         Shard seeds are seed + shard index; contributions merge additively, so
         the result is deterministic for a fixed (seed, shard count).
         """
+        samples, shards = index(samples), index(shards)
         if samples <= 0:
             raise ValueError("sample count must be positive")
         if shards < 1 or samples % shards:
@@ -425,7 +420,7 @@ def mc_histogram(
     """Deterministic signed histogram: bin value = (box volume / samples) · Σ ρ."""
     if isinstance(bins, int):
         bins = (bins,) * projection.rows
-    bins = tuple(int(b) for b in bins)
+    bins = tuple(map(index, bins))
     if len(bins) != projection.rows or any(b <= 0 for b in bins):
         raise ValueError("need one positive bin count per target dimension")
     pts, rho, vol = cube.mc_sample(samples, seed, shards)

@@ -3,9 +3,11 @@
 import gc
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
+from crystalcubes import cli
 from crystalcubes.cli import main
 
 
@@ -529,8 +531,27 @@ CUBE_PARAMS = {"word": [1, 2], "a": [1, 1]}
         ("cube-moments", {**CUBE_PARAMS, "degree": -1}, "degree must be nonnegative"),
         ("cube-volume", {"word": [1, 2]}, "missing param 'a'"),
         ("cube-volume", {"subsets": [[1, 2]]}, "missing param 'weights'"),
+        ("cube-volume", {**CUBE_PARAMS, "weights": [[1, 1]]}, "unknown params: ['weights']"),
+        ("cube-volume", {"subsets": [[1, 2]], "weights": [[1, 1]], "a": [9]}, "unknown params: ['a']"),
+        ("cube-moments", {**CUBE_PARAMS, "words": [[1], [2]]}, "unknown params: ['words']"),
+        (
+            "cube-svg",
+            {"word": [1, 2, 1], "a": [1, 1, 1], "subsets": [[1, 2]], "words": [[2, 1, 2]]},
+            "unknown params: ['words']",
+        ),
     ],
-    ids=["volume-unknown", "histogram-unknown", "volume-degree", "moments-negative-degree", "missing-a", "missing-weights"],
+    ids=[
+        "volume-unknown",
+        "histogram-unknown",
+        "volume-degree",
+        "moments-negative-degree",
+        "missing-a",
+        "missing-weights",
+        "word-shape-with-weights",
+        "weights-shape-with-a",
+        "word-shape-with-words",
+        "word-shape-subsets-with-words",
+    ],
 )
 def test_cube_params_rejected_exit_2(tmp_path, capsys, command, params, message):
     config = {"root_system": "A2", "command": command, "params": params}
@@ -578,6 +599,61 @@ def test_wrong_nested_type_exit_2(tmp_path, capsys, command, params):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "invalid"
 
 
+A2_FLAG = {"subsets": [[1, 2], [1, 2]], "weights": [[1, 1], [1, 1]]}
+A2_CUBE = {"subsets": [[1, 2]], "weights": [[2, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command,params,top",
+    [
+        ("cube-volume", {"word": [1.5, 2], "a": [1, 1]}, {}),
+        ("cube-volume", {"word": [1, 2], "a": [1.5, 1]}, {}),
+        ("lattice-points", {"word": [1, 2], "a": [1.5, 1]}, {}),
+        ("lattice-points", {"word": [1, 2], "a": [1, 1], "level": "2"}, {}),
+        ("fiber", {**A2_FLAG, "x": [0.5, 0, 0]}, {}),
+        ("multiplicity", {**A2_FLAG, "nu": [2, 2], "words": [[1.5, 2, 1], [1, 2, 1]]}, {}),
+        ("cube-moments", {**A2_CUBE, "degree": 1.9}, {}),
+        ("cube-histogram", {**A2_CUBE, "samples": 200.5, "bins": 3}, {}),
+        ("cube-histogram", {**A2_CUBE, "samples": 200, "shards": 1.5, "bins": 3}, {}),
+        ("cube-histogram", {**A2_CUBE, "samples": 200, "bins": [3.5, 2]}, {}),
+        ("cube-volume", CUBE_PARAMS, {"seed": 1.5}),
+        ("cube-volume", CUBE_PARAMS, {"budget": 2.5}),
+    ],
+    ids=["word", "a", "lattice-a", "level", "x", "words", "degree", "samples", "shards", "bins", "seed", "budget"],
+)
+def test_non_integer_value_exit_2(tmp_path, capsys, command, params, top):
+    config = {"root_system": "A2", "command": command, "params": params, **top}
+    assert run_cli(tmp_path, config) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    if top:
+        assert error == {"kind": "config", "message": "seed and budget must be integers"}
+    else:
+        assert error["kind"] == "invalid"
+        assert error["message"].endswith("object cannot be interpreted as an integer")
+
+
+@pytest.mark.parametrize(
+    "config,kind,message",
+    [
+        ({"root_system": [], "command": "crystal", "params": {"weight": []}}, "invalid", "Cartan matrix must not be empty"),
+        ({"root_system": "A2", "command": ["crystal"]}, "config", None),
+    ],
+    ids=["empty-cartan", "command-list"],
+)
+def test_malformed_top_level_exit_2(tmp_path, capsys, config, kind, message):
+    assert run_cli(tmp_path, config) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == kind
+    assert message is None or error["message"] == message
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert tuple(row.split("`")[1] for row in rows) == tuple(cli.COMMANDS)
+
+
 def test_internal_invariant_exit_5(tmp_path, capsys, monkeypatch):
     from crystalcubes import stringpoly
     from crystalcubes.demazure import StringVector
@@ -589,3 +665,209 @@ def test_internal_invariant_exit_5(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err) == {
         "error": {"kind": "internal", "message": "string parametrization failed to separate elements"}
     }
+
+
+# Artifacts of bundle-vectors, cube-histogram, cube-svg and the word-shape cube
+# with subsets, pinned before the command table replaced the if/elif dispatch.
+ARTIFACT_GOLDENS = [
+    (
+        "A3",
+        "bundle-vectors",
+        {"subsets": [[1, 2, 3], [1, 2], [3]], "weights": [[1, 0, 1], [0, 1, 0], [0, 0, 2]]},
+        "json",
+        0,
+        b'{"degeneration_vectors":[[5,4,3,0],[1,1,0],[2,0]],"mu":[0,0,0],"pullback_vector":[[0,0,0,1,0,1],'
+        b'[0,1,0],[2]],"tower_vectors":{"2,1":[[1,0,-1,0],[0,1,-1,0],[0,0,0,0]],"3,1":[[1,1,2,0],[0,0,0,0]],'
+        b'"3,2":[[-1,-1,0],[0,0,0]]},"words":[[1,2,1,3,2,1],[1,2,1],[3]]}\n',
+    ),
+    (
+        B2_GRID,
+        "bundle-vectors",
+        {"subsets": [[1], [2], [1]], "weights": [[1, 0], [0, 1], [2, 1]], "words": [[1], [2], [1]]},
+        "json",
+        0,
+        b'{"degeneration_vectors":[[3,0],[2,0],[2,0]],"mu":[0,0],"pullback_vector":[[1],[2],[2]],'
+        b'"tower_vectors":{"2,1":[[-1,0],[0,0]],"3,1":[[2,0],[0,0]],"3,2":[[-2,0],[0,0]]},'
+        b'"words":[[1],[2],[1]]}\n',
+    ),
+    (
+        "A2",
+        "cube-histogram",
+        {"subsets": [[1, 2]], "weights": [[2, 1]], "samples": 200, "bins": 3},
+        "json",
+        7,
+        b'{"a":[0,1,2],"samples":200,"total":2.52,"word":[1,2,1],"words":[[1,2,1]]}\n',
+    ),
+    (
+        "A2",
+        "cube-histogram",
+        {"subsets": [[1, 2]], "weights": [[2, 1]], "samples": 200, "bins": 3},
+        "csv",
+        7,
+        b"center_1,center_2,value\n-5.5,-2.5,0.0\n-5.5,-1.5,0.0\n-5.5,-0.5,0.0\n-2.5,-2.5,0.42\n-2.5,-1.5,1.47\n"
+        b"-2.5,-0.5,0.0\n0.5,-2.5,0.0\n0.5,-1.5,0.42\n0.5,-0.5,0.21\n",
+    ),
+    (
+        B2_GRID,
+        "cube-histogram",
+        {"word": [1, 2, 1], "a": [1, 1, 1], "samples": 200, "shards": 2, "bins": [3, 2, 2]},
+        "json",
+        3,
+        b'{"a":[1,1,1],"samples":200,"total":3.8999999999999995,"word":[1,2,1]}\n',
+    ),
+    (
+        B2_GRID,
+        "cube-histogram",
+        {"word": [1, 2, 1], "a": [1, 1, 1], "samples": 200, "shards": 2, "bins": [3, 2, 2]},
+        "csv",
+        3,
+        b"center_1,center_2,center_3,value\n-4.166666666666666,-2.25,-0.75,0.0\n-4.166666666666666,-2.25,-0.25,0.0\n"
+        b"-4.166666666666666,-0.75,-0.75,0.0\n-4.166666666666666,-0.75,-0.25,0.0\n-2.5,-2.25,-0.75,0.22499999999999998\n"
+        b"-2.5,-2.25,-0.25,0.075\n-2.5,-0.75,-0.75,0.0\n-2.5,-0.75,-0.25,0.3\n-0.8333333333333333,-2.25,-0.75,1.2\n"
+        b"-0.8333333333333333,-2.25,-0.25,0.075\n-0.8333333333333333,-0.75,-0.75,0.6\n"
+        b"-0.8333333333333333,-0.75,-0.25,1.425\n",
+    ),
+    (
+        "A2",
+        "cube-svg",
+        {"subsets": [[1, 2]], "weights": [[2, 1]], "samples": 200, "bins": 3},
+        "svg",
+        11,
+        b'<svg xmlns="http://www.w3.org/2000/svg" width="72" height="72" viewBox="0 0 72 72">\n'
+        b'<rect x="0" y="48" width="24" height="24" fill="rgb(255,255,255)"/>\n'
+        b'<rect x="0" y="24" width="24" height="24" fill="rgb(255,255,255)"/>\n'
+        b'<rect x="0" y="0" width="24" height="24" fill="rgb(255,255,255)"/>\n'
+        b'<rect x="24" y="48" width="24" height="24" fill="rgb(255,142,142)"/>\n'
+        b'<rect x="24" y="24" width="24" height="24" fill="rgb(255,0,0)"/>\n'
+        b'<rect x="24" y="0" width="24" height="24" fill="rgb(198,198,255)"/>\n'
+        b'<rect x="48" y="48" width="24" height="24" fill="rgb(255,255,255)"/>\n'
+        b'<rect x="48" y="24" width="24" height="24" fill="rgb(255,227,227)"/>\n'
+        b'<rect x="48" y="0" width="24" height="24" fill="rgb(255,255,255)"/>\n'
+        b"</svg>\n",
+    ),
+    (
+        "A3",
+        "cube-volume",
+        {"word": [1, 2, 1, 3], "a": [2, 0, 1, 2], "subsets": [[1, 2], [3]]},
+        "json",
+        0,
+        b'{"a":[2,0,1,2],"signed_volume":"25/3","word":[1,2,1,3]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "root_system,command,params,fmt,seed,expected",
+    ARTIFACT_GOLDENS,
+    ids=[
+        f"{'B2' if isinstance(rs, list) else rs}-{cmd}-{'word' if 'word' in p else 'words' if 'words' in p else 'auto'}-{fmt}"
+        for rs, cmd, p, fmt, _, _ in ARTIFACT_GOLDENS
+    ],
+)
+def test_artifacts_golden(tmp_path, root_system, command, params, fmt, seed, expected):
+    output = {"path": f"out.{fmt}", "format": fmt}
+    config = {"root_system": root_system, "command": command, "params": params, "output": output, "seed": seed}
+    assert run_cli(tmp_path, config) == 0
+    assert (tmp_path / f"out.{fmt}").read_bytes() == expected
+
+
+# The stdout line of every command under --echo-word: auto-selected words are
+# echoed, words given in the config and the word shape echo nothing.
+ECHO_GOLDENS = [
+    ("A2", "crystal", {"weight": [1, 0]}, "crystal with 3 vertices, 2 edges -> OUT/crystal.json"),
+    ("A2", "demazure", {"weight": [1, 1], "word": [1, 2]}, "Demazure crystal with 5 elements -> OUT/demazure.json"),
+    ("A2", "gen-demazure", {"word": [1, 2], "a": [1, 1]}, "generalized Demazure crystal with 5 elements -> OUT/gen-demazure.json"),
+    (
+        "A2",
+        "gen-demazure",
+        {"subsets": [[1, 2], [2]], "weights": [[1, 0], [0, 1]]},
+        "generalized Demazure crystal with 8 elements [words [[1, 2, 1], [2]]] -> OUT/gen-demazure.json",
+    ),
+    ("A2", "lattice-points", {"word": [2, 1], "a": [1, 1]}, "5 lattice points -> OUT/lattice-points.csv"),
+    (
+        "A2",
+        "multiplicity",
+        {"subsets": [[1, 2], [1]], "weights": [[1, 1], [1, 0]], "nu": [1, 2]},
+        "0 [words [[1, 2, 1], [1]]] -> OUT/multiplicity.json",
+    ),
+    (
+        "A2",
+        "multiplicity",
+        {"subsets": [[1, 2], [1, 2]], "weights": [[1, 1], [1, 1]], "nu": [1, 1], "words": [[2, 1, 2], [1, 2, 1]]},
+        "2 -> OUT/multiplicity.json",
+    ),
+    (
+        "A2",
+        "tensor-decompose",
+        {"weights": [[1, 0], [0, 1]]},
+        "2 components over 2 highest weights [words [[1, 2, 1], [1, 2, 1]]] -> OUT/tensor-decompose.json",
+    ),
+    (
+        B2_GRID,
+        "component-count",
+        {"subsets": [[2], [1, 2]], "weights": [[1, 0], [1, 1]]},
+        "4 [words [[2], [1, 2, 1, 2]]] -> OUT/component-count.json",
+    ),
+    (
+        "A2",
+        "fiber",
+        {"subsets": [[1, 2], [1, 2]], "weights": [[1, 1], [1, 1]], "x": [1, 2, 1]},
+        "1 fiber points [words [[1, 2, 1], [1, 2, 1]]] -> OUT/fiber.json",
+    ),
+    (
+        "A3",
+        "bundle-vectors",
+        {"subsets": [[1, 2], [2, 3]], "weights": [[1, 1, 0], [0, 1, 1]]},
+        "bundle vectors computed [words [[1, 2, 1], [2, 3, 2]]] -> OUT/bundle-vectors.json",
+    ),
+    (
+        "A3",
+        "bundle-vectors",
+        {"subsets": [[1, 2], [2, 3]], "weights": [[1, 1, 0], [0, 1, 1]], "words": [[2, 1, 2], [3, 2, 3]]},
+        "bundle vectors computed -> OUT/bundle-vectors.json",
+    ),
+    (
+        "A2",
+        "cube-volume",
+        {"subsets": [[1, 2], [1]], "weights": [[1, 1], [2, 0]]},
+        "5 [words [[1, 2, 1], [1]]] -> OUT/cube-volume.json",
+    ),
+    (
+        "A3",
+        "cube-volume",
+        {"word": [1, 2, 1, 3], "a": [2, 0, 1, 2], "subsets": [[1, 2], [3]]},
+        "25/3 -> OUT/cube-volume.json",
+    ),
+    (
+        "A2",
+        "cube-moments",
+        {"subsets": [[1, 2]], "weights": [[1, 1]], "words": [[2, 1, 2]], "degree": 1},
+        "3 moments up to degree 1 -> OUT/cube-moments.json",
+    ),
+    (
+        "A2",
+        "cube-histogram",
+        {"subsets": [[1, 2]], "weights": [[2, 1]], "samples": 200, "bins": 3},
+        "histogram total 1.68 [words [[1, 2, 1]]] -> OUT/cube-histogram.csv",
+    ),
+    (
+        "A2",
+        "cube-svg",
+        {"subsets": [[1, 2]], "weights": [[2, 1]], "samples": 200, "bins": 3},
+        "SVG rendered [words [[1, 2, 1]]] -> OUT/cube-svg.svg",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "root_system,command,params,line",
+    ECHO_GOLDENS,
+    ids=[
+        f"{cmd}-{'word' if 'word' in p else 'words' if 'words' in p else 'auto' if 'subsets' in p else 'plain'}"
+        for _, cmd, p, _ in ECHO_GOLDENS
+    ],
+)
+def test_echo_word_summary_golden(tmp_path, capsys, root_system, command, params, line):
+    config = {"root_system": root_system, "command": command, "params": params, "seed": 5}
+    assert run_cli(tmp_path, config, "--echo-word") == 0
+    assert capsys.readouterr().out == line.replace("OUT", str(tmp_path)) + "\n"

@@ -54,6 +54,10 @@ class TestCartanValidation:
         rs = RootSystem([[2, -1], [-3, 2]])
         assert len(rs.positive_roots()) == 6
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            CartanMatrix([])
+
 
 class TestPairing:
     def test_fundamental(self):
@@ -222,6 +226,28 @@ class TestSequences:
         with pytest.raises(ValueError):
             WordSequence([(1, 2, 1), (1,)]).validate(A3, subs)
 
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(TypeError):
+            SubsetSequence([(1, 2.0)])
+        with pytest.raises(TypeError):
+            WordSequence([(1.5, 2, 1)])
+        with pytest.raises(TypeError):
+            WordSequence(["121"])
+
+    def test_blocks_resolver(self):
+        subsets, words = A3.blocks([[1, 2], [3]])
+        assert subsets == SubsetSequence([(1, 2), (3,)])
+        assert words == WordSequence.for_subsets(A3, subsets)
+        assert A3.blocks(subsets, [[2, 1, 2], [3]]) == (subsets, WordSequence([(2, 1, 2), (3,)]))
+        assert A3.blocks(subsets, words) == (subsets, words)
+        assert A3.subsets([[1, 2], [3]]) == subsets
+        with pytest.raises(ValueError, match="strictly increasing"):
+            A3.blocks([[2, 1]])
+        with pytest.raises(ValueError, match="not a reduced word"):
+            A3.blocks(subsets, [[1, 2], [3]])
+        with pytest.raises(ValueError, match="lengths differ"):
+            A3.blocks(subsets, [[1, 2, 1]])
+
     def test_auto_words(self):
         subs = SubsetSequence([(1, 2), (3,)])
         words = WordSequence.for_subsets(A3, subs)
@@ -241,6 +267,13 @@ class TestWeight:
         w = Weight((Fraction(1, 2), 1))
         assert not w.is_integral()
         assert w.is_dominant()
+
+    def test_root_system_weight_accepts_weight(self):
+        w = Weight((1, 0, 2))
+        assert A3.weight(w) is w
+        assert A3.weight([1, 0, 2]) == A3.weight(1, 0, 2) == w
+        with pytest.raises(ValueError, match="needs 2 coordinates"):
+            A2.weight(w)
 
     def test_integral_normalization(self):
         assert Weight((Fraction(4, 2),)).coords == (2,)
