@@ -38,6 +38,8 @@ import numpy as np
 
 from .rootsys import InvariantError, RootSystem, UnsupportedInputError
 
+_CHUNK = 1 << 16  # rows per Monte Carlo chunk; bounds memory, never the results
+
 
 class MVPolynomial:
     """Sparse multivariate polynomial: exponent tuple → exact rational coefficient."""
@@ -331,52 +333,54 @@ class TwistedCube:
         rho[~alive] = 0.0
         return rho
 
-    def mc_sample(self, samples: int, seed: int, shards: int = 1):
-        """Seeded uniform samples over the bounding box with their densities.
+    def mc_sample(self, rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, rows: int):
+        """`rows` points drawn by rng uniformly from the box [lo, hi], with their densities."""
+        pts = rng.uniform(lo, hi, size=(rows, self.dim))
+        return pts, self._density_batch(pts)
 
-        Shard seeds are seed + shard index; contributions merge additively, so
-        the result is deterministic for a fixed (seed, shard count).
-        """
+    def _mc_stream(self, samples: int, seed: int, shards: int):
+        """(box volume, `mc_sample` chunks of at most _CHUNK rows): shard k draws its
+        samples/shards points from a generator seeded with seed + k.  A generator gives
+        the same values drawn at once or in chunks, so no result depends on _CHUNK."""
         samples, shards = index(samples), index(shards)
         if samples <= 0:
             raise ValueError("sample count must be positive")
         if shards < 1 or samples % shards:
             raise ValueError("shards must divide the sample count")
         box = self.bounding_box()
-        lo = np.array([float(a) for a, _ in box])
-        hi = np.array([float(b) for _, b in box])
-        vol = 1.0
-        for a, b in box:
-            vol *= float(b - a)
-        xs = []
-        rhos = []
+        lo, hi = np.array(box, dtype=float).reshape(-1, 2).T
         per = samples // shards
-        for shard in range(shards):
-            rng = np.random.default_rng(seed + shard)
-            pts = rng.uniform(lo, hi, size=(per, self.dim))
-            xs.append(pts)
-            rhos.append(self._density_batch(pts))
-        return np.concatenate(xs), np.concatenate(rhos), vol
+
+        def chunks():
+            for shard in range(shards):
+                rng = np.random.default_rng(seed + shard)
+                for start in range(0, per, _CHUNK):
+                    yield self.mc_sample(rng, lo, hi, min(_CHUNK, per - start))
+
+        return math.prod(float(b - a) for a, b in box), chunks()
 
     def mc_volume(self, samples: int, seed: int, shards: int = 1):
-        """(estimate, standard error) for the signed volume."""
-        _, rho, vol = self.mc_sample(samples, seed, shards)
-        est = vol * float(np.mean(rho))
-        err = vol * float(np.std(rho)) / math.sqrt(samples)
-        return est, err
+        """(estimate, standard error) for the signed volume: the zero moment."""
+        return self.mc_moment(identity_projection(self.dim), (0,) * self.dim, samples, seed, shards)
 
     def mc_moment(self, projection: ProjectionMap, multi_index, samples: int, seed: int, shards: int = 1):
-        """(estimate, standard error) for a pushforward moment."""
-        pts, rho, vol = self.mc_sample(samples, seed, shards)
-        m = tuple(int(t) for t in multi_index)
-        proj = pts @ np.array(projection.matrix, dtype=float).T
-        g = rho.copy()
-        for t, power in enumerate(m):
-            if power:
-                g *= proj[:, t] ** power
-        est = vol * float(np.mean(g))
-        err = vol * float(np.std(g)) / math.sqrt(samples)
-        return est, err
+        """(estimate, standard error) for a pushforward moment, from the running
+        sums of g = ρ·(Lx)^m and g² over the sample stream."""
+        vol, chunks = self._mc_stream(samples, seed, shards)
+        m = tuple(map(index, multi_index))
+        lt = np.array(projection.matrix, dtype=float).T
+        s1 = s2 = 0.0
+        for pts, g in chunks:
+            if any(m):
+                proj = pts @ lt
+                for t, power in enumerate(m):
+                    if power:
+                        g = g * proj[:, t] ** power
+            s1 += g.sum()
+            s2 += g @ g
+        mean = s1 / samples
+        err = vol * math.sqrt(max(s2 / samples - mean * mean, 0.0)) / math.sqrt(samples)
+        return float(vol * mean), err
 
 
 @dataclass(frozen=True)
@@ -417,17 +421,20 @@ def mc_histogram(
     seed: int,
     shards: int = 1,
 ) -> SignedHistogram:
-    """Deterministic signed histogram: bin value = (box volume / samples) · Σ ρ."""
+    """Deterministic signed histogram: bin value = (box volume / samples) · Σ ρ,
+    summed chunk by chunk (ρ ∈ {-1, 0, 1}, so every bin sum is an exact integer)."""
     if isinstance(bins, int):
         bins = (bins,) * projection.rows
     bins = tuple(map(index, bins))
     if len(bins) != projection.rows or any(b <= 0 for b in bins):
         raise ValueError("need one positive bin count per target dimension")
-    pts, rho, vol = cube.mc_sample(samples, seed, shards)
-    proj = pts @ np.array(projection.matrix, dtype=float).T
+    vol, chunks = cube._mc_stream(samples, seed, shards)
+    lt = np.array(projection.matrix, dtype=float).T
     target_box = projected_box(cube, projection)
     edges = [np.linspace(float(a), float(b), bins[t] + 1) for t, (a, b) in enumerate(target_box)]
-    hist, _ = np.histogramdd(proj, bins=edges, weights=rho)
+    hist = np.zeros(bins)
+    for pts, rho in chunks:
+        hist += np.histogramdd(pts @ lt, bins=edges, weights=rho)[0]
     hist *= vol / samples
     return SignedHistogram(tuple(tuple(e) for e in edges), hist, samples, seed)
 

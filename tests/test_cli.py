@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from crystalcubes import cli
+from crystalcubes import cli, twistedcube
 from crystalcubes.cli import main
 
 
@@ -769,6 +769,20 @@ def test_artifacts_golden(tmp_path, root_system, command, params, fmt, seed, exp
     config = {"root_system": root_system, "command": command, "params": params, "output": output, "seed": seed}
     assert run_cli(tmp_path, config) == 0
     assert (tmp_path / f"out.{fmt}").read_bytes() == expected
+
+
+MC_GOLDENS = [g for g in ARTIFACT_GOLDENS if g[1] in ("cube-histogram", "cube-svg")]
+
+
+@pytest.mark.parametrize(
+    "root_system,command,params,fmt,seed,expected",
+    MC_GOLDENS,
+    ids=[f"{'B2' if isinstance(rs, list) else rs}-{cmd}-{fmt}" for rs, cmd, _, fmt, _, _ in MC_GOLDENS],
+)
+def test_mc_artifacts_golden_in_small_chunks(tmp_path, monkeypatch, root_system, command, params, fmt, seed, expected):
+    """The same bytes when the 200 samples arrive in chunks of 7 rows."""
+    monkeypatch.setattr(twistedcube, "_CHUNK", 7)
+    test_artifacts_golden(tmp_path, root_system, command, params, fmt, seed, expected)
 
 
 # The stdout line of every command under --echo-word: auto-selected words are

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystalcubes import twistedcube
 from crystalcubes.cli import main
 from crystalcubes.demazure import gen_demazure_crystal
 from crystalcubes.rootsys import RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
@@ -434,3 +436,87 @@ def test_cube_artifacts_golden(tmp_path, root_system, command, params, expected)
     cfg.write_text(json.dumps(config))
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "out.json").read_bytes() == expected
+
+
+# -- the streamed Monte Carlo pass against the materialising one it replaced -------
+
+
+def shard_generators(seed, shards):
+    return [np.random.default_rng(seed + shard) for shard in range(shards)]
+
+
+def materialised_sample(cube, samples, seed, shards):
+    """Every sample and its density at once, then the bounding-box volume."""
+    box = cube.bounding_box()
+    lo = np.array([float(a) for a, _ in box])
+    hi = np.array([float(b) for _, b in box])
+    vol = 1.0
+    for a, b in box:
+        vol *= float(b - a)
+    per = samples // shards
+    pts = [rng.uniform(lo, hi, size=(per, cube.dim)) for rng in shard_generators(seed, shards)]
+    return np.concatenate(pts), np.concatenate([cube._density_batch(p) for p in pts]), vol
+
+
+def materialised_moment(cube, projection, m, samples, seed, shards):
+    pts, rho, vol = materialised_sample(cube, samples, seed, shards)
+    proj = pts @ np.array(projection.matrix, dtype=float).T
+    g = rho.copy()
+    for t, power in enumerate(m):
+        if power:
+            g *= proj[:, t] ** power
+    return vol * float(np.mean(g)), vol * float(np.std(g)) / math.sqrt(samples)
+
+
+def materialised_volume(cube, samples, seed, shards):
+    _, rho, vol = materialised_sample(cube, samples, seed, shards)
+    return vol * float(np.mean(rho)), vol * float(np.std(rho)) / math.sqrt(samples)
+
+
+def materialised_histogram(cube, projection, bins, samples, seed, shards):
+    pts, rho, vol = materialised_sample(cube, samples, seed, shards)
+    proj = pts @ np.array(projection.matrix, dtype=float).T
+    edges = [np.linspace(float(a), float(b), n + 1) for n, (a, b) in zip(bins, projected_box(cube, projection))]
+    hist, _ = np.histogramdd(proj, bins=edges, weights=rho)
+    hist *= vol / samples
+    return tuple(tuple(e) for e in edges), hist
+
+
+STREAM_CASES = [
+    (TwistedCube(A2, (1, 2, 1), (1, -2, 3)), identity_projection(3)),
+    (TwistedCube(A3, (1, 2, 1, 3, 2, 1), (1, 0, 2, -1, 1, 1)),
+     projection_map(A3, SubsetSequence([(1, 2, 3)]), WordSequence([(1, 2, 1, 3, 2, 1)]))),
+    (TwistedCube(B2, (1, 2, 1, 2, 2), (0, 0, 1, 1, 2)),
+     projection_map(B2, SubsetSequence([(1, 2), (2,)]), WordSequence([(1, 2, 1, 2), (2,)]))),
+]
+
+
+@pytest.mark.parametrize("chunk", [7, 10**9])
+@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("case", range(len(STREAM_CASES)), ids=["A2", "A3", "B2"])
+def test_stream_matches_materialised_pass(monkeypatch, case, shards, chunk):
+    monkeypatch.setattr(twistedcube, "_CHUNK", chunk)
+    cube, proj = STREAM_CASES[case]
+    samples, seed, bins = 4000, 17 + case, (3,) * proj.rows
+    hist = mc_histogram(cube, proj, bins, samples, seed, shards)
+    edges, values = materialised_histogram(cube, proj, bins, samples, seed, shards)
+    assert hist.edges == edges and hist.values.tobytes() == values.tobytes()
+    est, err = cube.mc_volume(samples, seed, shards)
+    want_est, want_err = materialised_volume(cube, samples, seed, shards)
+    assert est == want_est and err == pytest.approx(want_err, rel=1e-9)
+    for m in [(1,) + (0,) * (proj.rows - 1), (0,) * (proj.rows - 1) + (2,), (1,) * proj.rows]:
+        got = cube.mc_moment(proj, m, samples, seed, shards)
+        assert got == pytest.approx(materialised_moment(cube, proj, m, samples, seed, shards), rel=1e-9), m
+
+
+def test_histogram_memory_independent_of_samples():
+    """A million dim-6 samples in one shard stay far below the 100+ MiB that holding
+    them, their densities and their projections at once takes."""
+    cube, proj = STREAM_CASES[1]
+    tracemalloc.start()
+    try:
+        mc_histogram(cube, proj, 8, 1_000_000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
