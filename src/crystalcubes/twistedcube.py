@@ -339,9 +339,9 @@ class TwistedCube:
         return pts, self._density_batch(pts)
 
     def _mc_stream(self, samples: int, seed: int, shards: int):
-        """(box volume, `mc_sample` chunks of at most _CHUNK rows): shard k draws its
-        samples/shards points from a generator seeded with seed + k.  A generator gives
-        the same values drawn at once or in chunks, so no result depends on _CHUNK."""
+        """(box volume, `mc_sample` chunks of at most _CHUNK rows): each shard draws its
+        samples/shards points from its own stream, spawned from SeedSequence(seed).  A
+        stream gives the same values drawn at once or in chunks, so no result depends on _CHUNK."""
         samples, shards = index(samples), index(shards)
         if samples <= 0:
             raise ValueError("sample count must be positive")
@@ -350,10 +350,11 @@ class TwistedCube:
         box = self.bounding_box()
         lo, hi = np.array(box, dtype=float).reshape(-1, 2).T
         per = samples // shards
+        streams = np.random.SeedSequence(seed).spawn(shards)
 
         def chunks():
-            for shard in range(shards):
-                rng = np.random.default_rng(seed + shard)
+            for stream in streams:
+                rng = np.random.default_rng(stream)
                 for start in range(0, per, _CHUNK):
                     yield self.mc_sample(rng, lo, hi, min(_CHUNK, per - start))
 

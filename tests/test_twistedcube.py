@@ -442,7 +442,7 @@ def test_cube_artifacts_golden(tmp_path, root_system, command, params, expected)
 
 
 def shard_generators(seed, shards):
-    return [np.random.default_rng(seed + shard) for shard in range(shards)]
+    return [np.random.default_rng(stream) for stream in np.random.SeedSequence(seed).spawn(shards)]
 
 
 def materialised_sample(cube, samples, seed, shards):
@@ -520,3 +520,16 @@ def test_histogram_memory_independent_of_samples():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_shard_streams_are_independent(monkeypatch):
+    """The second shard of (seed 1, 2 shards) is not the first shard of (seed 2, 2
+    shards), as it was when shard k was seeded with seed + k."""
+    drawn = []
+    sample = TwistedCube.mc_sample
+    monkeypatch.setattr(TwistedCube, "mc_sample", lambda cube, *args: drawn.append(sample(cube, *args)) or drawn[-1])
+    cube = STREAM_CASES[0][0]
+    cube.mc_volume(200, seed=1, shards=2)
+    cube.mc_volume(200, seed=2, shards=2)
+    assert len(drawn) == 4
+    assert not np.array_equal(drawn[1][0], drawn[2][0])
