@@ -272,7 +272,7 @@ class TwistedCube:
 
     def pushforward_moments(self, projection: ProjectionMap, multi_index) -> Fraction:
         """∫ (Lx)^m ρ(x) dx, exactly; m = 0 reduces to the signed volume."""
-        m = tuple(int(t) for t in multi_index)
+        m = tuple(map(index, multi_index))
         if len(m) != projection.rows:
             raise ValueError("multi-index length must match the projection target dimension")
         if any(t < 0 for t in m):

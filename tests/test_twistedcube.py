@@ -182,6 +182,10 @@ class TestMoments:
             SL4_CUBE.pushforward_moments(SL4_PROJ, (1, 0))
         with pytest.raises(ValueError):
             SL4_CUBE.pushforward_moments(SL4_PROJ, (-1, 0, 0))
+        with pytest.raises(TypeError):
+            SL4_CUBE.pushforward_moments(SL4_PROJ, (1.5, 0, 0))
+        with pytest.raises(TypeError):
+            SL4_CUBE.mc_moment(SL4_PROJ, (1.5, 0, 0), 100, seed=1)
 
 
 class TestMonteCarloHistogram:
