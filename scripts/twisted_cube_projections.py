@@ -4,7 +4,8 @@
 For I = ({1,2},{3}) with word (1,2,1,3), builds the twisted cube of each
 weight pair, prints its exact signed volume and first moments, checks them
 against seeded Monte Carlo, and writes a 3-D histogram CSV per pair for
-external rendering.
+external rendering.  Exits 1 if any Monte Carlo estimate lies 4 standard
+errors or more from the exact value.
 
 Run:  python scripts/twisted_cube_projections.py [outdir]
 """
@@ -35,6 +36,15 @@ def main():
     words = WordSequence.for_subsets(rs, subsets)
     proj = projection_map(rs, subsets, words)
 
+    misses = 0
+
+    def gate(exact, est, err) -> str:
+        nonlocal misses
+        if abs(est - float(exact)) < 4 * err:
+            return ""
+        misses += 1
+        return "  <-- outside 4σ!"
+
     for idx, (c1, c2) in enumerate(PAIRS, start=1):
         lams = [rs.weight(*c1), rs.weight(*c2)]
         a = pullback_vector(rs, subsets, words, lams).flat
@@ -42,18 +52,19 @@ def main():
         vol = cube.signed_volume()
         est, err = cube.mc_volume(SAMPLES, seed=SEED)
         print(f"pair {idx}: λ = {c1}, {c2}  a = {a}")
-        print(f"  signed volume {vol} (MC {est:.3f} ± {err:.3f})")
+        print(f"  signed volume {vol} (MC {est:.3f} ± {err:.3f}){gate(vol, est, err)}")
         for m in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
             exact = cube.pushforward_moments(proj, m)
             mc, mc_err = cube.mc_moment(proj, m, SAMPLES, seed=SEED)
-            flag = "" if abs(mc - float(exact)) < 4 * mc_err else "  <-- outside 4σ!"
-            print(f"  moment {m}: {exact} (MC {mc:.2f} ± {mc_err:.2f}){flag}")
+            print(f"  moment {m}: {exact} (MC {mc:.2f} ± {mc_err:.2f}){gate(exact, mc, mc_err)}")
         hist = mc_histogram(cube, proj, bins=24, samples=SAMPLES, seed=SEED)
         path = os.path.join(outdir, f"projection_{idx}.csv")
         with open(path, "w") as handle:
             handle.write("\n".join(hist.to_csv_lines()) + "\n")
         print(f"  histogram -> {path}")
-    return 0
+    if misses:
+        print(f"{misses} Monte Carlo estimates outside 4σ", file=sys.stderr)
+    return 1 if misses else 0
 
 
 if __name__ == "__main__":
