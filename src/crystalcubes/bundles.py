@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootsys import RootSystem, SubsetSequence, Weight
+from .rootsys import RootSystem, Weight
 
 
 @dataclass(frozen=True)
@@ -37,23 +37,12 @@ class BottTowerData:
         return {f"{k},{j}": [list(v) for v in vs] for (k, j), vs in sorted(self.vectors.items())}
 
 
-def _weights(rs: RootSystem, subsets: SubsetSequence, lams) -> list[Weight]:
-    """One integral weight per subset."""
-    lams = [rs.weight(lam) for lam in lams]
-    if len(lams) != subsets.r:
-        raise ValueError("need one weight per subset")
-    for lam in lams:
-        if not lam.is_integral():
-            raise ValueError("weights must be integral (ϖ-coordinates)")
-    return lams
-
-
 def pullback_vector(rs: RootSystem, subsets, words, lams) -> PullbackVector:
     """a_k(l) = ⟨λ_k, α_s^∨⟩ + Σ ⟨λ_j, α_s^∨⟩ over later blocks where s never reappears,
     placed at the last occurrence l of s within block k; zero elsewhere.
     words=None means the longest words."""
     subsets, words = rs.blocks(subsets, words)
-    lams = _weights(rs, subsets, lams)
+    lams = rs.block_weights(subsets, lams)
     blocks = words.blocks
     r = len(blocks)
     letters_of = [set(b) for b in blocks]
@@ -77,7 +66,7 @@ def mu_weight(rs: RootSystem, subsets, words, lams) -> Weight:
     """Shift weight: Σ_j Σ_{s not among the letters of blocks 1..j} d_{j,s} ϖ_s;
     words=None means the longest words."""
     subsets, words = rs.blocks(subsets, words)
-    lams = _weights(rs, subsets, lams)
+    lams = rs.block_weights(subsets, lams)
     coords = [0] * rs.n
     seen: set[int] = set()
     for block, lam in zip(words.blocks, lams):
@@ -91,7 +80,7 @@ def mu_weight(rs: RootSystem, subsets, words, lams) -> Weight:
 def degeneration_vectors(rs: RootSystem, subsets, lams) -> list[tuple]:
     """a_k(l) = ⟨λ_k + ... + λ_r, α^∨_{u_{k,l}} + ... + α^∨_{u_{k,m_k}}⟩, padded with a zero."""
     subsets = rs.subsets(subsets)
-    lams = _weights(rs, subsets, lams)
+    lams = rs.block_weights(subsets, lams)
     out = []
     for k, subset in enumerate(subsets.sets):
         enum = rs.type_a_enumeration(subset)

@@ -123,14 +123,6 @@ def _eps_phi_path(p: PathElement, idx: int):
     return cached
 
 
-def _reflect_dir(rs: RootSystem, v: tuple, i: int) -> tuple:
-    k = v[i - 1]
-    if k == 0:
-        return v
-    col = rs._alpha_cols[i - 1]
-    return tuple(a - k * c for a, c in zip(v, col))
-
-
 def _crossing(p: PathElement, times, hs, j: int, target) -> Fraction:
     """Time inside segment j-1 at which h reaches target."""
     return times[j - 1] + p.segs[j - 1][1] * (target - hs[j - 1]) / (hs[j] - hs[j - 1])
@@ -176,7 +168,7 @@ def _rebuild(rs: RootSystem, p: PathElement, times, t0, t1, i: int) -> PathEleme
             if hi == lo:
                 continue
             inside = t0 <= lo and hi <= t1
-            pieces.append((_reflect_dir(rs, v, i) if inside else v, hi - lo))
+            pieces.append((rs.reflect(v, i) if inside else v, hi - lo))
     return PathElement(_normalize(pieces))
 
 

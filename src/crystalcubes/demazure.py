@@ -220,15 +220,6 @@ def _singleton_blocks(rs: RootSystem, word, a) -> tuple:
     return tops, tuple((i,) for i in word)
 
 
-def check_weights(subsets: SubsetSequence, lams) -> None:
-    """Require one dominant integral weight per subset."""
-    if len(lams) != subsets.r:
-        raise ValueError("need one weight per subset")
-    for lam in lams:
-        if not lam.is_dominant() or not lam.is_integral():
-            raise ValueError("weights must be dominant integral")
-
-
 def gen_demazure_crystal_weights(
     rs: RootSystem,
     subsets,
@@ -238,8 +229,7 @@ def gen_demazure_crystal_weights(
 ) -> GenDemazureCrystal:
     """B_{I,λ_1..λ_r}: per-block saturation of b_{λ_1} ⊗ (... ⊗ saturation of b_{λ_r})."""
     subsets, words = rs.blocks(subsets, words)
-    lams = [rs.weight(lam) for lam in lams]
-    check_weights(subsets, lams)
+    lams = rs.block_weights(subsets, lams, dominant=True)
     tops = tuple(highest_path(rs, lam) for lam in lams)
     return GenDemazureCrystal(
         rs=rs,

@@ -204,6 +204,18 @@ class RootSystem:
         words = words if isinstance(words, WordSequence) else WordSequence(words)
         return subsets, words.validate(self, subsets)
 
+    def block_weights(self, subsets: "SubsetSequence", lams, dominant: bool = False) -> list[Weight]:
+        """One integral weight per subset, each dominant too when `dominant`."""
+        lams = [self.weight(lam) for lam in lams]
+        if len(lams) != subsets.r:
+            raise ValueError("need one weight per subset")
+        for lam in lams:
+            if dominant and not (lam.is_dominant() and lam.is_integral()):
+                raise ValueError("weights must be dominant integral")
+            if not lam.is_integral():
+                raise ValueError("weights must be integral (ϖ-coordinates)")
+        return lams
+
     def zero_weight(self) -> Weight:
         return Weight((0,) * self.n)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .crystal import DEFAULT_BUDGET, TensorElement, epsilon, highest_path
-from .demazure import _close, check_weights, gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
+from .demazure import _close, gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
 from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
 
@@ -90,7 +90,7 @@ def _require_full_first_block(rs: RootSystem, subsets: SubsetSequence) -> None:
 
 def _highest_weight_tails(rs: RootSystem, subsets: SubsetSequence, lams, words: WordSequence, budget: int) -> dict:
     """Projected point Ω_X(x) → factors of x, over the x ∈ X with b_{λ_1} ⊗ x highest weight."""
-    check_weights(subsets, lams)
+    rs.block_weights(subsets, lams, dominant=True)
     if subsets.r == 1:
         return {(): ()}
     tail_subsets = SubsetSequence(subsets.sets[1:])

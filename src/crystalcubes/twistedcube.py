@@ -77,14 +77,6 @@ class MVPolynomial:
 
     __rmul__ = __mul__
 
-    def antiderivative(self, idx: int) -> "MVPolynomial":
-        """Antiderivative in variable idx, vanishing at 0."""
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = e[:idx] + (e[idx] + 1,) + e[idx + 1 :]
-            terms[e2] = c / (e[idx] + 1)
-        return MVPolynomial(self.nvars, terms)
-
     def substitute(self, idx: int, value: "MVPolynomial") -> "MVPolynomial":
         """Replace variable idx by a polynomial in the remaining variables."""
         max_k = max((e[idx] for e in self.terms), default=0)

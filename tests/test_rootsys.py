@@ -248,6 +248,18 @@ class TestSequences:
         with pytest.raises(ValueError, match="lengths differ"):
             A3.blocks(subsets, [[1, 2, 1]])
 
+    def test_block_weights(self):
+        subsets = SubsetSequence([(1, 2), (3,)])
+        assert A3.block_weights(subsets, [[1, 0, 0], (0, -1, 2)]) == [Weight((1, 0, 0)), Weight((0, -1, 2))]
+        assert A3.block_weights(subsets, [[1, 0, 0], [0, 1, 2]], dominant=True)[1] == Weight((0, 1, 2))
+        with pytest.raises(ValueError, match="need one weight per subset"):
+            A3.block_weights(subsets, [[1, 0, 0]])
+        with pytest.raises(ValueError, match=r"weights must be integral \(ϖ-coordinates\)"):
+            A3.block_weights(subsets, [[1, 0, 0], [Fraction(1, 2), 0, 0]])
+        for lam in ([0, -1, 2], [Fraction(1, 2), 0, 0]):
+            with pytest.raises(ValueError, match="weights must be dominant integral"):
+                A3.block_weights(subsets, [[1, 0, 0], lam], dominant=True)
+
     def test_auto_words(self):
         subs = SubsetSequence([(1, 2), (3,)])
         words = WordSequence.for_subsets(A3, subs)

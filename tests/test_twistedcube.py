@@ -249,7 +249,7 @@ class TestSvg:
 class TestMVPolynomial:
     def test_antiderivative(self):
         p = MVPolynomial(2, {(1, 0): Fraction(2)})  # 2x
-        q = p.antiderivative(0)
+        q = antiderivative(p, 0)
         assert q.terms == {(2, 0): Fraction(1)}
 
     def test_substitute(self):
@@ -327,6 +327,15 @@ def brute_force_count(cube):
     return (-1) ** n * rec(n - 1, [0] * n)
 
 
+def antiderivative(p, idx):
+    """Antiderivative of p in variable idx, vanishing at 0."""
+    terms = {}
+    for e, c in p.terms.items():
+        e2 = e[:idx] + (e[idx] + 1,) + e[idx + 1 :]
+        terms[e2] = c / (e[idx] + 1)
+    return MVPolynomial(p.nvars, terms)
+
+
 def old_substitute(p, idx, value):
     """MVPolynomial.substitute as it was: one polynomial sum per term."""
     max_k = max((e[idx] for e in p.terms), default=0)
@@ -344,7 +353,7 @@ def fraction_integral(cube, p0):
     """The Fraction antiderivative-then-substitute recursion the engine replaced."""
     p = p0
     for l in range(cube.dim):
-        p = old_substitute(p.antiderivative(l), l, cube.bound_polynomial(l))
+        p = old_substitute(antiderivative(p, l), l, cube.bound_polynomial(l))
     return (-1) ** cube.dim * p.constant_value()
 
 
