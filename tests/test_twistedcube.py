@@ -454,10 +454,6 @@ def test_cube_artifacts_golden(tmp_path, root_system, command, params, expected)
 # -- the streamed Monte Carlo pass against the materialising one it replaced -------
 
 
-def shard_generators(seed, shards):
-    return [np.random.default_rng(stream) for stream in np.random.SeedSequence(seed).spawn(shards)]
-
-
 def materialised_sample(cube, samples, seed, shards):
     """Every sample and its density at once, then the bounding-box volume."""
     box = cube.bounding_box()
@@ -467,7 +463,8 @@ def materialised_sample(cube, samples, seed, shards):
     for a, b in box:
         vol *= float(b - a)
     per = samples // shards
-    pts = [rng.uniform(lo, hi, size=(per, cube.dim)) for rng in shard_generators(seed, shards)]
+    streams = np.random.SeedSequence(seed).spawn(shards)
+    pts = [np.random.default_rng(s).uniform(lo, hi, size=(per, cube.dim)) for s in streams]
     return np.concatenate(pts), np.concatenate([cube._density_batch(p) for p in pts]), vol
 
 
