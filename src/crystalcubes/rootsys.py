@@ -152,7 +152,14 @@ def type_a_cartan(n: int) -> list[list[int]]:
     return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
 
 
-PRESETS = {f"A{n}": type_a_cartan(n) for n in (1, 2, 3, 4)}
+PRESETS = {
+    **{f"A{n}": type_a_cartan(n) for n in (1, 2, 3, 4)},
+    "B2": [[2, -1], [-2, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C2": [[2, -2], [-1, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "G2": [[2, -3], [-1, 2]],
+}
 
 
 class RootSystem:

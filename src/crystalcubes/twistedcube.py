@@ -24,6 +24,16 @@ p_0 = p and p_l = T_l(p_{l-1}) evaluated at x_l = A_l, where T_l is the
 antiderivative in x_l vanishing at 0 (volumes, moments) or the antidifference
 S(x_l - 1) (lattice counts).  One recursion, `_sum_out`, runs both: it carries
 integer numerators over one common denominator, which only the step multiplies.
+
+The recursion never needs the N coordinates one by one.  The coefficient of a
+later x_j in A_l is -⟨α_{i_j}, α_{i_l}^∨⟩, which depends on the letter i_j
+alone, so A_l sees the coordinates after l only through the letter sums
+z_u = Σ_{j>l, i_j=u} x_j.  A moment integrand Π_r (Σ_j M_{rj} x_j)^{m_r} sees
+them through the sums over classes of coordinates that share a letter and
+their entries in every row with m_r > 0 (for `projection_map`, one class per
+(block, letter) row).  So p_l is a polynomial in x_{l+1} and one variable per
+class, the cube-side form of the tower of flag fibrations taken down to single
+letters: its number of variables depends on the rank and the moment, not on N.
 """
 
 from __future__ import annotations
@@ -78,17 +88,19 @@ class MVPolynomial:
     __rmul__ = __mul__
 
     def substitute(self, idx: int, value: "MVPolynomial") -> "MVPolynomial":
-        """Replace variable idx by a polynomial in the remaining variables."""
-        max_k = max((e[idx] for e in self.terms), default=0)
-        powers = [MVPolynomial(self.nvars, {(0,) * self.nvars: 1})]
-        for _ in range(max_k):
-            powers.append(powers[-1] * value)
-        out: dict = {}
+        """Replace variable idx by a polynomial in the remaining variables, by Horner's
+        rule: q_K, then q_K·value + q_{K-1}, ..., where q_k collects the x_idx^k terms."""
+        by_power: dict = {}
         for e, c in self.terms.items():
-            rest = e[:idx] + (0,) + e[idx + 1 :]
-            for e2, c2 in powers[e[idx]].terms.items():
-                key = tuple(map(add, rest, e2))
-                out[key] = out.get(key, 0) + c * c2
+            by_power.setdefault(e[idx], {})[e[:idx] + (0,) + e[idx + 1 :]] = c
+        out: dict = {}
+        for k in range(max(by_power, default=0), -1, -1):
+            acc = by_power.get(k, {})
+            for e1, c1 in out.items():
+                for e2, c2 in value.terms.items():
+                    key = tuple(map(add, e1, e2))
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            out = acc
         return MVPolynomial(self.nvars, out)
 
     def constant_value(self) -> Fraction:
@@ -200,15 +212,6 @@ class TwistedCube:
         const, coeffs = self.forms[l]
         return const + sum(c * x[j] for j, c in coeffs.items())
 
-    def bound_polynomial(self, l: int) -> MVPolynomial:
-        """A_l as a polynomial with integer coefficients."""
-        const, coeffs = self.forms[l]
-        terms = {(0,) * self.dim: int(const)}
-        for j, c in coeffs.items():
-            e = tuple(1 if k == j else 0 for k in range(self.dim))
-            terms[e] = c
-        return MVPolynomial(self.dim, terms)
-
     # -- pointwise density -------------------------------------------------
 
     def density(self, x) -> int:
@@ -228,42 +231,57 @@ class TwistedCube:
 
     # -- exact integration and lattice counts --------------------------------
 
-    def _sum_out(self, p0: MVPolynomial, step) -> Fraction:
-        """(-1)^N p_N: at each coordinate l, x_l^k becomes step(k) = (d, f), that is
-        Σ_j f_j x_l^j / d, and then x_l becomes A_l.
+    def _sum_out(self, step, moment=()) -> Fraction:
+        """(-1)^N p_N for p_0 = Π (Lx)_r^{m_r} over the (row, m_r) pairs of `moment`: at
+        each coordinate l, x_l^k becomes step(k) = (d, f), that is Σ_j f_j x_l^j / d,
+        and then x_l becomes A_l.
 
-        The polynomial is kept as integer numerators over one denominator, which
-        only the steps multiply (by the lcm of their d); the gcd of numerators and
-        denominator is divided out after each coordinate.
+        Slot 0 holds x_l; slot v ≥ 1 holds y_v, the sum of the coordinates j ≥ l of
+        class v, which share a letter and their entries in every row of `moment`.
+        Before its step, x_l is split off its class, y_v := x + y_v, or y_v := x at
+        the class's last coordinate, which drops the class.  The polynomial is kept
+        as integer numerators over one denominator, which only the steps multiply
+        (by the lcm of their d); the gcd of numerators and denominator is divided
+        out after each coordinate.
         """
-        n = self.dim
-        den = math.lcm(*(Fraction(c).denominator for c in p0.terms.values()))
-        p = MVPolynomial(n, {e: int(c * den) for e, c in p0.terms.items()})
-        for l in range(n):
-            rows = {k: step(k) for k in {e[l] for e in p.terms}}
+        slots: dict = {}
+        class_of = [slots.setdefault((i, *(row[j] for row, _ in moment)), len(slots) + 1)
+                    for j, i in enumerate(self.word)]
+        last = {v: l for l, v in enumerate(class_of)}
+        nvars = len(slots) + 1
+        zero = (0,) * nvars
+        unit = [tuple(int(k == v) for k in range(nvars)) for v in range(nvars)]
+        p = MVPolynomial(nvars, {zero: 1})
+        for row, power in moment:
+            linear = MVPolynomial(nvars, {unit[v]: c for v, c in zip(class_of, row)})
+            for _ in range(power):
+                p = p * linear
+        den = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
+        p = MVPolynomial(nvars, {e: int(c * den) for e, c in p.terms.items()})
+        for l, v in enumerate(class_of):
+            split = {unit[0]: 1} if last[v] == l else {unit[0]: 1, unit[v]: 1}
+            p = p.substitute(v, MVPolynomial(nvars, split))
+            rows = {k: step(k) for k in {e[0] for e in p.terms}}
             scale = math.lcm(*(d for d, _ in rows.values()))
+            rows = {k: [(j, fj * (scale // d)) for j, fj in enumerate(f) if fj] for k, (d, f) in rows.items()}
             terms: dict = {}
             for e, c in p.terms.items():
-                d, f = rows[e[l]]
-                c *= scale // d
-                for j, fj in enumerate(f):
-                    if fj:
-                        key = e[:l] + (j,) + e[l + 1 :]
-                        terms[key] = terms.get(key, 0) + c * fj
+                for j, fj in rows[e[0]]:
+                    key = (j,) + e[1:]
+                    terms[key] = terms.get(key, 0) + c * fj
             den *= scale
-            p = MVPolynomial(n, terms).substitute(l, self.bound_polynomial(l))
+            const, coeffs = self.forms[l]
+            bound = {unit[class_of[j]]: c for j, c in coeffs.items()}
+            bound[zero] = int(const)
+            p = MVPolynomial(nvars, terms).substitute(0, MVPolynomial(nvars, bound))
             g = math.gcd(den, *p.terms.values())
             if g > 1:
                 den //= g
-                p = MVPolynomial(n, {e: c // g for e, c in p.terms.items()})
-        return (-1) ** n * Fraction(p.constant_value(), den)
+                p = MVPolynomial(nvars, {e: c // g for e, c in p.terms.items()})
+        return (-1) ** self.dim * Fraction(p.constant_value(), den)
 
-    def signed_volume(self) -> Fraction:
-        """∫ ρ dx, exactly."""
-        return self._sum_out(MVPolynomial.constant(self.dim, 1), _power_integral)
-
-    def pushforward_moments(self, projection: ProjectionMap, multi_index) -> Fraction:
-        """∫ (Lx)^m ρ(x) dx, exactly; m = 0 reduces to the signed volume."""
+    def _multi_index(self, projection: ProjectionMap, multi_index) -> tuple[int, ...]:
+        """The moment multi-index m as integers, checked against the projection and the cube."""
         m = tuple(map(index, multi_index))
         if len(m) != projection.rows:
             raise ValueError("multi-index length must match the projection target dimension")
@@ -271,22 +289,20 @@ class TwistedCube:
             raise ValueError("multi-index entries must be nonnegative")
         if projection.cols != self.dim:
             raise ValueError("projection source dimension mismatch")
-        p0 = MVPolynomial.constant(self.dim, 1)
-        for t, power in enumerate(m):
-            if power == 0:
-                continue
-            row = projection.matrix[t]
-            linear = MVPolynomial(self.dim, {})
-            for j, coef in enumerate(row):
-                if coef:
-                    linear = linear + coef * MVPolynomial.variable(self.dim, j)
-            for _ in range(power):
-                p0 = p0 * linear
-        return self._sum_out(p0, _power_integral)
+        return m
+
+    def signed_volume(self) -> Fraction:
+        """∫ ρ dx, exactly."""
+        return self._sum_out(_power_integral)
+
+    def pushforward_moments(self, projection: ProjectionMap, multi_index) -> Fraction:
+        """∫ (Lx)^m ρ(x) dx, exactly; m = 0 reduces to the signed volume."""
+        m = self._multi_index(projection, multi_index)
+        return self._sum_out(_power_integral, [(row, k) for row, k in zip(projection.matrix, m) if k])
 
     def signed_lattice_count(self) -> int:
         """Σ_{x ∈ Z^N} ρ(x), honoring the closed/open branch asymmetry exactly."""
-        count = self._sum_out(MVPolynomial.constant(self.dim, 1), _strict_power_sum)
+        count = self._sum_out(_strict_power_sum)
         if count.denominator != 1:
             raise InvariantError(f"signed lattice count {count} is not an integer")
         return int(count)
@@ -359,8 +375,8 @@ class TwistedCube:
     def mc_moment(self, projection: ProjectionMap, multi_index, samples: int, seed: int, shards: int = 1):
         """(estimate, standard error) for a pushforward moment, from the running
         sums of g = ρ·(Lx)^m and g² over the sample stream."""
+        m = self._multi_index(projection, multi_index)
         vol, chunks = self._mc_stream(samples, seed, shards)
-        m = tuple(map(index, multi_index))
         lt = np.array(projection.matrix, dtype=float).T
         s1 = s2 = 0.0
         for pts, g in chunks:

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from crystalcubes.crystal import crystal_elements
 from crystalcubes.rootsys import (
     CartanMatrix,
     RootSystem,
@@ -23,8 +24,17 @@ A4 = RootSystem.preset("A4")
 
 class TestCartanValidation:
     def test_presets_exist(self):
-        for name in ("A1", "A2", "A3", "A4"):
+        for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "G2"):
             assert RootSystem.preset(name).n == int(name[1])
+
+    @pytest.mark.parametrize("name,dims", [
+        ("B2", (5, 4)), ("B3", (7, 21, 8)), ("C2", (4, 5)), ("C3", (6, 14, 14)), ("G2", (7, 14)),
+    ])
+    def test_non_simply_laced_fundamental_dimensions(self, name, dims):
+        rs = RootSystem.preset(name)
+        for i, want in enumerate(dims, start=1):
+            assert rs.weyl_dimension(rs.fundamental_weight(i)) == want
+            assert len(crystal_elements(rs, rs.fundamental_weight(i))) == want
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalcubes import twistedcube
+from crystalcubes.bundles import pullback_vector
 from crystalcubes.cli import main
 from crystalcubes.demazure import gen_demazure_crystal
 from crystalcubes.rootsys import RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 from crystalcubes.twistedcube import (
     MVPolynomial,
+    ProjectionMap,
     TwistedCube,
     identity_projection,
     mc_histogram,
@@ -28,6 +30,7 @@ from crystalcubes.twistedcube import (
 A1 = RootSystem.preset("A1")
 A2 = RootSystem.preset("A2")
 A3 = RootSystem.preset("A3")
+A4 = RootSystem.preset("A4")
 B2_GRID = [[2, -1], [-2, 2]]
 B2 = RootSystem(B2_GRID)
 C2 = RootSystem([[2, -2], [-1, 2]])
@@ -186,6 +189,19 @@ class TestMoments:
             SL4_CUBE.pushforward_moments(SL4_PROJ, (1.5, 0, 0))
         with pytest.raises(TypeError):
             SL4_CUBE.mc_moment(SL4_PROJ, (1.5, 0, 0), 100, seed=1)
+
+    @pytest.mark.parametrize("projection,m", [
+        (identity_projection(3), (1,)),
+        (identity_projection(3), (-1, 0, 0)),
+        (identity_projection(4), (1, 0, 0, 0)),
+    ], ids=["short", "negative", "wide"])
+    def test_mc_moment_checks_multi_index_as_exact(self, projection, m):
+        cube = TwistedCube(A2, (1, 2, 1), (1, 1, 1))
+        with pytest.raises(ValueError) as exact:
+            cube.pushforward_moments(projection, m)
+        with pytest.raises(ValueError) as estimate:
+            cube.mc_moment(projection, m, 1000, 1)
+        assert str(estimate.value) == str(exact.value)
 
 
 class TestMonteCarloHistogram:
@@ -349,12 +365,47 @@ def old_substitute(p, idx, value):
     return out
 
 
+def bound_polynomial(cube, l):
+    """A_l as a polynomial in all N coordinates, with integer coefficients."""
+    const, coeffs = cube.forms[l]
+    terms = {(0,) * cube.dim: int(const)}
+    for j, c in coeffs.items():
+        terms[tuple(int(k == j) for k in range(cube.dim))] = c
+    return MVPolynomial(cube.dim, terms)
+
+
 def fraction_integral(cube, p0):
     """The Fraction antiderivative-then-substitute recursion the engine replaced."""
     p = p0
     for l in range(cube.dim):
-        p = old_substitute(antiderivative(p, l), l, cube.bound_polynomial(l))
+        p = old_substitute(antiderivative(p, l), l, bound_polynomial(cube, l))
     return (-1) ** cube.dim * p.constant_value()
+
+
+def n_variable_sum(cube, p0, step):
+    """The integer-numerator recursion over all N coordinates that the letter-class
+    recursion replaced: x_l^k becomes step(k), then x_l becomes A_l."""
+    n = cube.dim
+    den = math.lcm(*(Fraction(c).denominator for c in p0.terms.values()))
+    p = MVPolynomial(n, {e: int(c * den) for e, c in p0.terms.items()})
+    for l in range(n):
+        rows = {k: step(k) for k in {e[l] for e in p.terms}}
+        scale = math.lcm(*(d for d, _ in rows.values()))
+        terms = {}
+        for e, c in p.terms.items():
+            d, f = rows[e[l]]
+            c *= scale // d
+            for j, fj in enumerate(f):
+                if fj:
+                    key = e[:l] + (j,) + e[l + 1 :]
+                    terms[key] = terms.get(key, 0) + c * fj
+        den *= scale
+        p = MVPolynomial(n, terms).substitute(l, bound_polynomial(cube, l))
+        g = math.gcd(den, *p.terms.values())
+        if g > 1:
+            den //= g
+            p = MVPolynomial(n, {e: c // g for e, c in p.terms.items()})
+    return (-1) ** n * Fraction(p.constant_value(), den)
 
 
 def moment_integrand(cube, projection, m):
@@ -393,6 +444,57 @@ def test_volume_and_moments_match_fraction_recursion(cube, data):
     assert cube.pushforward_moments(proj, m) == fraction_integral(cube, moment_integrand(cube, proj, m))
 
 
+@st.composite
+def flag_cubes(draw, max_dim=8):
+    """(cube, projection_map) of 1-3 blocks over A2, A3, B2, C2, G2 with a in -2..3; a
+    block that would take the cube past max_dim letters is left out."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
+    subsets, dim = [], 0
+    for _ in range(draw(st.integers(1, 3), label="blocks")):
+        subset = sorted(draw(st.sets(st.integers(1, rs.n), min_size=1), label="subset"))
+        size = len(rs.blocks([subset])[1].flat)
+        if not subsets or dim + size <= max_dim:
+            subsets.append(subset)
+            dim += size
+    _, words = rs.blocks(subsets)
+    a = draw(st.lists(st.integers(-2, 3), min_size=dim, max_size=dim), label="a")
+    return TwistedCube(rs, words.flat, a), projection_map(rs, subsets, words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=flag_cubes(), data=st.data())
+def test_letter_classes_match_n_variable_engine(case, data):
+    cube, flag_proj = case
+    one = MVPolynomial.constant(cube.dim, 1)
+    assert cube.signed_volume() == n_variable_sum(cube, one, twistedcube._power_integral)
+    assert cube.signed_lattice_count() == n_variable_sum(cube, one, twistedcube._strict_power_sum)
+    for proj in (flag_proj, identity_projection(cube.dim)):
+        rows = data.draw(st.lists(st.integers(0, proj.rows - 1), min_size=1, max_size=2), label="moment rows")
+        m = tuple(rows.count(t) for t in range(proj.rows))
+        want = n_variable_sum(cube, moment_integrand(cube, proj, m), twistedcube._power_integral)
+        assert cube.pushforward_moments(proj, m) == want, m
+
+
+def test_letter_classes_with_mixed_integer_rows():
+    """Rows that mix letters and weight coordinates of one letter differently split a
+    letter into several classes."""
+    cube = TwistedCube(B2, (1, 2, 1, 2, 2), (0, 0, 1, 1, 2))
+    proj = ProjectionMap(((1, -1, 2, 0, 1), (0, 3, 0, -2, 1)), (5,), ((1, 1), (1, 2)))
+    for m in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
+        want = n_variable_sum(cube, moment_integrand(cube, proj, m), twistedcube._power_integral)
+        assert cube.pushforward_moments(proj, m) == want, m
+
+
+def test_a4_flag_cube_dim_19():
+    subsets = [[1, 2, 3, 4], [1, 2, 3], [1, 2]]
+    lams = [(1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0, 0)]
+    _, words = A4.blocks(subsets)
+    cube = TwistedCube(A4, words.flat, pullback_vector(A4, subsets, None, lams).flat)
+    assert cube.dim == 19
+    assert cube.signed_volume() == Fraction(21157, 432)
+    assert cube.signed_lattice_count() == 4_045_600
+
+
 def test_sl4_moments_match_fraction_recursion():
     for m in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1)]:
         want = fraction_integral(SL4_CUBE, moment_integrand(SL4_CUBE, SL4_PROJ, m))
@@ -411,7 +513,8 @@ def test_count_leading_coefficient_is_volume(cube):
 
 
 # Artifacts of cube-volume and cube-moments, pinned from the Fraction
-# antiderivative recursion that the integer-numerator engine replaced.
+# antiderivative recursion that the integer-numerator engine replaced; the G2
+# preset's was pinned from the N-variable engine with the same Cartan grid.
 CUBE_GOLDENS = [
     ("A2", "cube-volume", {"word": [1, 2, 1], "a": [1, -2, 3]},
      b'{"a":[1,-2,3],"signed_volume":"-9/2","word":[1,2,1]}\n'),
@@ -435,6 +538,10 @@ CUBE_GOLDENS = [
      b'"0,0,1,0":"-61/60","0,0,1,1":"47/120","0,0,2,0":"-3/20","0,1,0,0":"101/60","0,1,0,1":"179/360",'
      b'"0,1,1,0":"467/360","0,2,0,0":"-209/60","1,0,0,0":"21/10","1,0,0,1":"71/90","1,0,1,0":"331/180",'
      b'"1,1,0,0":"-257/60","2,0,0,0":"-64/9"},"word":[2,1,2,1]}\n'),
+    ("G2", "cube-moments", {"subsets": [[1, 2], [1]], "weights": [[1, 1], [1, 0]], "degree": 2},
+     b'{"a":[0,0,0,0,1,1,1],"degree":2,"moments":{"0,0,0":"373/90","0,0,1":"-185/126","0,0,2":"127/168",'
+     b'"0,1,0":"-746/45","0,1,1":"370/63","0,2,0":"269267/3780","1,0,0":"-964/35","1,0,1":"4799/504",'
+     b'"1,1,0":"296243/2520","2,0,0":"166361/840"},"word":[1,2,1,2,1,2,1],"words":[[1,2,1,2,1,2],[1]]}\n'),
 ]
 
 
