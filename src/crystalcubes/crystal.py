@@ -5,6 +5,12 @@ A crystal element is a piecewise-linear path from the origin, stored as merged
 operators cut the path where t ↦ ⟨π(t), α_i^∨⟩ attains its minimum and reflect
 the middle stretch; tensor elements carry the Kashiwara rule, with the first
 factor receiving f_i whenever φ_i(b1) > ε_i(b2).
+
+One closure builds every crystal here and in `demazure`: `_close` saturates a
+set under f_{i_1}^* ... f_{i_N}^* along a word.  B(λ) is the Demazure crystal
+B_{w_0}(λ), so `generate_crystal` closes {b_λ} along a reduced word of w_0;
+`demazure` closes along any reduced word for B_w(λ), and block by block for
+the generalized Demazure crystals B_{I,λ}.
 """
 
 from __future__ import annotations
@@ -202,6 +208,11 @@ def epsilon(rs: RootSystem, b, i: int) -> int:
     return _eps_phi_path(b, i - 1)[0]
 
 
+def is_highest(rs: RootSystem, b) -> bool:
+    """ε_i(b) = 0 for every i: b is the highest-weight element of its component."""
+    return all(epsilon(rs, b, i) == 0 for i in range(1, rs.n + 1))
+
+
 def phi(rs: RootSystem, b, i: int) -> int:
     """φ_i(b) = ε_i(b) + ⟨wt(b), α_i^∨⟩."""
     return epsilon(rs, b, i) + int(wt(rs, b).coords[i - 1])
@@ -357,9 +368,8 @@ def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     edges = []
     highest = None
     for b in verts:
-        if all(epsilon(rs, b, i) == 0 for i in range(1, rs.n + 1)):
-            if highest is None:
-                highest = index[b]
+        if highest is None and is_highest(rs, b):
+            highest = index[b]
         for i in range(1, rs.n + 1):
             c = path_f(rs, b, i)
             if c is not None and c in elems:
@@ -367,22 +377,32 @@ def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     return CrystalGraph(tuple(verts), tuple(wt(rs, b) for b in verts), tuple(sorted(edges)), highest)
 
 
+def _f_power_closure(rs: RootSystem, elements, i: int, budget: int):
+    out = set(elements)
+    for b in list(out):
+        c = b
+        while True:
+            c = path_f(rs, c, i)
+            if c is None or c in out:
+                # an element already present had (or will have) its chain walked
+                break
+            out.add(c)
+            if len(out) > budget:
+                raise BudgetExceededError(f"saturation exceeded budget of {budget} elements")
+    return out
+
+
+def _close(rs: RootSystem, elements, word, budget: int):
+    """Closure of elements under f_{i_1}^* ... f_{i_N}^*, the last letter applied first."""
+    for i in reversed(word):
+        elements = _f_power_closure(rs, elements, i, budget)
+    return elements
+
+
 def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> CrystalGraph:
-    """BFS closure of {b_λ} under all lowering operators; |B(λ)| = weyl_dimension(λ)."""
-    lam = rs.weight(lam)
-    start = highest_path(rs, lam)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        b = queue.popleft()
-        for i in range(1, rs.n + 1):
-            c = path_f(rs, b, i)
-            if c is not None and c not in seen:
-                seen.add(c)
-                if len(seen) > budget:
-                    raise BudgetExceededError(f"crystal generation exceeded budget of {budget} vertices")
-                queue.append(c)
-    return graph_from_elements(rs, seen)
+    """B(λ) = B_{w_0}(λ): {b_λ} closed along a reduced word of w_0; |B(λ)| = weyl_dimension(λ)."""
+    start = highest_path(rs, rs.weight(lam))
+    return graph_from_elements(rs, _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget))
 
 
 def crystal_elements(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -418,6 +438,6 @@ def highest_weight_decompose(rs: RootSystem, elements, check_closed: bool = True
                     raise ValueError("element set is not closed under raising operators")
     out: Counter = Counter()
     for b in elems:
-        if all(epsilon(rs, b, i) == 0 for i in range(1, rs.n + 1)):
+        if is_highest(rs, b):
             out[wt(rs, b).coords] += 1
     return out

@@ -9,7 +9,10 @@ raise maximally along block k's letters, then drop the exposed b_{λ_k}.
 
 The word shape B_{i,a} is the case of singleton blocks ({i_k}, a_k ϖ_{i_k}),
 as Bott-Samelson varieties are the flag Bott-Samelson varieties with singleton
-blocks, so both shapes share one saturation and one peeling loop.
+blocks, so both shapes share one saturation and one peeling loop.  At the
+other end, flag varieties G/B are the case of one block [n]: B(λ) = B_{w_0}(λ).
+Every saturation here, and `crystal.generate_crystal` for B(λ), is the one
+f-string closure `crystal._close` along a word.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from operator import index
 from .crystal import (
     DEFAULT_BUDGET,
     TensorElement,
-    epsilon,
+    _close,
     graph_from_elements,
     highest_path,
+    is_highest,
     path_e,
     path_f,
 )
-from .rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, WordSequence
+from .rootsys import InvariantError, RootSystem, SubsetSequence, WordSequence
 
 
 @dataclass(frozen=True)
@@ -49,28 +53,6 @@ class StringVector:
 
     def head(self, blocks: int = 1) -> tuple[int, ...]:
         return self.entries[: sum(self.block_sizes[:blocks])]
-
-
-def _f_power_closure(rs: RootSystem, elements, i: int, budget: int):
-    out = set(elements)
-    for b in list(out):
-        c = b
-        while True:
-            c = path_f(rs, c, i)
-            if c is None or c in out:
-                # an element already present had (or will have) its chain walked
-                break
-            out.add(c)
-            if len(out) > budget:
-                raise BudgetExceededError(f"saturation exceeded budget of {budget} elements")
-    return out
-
-
-def _close(rs: RootSystem, elements, word, budget: int):
-    """Closure of elements under f_{i_1}^* ... f_{i_N}^*, the last letter applied first."""
-    for i in reversed(word):
-        elements = _f_power_closure(rs, elements, i, budget)
-    return elements
 
 
 def _saturate(rs: RootSystem, tops, blocks, budget: int) -> frozenset:
@@ -161,11 +143,7 @@ class GenDemazureCrystal:
             groups.setdefault(find(k), []).append(k)
         out = []
         for members in groups.values():
-            heads = [
-                k
-                for k in members
-                if all(epsilon(self.rs, g.vertices[k], i) == 0 for i in range(1, self.rs.n + 1))
-            ]
+            heads = [k for k in members if is_highest(self.rs, g.vertices[k])]
             out.append(
                 {
                     "size": len(members),

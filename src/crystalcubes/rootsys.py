@@ -296,7 +296,8 @@ class RootSystem:
         """Deterministic reduced word for the longest element of W_I.
 
         Greedy descent: repeatedly apply the smallest i in I with ⟨v, α_i^∨⟩ > 0
-        to v = Σ_{i∈I} ϖ_i until v is I-antidominant.
+        to v = Σ_{i∈I} ϖ_i until v is I-antidominant; `is_reduced` walks the
+        same descents to check a given word.
         """
         subset = self._check_subset(subset)
         v = tuple(1 if (k + 1) in subset else 0 for k in range(self.n))
@@ -321,47 +322,26 @@ class RootSystem:
             raise ValueError("subset entries must be strictly increasing")
         return out
 
-    def word_matrix(self, word: Sequence[int]):
-        """The product s_{i_1}...s_{i_N} acting on root coefficients; columns are images of α_j."""
-        n = self.n
-        cols = [tuple(1 if r == j else 0 for r in range(n)) for j in range(n)]
-        for i in reversed(word):
-            cols = [self._reflect_root(col, i) for col in cols]
-        return cols
-
-    def _reflect_root(self, beta: tuple[int, ...], i: int) -> tuple[int, ...]:
-        c = self.cartan.entries
-        pair = sum(beta[j] * c[i - 1][j] for j in range(self.n))
-        return tuple(b - pair * (1 if j == i - 1 else 0) for j, b in enumerate(beta))
-
-    def word_length(self, word: Sequence[int]) -> int:
-        """Coxeter length of s_{i_1}...s_{i_N} (number of inversions)."""
-        cols = self.word_matrix(word)
-        count = 0
-        for beta in self.positive_roots():
-            image = tuple(sum(beta[j] * cols[j][r] for j in range(self.n)) for r in range(self.n))
-            if all(x <= 0 for x in image) and any(x < 0 for x in image):
-                count += 1
-        return count
-
     def is_reduced(self, word: Sequence[int]) -> bool:
+        """Descent test: read right to left from v = ρ = (1, ..., 1), each letter i
+        needs ⟨v, α_i^∨⟩ > 0 (the suffix u has u⁻¹α_i > 0), and then v ↦ s_i v."""
         for i in word:
             self._check_index(i)
-        return self.word_length(word) == len(word)
+        v = (1,) * self.n
+        for i in reversed(word):
+            if v[i - 1] <= 0:
+                return False
+            v = self.reflect(v, i)
+        return True
 
     def is_reduced_word_for_longest(self, word: Sequence[int], subset: Sequence[int]) -> bool:
+        """w_0 of W_I is the only element of W_I whose reduced words have length |Δ_I⁺|."""
         subset = self._check_subset(subset)
-        if any(i not in subset for i in word):
-            return False
-        pos = self.positive_roots_in(subset)
-        if len(word) != len(pos):
-            return False
-        cols = self.word_matrix(word)
-        for beta in pos:
-            image = tuple(sum(beta[j] * cols[j][r] for j in range(self.n)) for r in range(self.n))
-            if not (all(x <= 0 for x in image) and any(x < 0 for x in image)):
-                return False
-        return True
+        return (
+            all(i in subset for i in word)
+            and len(word) == len(self.positive_roots_in(subset))
+            and self.is_reduced(word)
+        )
 
     # -- type-A enumeration -------------------------------------------------
 

@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import index
 
-from .crystal import DEFAULT_BUDGET, TensorElement, epsilon, highest_path
-from .demazure import _close, gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
+from .crystal import DEFAULT_BUDGET, TensorElement, _close, highest_path, is_highest
+from .demazure import gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
 from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
 
@@ -99,7 +99,7 @@ def _highest_weight_tails(rs: RootSystem, subsets: SubsetSequence, lams, words: 
     top = highest_path(rs, lams[0])
     tails: dict = {}
     for x in rest.elements:
-        if any(epsilon(rs, TensorElement((top,) + x.factors), i) for i in range(1, rs.n + 1)):
+        if not is_highest(rs, TensorElement((top,) + x.factors)):
             continue
         tail = omega_blocked(rs, tail_subsets, tail_words, lams[1:], x).entries
         if tail in tails:

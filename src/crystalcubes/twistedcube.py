@@ -60,32 +60,13 @@ class MVPolynomial:
         self.nvars = nvars
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
 
-    @classmethod
-    def constant(cls, nvars: int, c) -> "MVPolynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def variable(cls, nvars: int, idx: int) -> "MVPolynomial":
-        e = tuple(1 if k == idx else 0 for k in range(nvars))
-        return cls(nvars, {e: Fraction(1)})
-
-    def __add__(self, other: "MVPolynomial") -> "MVPolynomial":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MVPolynomial(self.nvars, terms)
-
-    def __mul__(self, other) -> "MVPolynomial":
-        if not isinstance(other, MVPolynomial):
-            return MVPolynomial(self.nvars, {e: c * Fraction(other) for e, c in self.terms.items()})
+    def __mul__(self, other: "MVPolynomial") -> "MVPolynomial":
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return MVPolynomial(self.nvars, terms)
-
-    __rmul__ = __mul__
 
     def substitute(self, idx: int, value: "MVPolynomial") -> "MVPolynomial":
         """Replace variable idx by a polynomial in the remaining variables, by Horner's
@@ -142,11 +123,10 @@ def _sign(x) -> int:
 
 @dataclass(frozen=True)
 class ProjectionMap:
-    """0/1 block matrix sending cube coordinate (k,l) to the row of letter i_{k,l} in I_k."""
+    """0/1 block matrix sending cube coordinate (k,l) to the row of letter i_{k,l} in I_k;
+    the rows run over the pairs (k, u), u ∈ I_k, block by block."""
 
     matrix: tuple[tuple[int, ...], ...]
-    block_sizes: tuple[int, ...]
-    row_labels: tuple[tuple[int, int], ...]  # (block index, letter)
 
     @property
     def rows(self) -> int:
@@ -156,28 +136,18 @@ class ProjectionMap:
     def cols(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
 
-    def apply(self, x):
-        return tuple(sum(r * v for r, v in zip(row, x)) for row in self.matrix)
-
 
 def projection_map(rs: RootSystem, subsets, words=None) -> ProjectionMap:
     subsets, words = rs.blocks(subsets, words)
-    row_labels = [(k + 1, u) for k, subset in enumerate(subsets.sets) for u in subset]
-    row_of = {label: r for r, label in enumerate(row_labels)}
-    ncols = sum(len(b) for b in words.blocks)
-    matrix = [[0] * ncols for _ in row_labels]
-    col = 0
-    for k, block in enumerate(words.blocks):
-        for letter in block:
-            matrix[row_of[(k + 1, letter)]][col] = 1
-            col += 1
-    return ProjectionMap(tuple(tuple(r) for r in matrix), words.block_sizes, tuple(row_labels))
+    rows = [(k, u) for k, subset in enumerate(subsets.sets) for u in subset]
+    cols = [(k, letter) for k, block in enumerate(words.blocks) for letter in block]
+    return ProjectionMap(tuple(tuple(int(r == c) for c in cols) for r in rows))
 
 
 def identity_projection(n: int) -> ProjectionMap:
     """Each letter its own block: the projection degenerates to the identity."""
     matrix = tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n))
-    return ProjectionMap(matrix, (1,) * n, tuple((k + 1, 0) for k in range(n)))
+    return ProjectionMap(matrix)
 
 
 class TwistedCube:

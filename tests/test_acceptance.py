@@ -14,6 +14,7 @@ from itertools import product
 from crystalcubes.bundles import flag_bott_vectors, pullback_vector
 from crystalcubes.crystal import (
     TensorElement,
+    _f_power_closure,
     epsilon,
     generate_crystal,
     graph_from_elements,
@@ -25,7 +26,7 @@ from crystalcubes.crystal import (
     tensor_product_elements,
     wt,
 )
-from crystalcubes.demazure import _f_power_closure, demazure_crystal, gen_demazure_crystal
+from crystalcubes.demazure import demazure_crystal, gen_demazure_crystal
 from crystalcubes.rootsys import RootSystem, SubsetSequence, WordSequence
 from crystalcubes.stringpoly import hat_lattice_points, lattice_points, tensor_decompose
 from crystalcubes.twistedcube import (

@@ -1,5 +1,7 @@
 """Path-model crystals: operators, axioms, generation, tensor products."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +170,15 @@ class TestGeneration:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             generate_crystal(A2, A2.weight(3, 3), budget=10)
+
+    @pytest.mark.parametrize("rs,coords", [(A2, (2, 1)), (A3, (1, 0, 1)), (B2, (1, 1)), (G2, (1, 0))])
+    def test_budget_is_exact(self, rs, coords):
+        """The budget caps |B(λ)| itself: it passes at |B(λ)| and raises one below."""
+        lam = rs.weight(*coords)
+        size = rs.weyl_dimension(lam)
+        assert generate_crystal(rs, lam, budget=size).vertex_count == size
+        with pytest.raises(BudgetExceededError):
+            generate_crystal(rs, lam, budget=size - 1)
 
 
 class TestTensor:
@@ -359,3 +370,35 @@ def test_signature_rule_matches_oracle(drawn):
         assert phi(rs, b, i) == oracle_phi(b, i)
         assert path_f(rs, b, i) == oracle_operator(rs, b, i, raising=False)
         assert path_e(rs, b, i) == oracle_operator(rs, b, i, raising=True)
+
+
+# -- B(λ) by breadth-first search under every f_i, kept as the oracle for the closure along w_0
+
+
+def bfs_crystal(rs, lam):
+    start = highest_path(rs, lam)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        b = queue.popleft()
+        for i in range(1, rs.n + 1):
+            c = path_f(rs, b, i)
+            if c is not None and c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return graph_from_elements(rs, seen)
+
+
+@st.composite
+def small_dominant_weights(draw):
+    """A root system and a dominant λ with coordinate sum at most 3 (2 for G2)."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2]))
+    coords = draw(st.tuples(*[st.integers(0, 2)] * rs.n).filter(lambda c: sum(c) <= (2 if rs is G2 else 3)))
+    return rs, rs.weight(*coords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=small_dominant_weights())
+def test_generate_crystal_matches_bfs(drawn):
+    rs, lam = drawn
+    assert generate_crystal(rs, lam) == bfs_crystal(rs, lam)

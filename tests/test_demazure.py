@@ -27,16 +27,30 @@ SL3_WORD = (1, 2, 1, 1, 2, 1)
 SL3_A = (0, 1, 1, 0, 1, 1)  # pullback vector of λ = μ = ϖ1 + ϖ2
 
 
+def word_length(rs, word):
+    """Coxeter length of s_{word}: the positive roots it sends negative, counted from
+    its matrix on root coefficients (independent of the descent walk in `is_reduced`)."""
+    c = rs.cartan.entries
+    cols = [tuple(int(r == j) for r in range(rs.n)) for j in range(rs.n)]  # column j: the image of α_j
+    for i in reversed(word):
+        cols = [
+            tuple(b - sum(beta[j] * c[i - 1][j] for j in range(rs.n)) * (r == i - 1) for r, b in enumerate(beta))
+            for beta in cols
+        ]
+    images = ([sum(beta[j] * cols[j][r] for j in range(rs.n)) for r in range(rs.n)] for beta in rs.positive_roots())
+    return sum(all(x <= 0 for x in image) for image in images)
+
+
 def all_reduced_words(rs, word):
     """All reduced words of the element s_{word}, by peeling left descents."""
     out = set()
     n = rs.n
-    length = rs.word_length(word)
+    length = word_length(rs, word)
     if length == 0:
         return {()}
     for i in range(1, n + 1):
         shorter = (i,) + tuple(word)
-        if rs.word_length(shorter) == length - 1:
+        if word_length(rs, shorter) == length - 1:
             for rest in all_reduced_words(rs, shorter):
                 out.add((i,) + rest)
     return out

@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalcubes.crystal import crystal_elements
 from crystalcubes.rootsys import (
+    PRESETS,
     CartanMatrix,
     RootSystem,
     SubsetSequence,
@@ -122,19 +125,36 @@ class TestPositiveRoots:
         assert A1.positive_roots() == ((1,),)
 
 
+def inversions(rs, word):
+    """Positive roots that s_{i_1}...s_{i_N} sends negative, from its matrix on root coefficients.
+
+    Their number is the Coxeter length: the definitional count, kept as the oracle
+    for the descent walk of `is_reduced`.
+    """
+    c = rs.cartan.entries
+    cols = [tuple(int(r == j) for r in range(rs.n)) for j in range(rs.n)]  # column j: the image of α_j
+    for i in reversed(word):
+        cols = [
+            tuple(b - sum(beta[j] * c[i - 1][j] for j in range(rs.n)) * (r == i - 1) for r, b in enumerate(beta))
+            for beta in cols
+        ]
+    out = set()
+    for beta in rs.positive_roots():
+        image = [sum(beta[j] * cols[j][r] for j in range(rs.n)) for r in range(rs.n)]
+        if all(x <= 0 for x in image):
+            out.add(beta)
+    return out
+
+
+def is_reduced_for_longest_oracle(rs, word, subset):
+    pos = set(rs.positive_roots_in(subset))
+    return set(word) <= set(subset) and len(word) == len(pos) and inversions(rs, word) == pos
+
+
 def brute_force_longest_words(rs, subset):
     """All words of length |Δ_I⁺| over I sending every positive root of Δ_I negative."""
     pos = rs.positive_roots_in(subset)
-    out = []
-    for word in product(subset, repeat=len(pos)):
-        cols = rs.word_matrix(word)
-        images = [
-            tuple(sum(beta[j] * cols[j][r] for j in range(rs.n)) for r in range(rs.n))
-            for beta in pos
-        ]
-        if all(all(x <= 0 for x in im) and any(x < 0 for x in im) for im in images):
-            out.append(word)
-    return out
+    return [word for word in product(subset, repeat=len(pos)) if is_reduced_for_longest_oracle(rs, word, subset)]
 
 
 class TestLongestWord:
@@ -163,6 +183,9 @@ class TestLongestWord:
         assert A2.is_reduced((1, 2, 1))
         assert not A2.is_reduced((1, 1))
         assert A3.is_reduced(())
+        # the walk would stop at the second 1; the bad letter must raise first
+        with pytest.raises(IndexError):
+            A2.is_reduced((5, 1, 1))
 
 
 class TestTypeAEnumeration:
@@ -299,3 +322,52 @@ class TestWeight:
 
     def test_integral_normalization(self):
         assert Weight((Fraction(4, 2),)).coords == (2,)
+
+
+PRESET_SYSTEMS = [RootSystem.preset(name) for name in PRESETS]
+
+
+@st.composite
+def preset_words(draw):
+    """A preset and a random word of length at most |Δ⁺| + 1."""
+    rs = draw(st.sampled_from(PRESET_SYSTEMS))
+    return rs, tuple(draw(st.lists(st.integers(1, rs.n), max_size=len(rs.positive_roots()) + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=preset_words())
+def test_is_reduced_matches_inversion_count(drawn):
+    rs, word = drawn
+    assert rs.is_reduced(word) == (len(inversions(rs, word)) == len(word))
+
+
+@st.composite
+def longest_word_candidates(draw):
+    """A preset, a subset I and a word near the reduced words of w_0 in W_I: a random
+    maximal descent walk from Σ_{i∈I} ϖ_i, then two adjacent letters swapped, or one
+    letter replaced or dropped."""
+    rs = draw(st.sampled_from(PRESET_SYSTEMS))
+    subset = tuple(sorted(draw(st.sets(st.integers(1, rs.n), min_size=1))))
+    v = tuple(int(k + 1 in subset) for k in range(rs.n))
+    word = []
+    while descents := [i for i in subset if v[i - 1] > 0]:
+        i = draw(st.sampled_from(descents))
+        word.append(i)
+        v = rs.reflect(v, i)
+    edit = draw(st.sampled_from(["none", "swap", "replace", "drop"]))
+    if edit == "swap" and len(word) > 1:
+        k = draw(st.integers(0, len(word) - 2))
+        word[k], word[k + 1] = word[k + 1], word[k]
+    elif edit == "replace":
+        word[draw(st.integers(0, len(word) - 1))] = draw(st.integers(1, rs.n))
+    elif edit == "drop":
+        del word[draw(st.integers(0, len(word) - 1))]
+    return rs, subset, tuple(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=longest_word_candidates())
+def test_longest_word_check_matches_inversion_count(drawn):
+    rs, subset, word = drawn
+    assert rs.is_reduced(word) == (len(inversions(rs, word)) == len(word))
+    assert rs.is_reduced_word_for_longest(word, subset) == is_reduced_for_longest_oracle(rs, word, subset)

@@ -286,7 +286,7 @@ class TestMVPolynomial:
         assert all(type(c) is Fraction for c in q.terms.values())
         # a substitution that cancels every term leaves the zero polynomial
         diff = MVPolynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
-        assert diff.substitute(0, MVPolynomial.variable(2, 1)).terms == {}
+        assert diff.substitute(0, MVPolynomial(2, {(0, 1): Fraction(1)})).terms == {}
 
     def test_constant_value_rejects_nonconstant(self):
         with pytest.raises(ValueError):
@@ -343,6 +343,17 @@ def brute_force_count(cube):
     return (-1) ** n * rec(n - 1, [0] * n)
 
 
+def constant(nvars, c):
+    return MVPolynomial(nvars, {(0,) * nvars: Fraction(c)})
+
+
+def poly_sum(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        terms[e] = terms.get(e, 0) + c
+    return MVPolynomial(p.nvars, terms)
+
+
 def antiderivative(p, idx):
     """Antiderivative of p in variable idx, vanishing at 0."""
     terms = {}
@@ -355,13 +366,13 @@ def antiderivative(p, idx):
 def old_substitute(p, idx, value):
     """MVPolynomial.substitute as it was: one polynomial sum per term."""
     max_k = max((e[idx] for e in p.terms), default=0)
-    powers = [MVPolynomial.constant(p.nvars, 1)]
+    powers = [constant(p.nvars, 1)]
     for _ in range(max_k):
         powers.append(powers[-1] * value)
     out = MVPolynomial(p.nvars, {})
     for e, c in p.terms.items():
         rest = e[:idx] + (0,) + e[idx + 1 :]
-        out = out + (MVPolynomial(p.nvars, {rest: c}) * powers[e[idx]])
+        out = poly_sum(out, MVPolynomial(p.nvars, {rest: c}) * powers[e[idx]])
     return out
 
 
@@ -409,12 +420,10 @@ def n_variable_sum(cube, p0, step):
 
 
 def moment_integrand(cube, projection, m):
-    p0 = MVPolynomial.constant(cube.dim, 1)
+    p0 = constant(cube.dim, 1)
     for row, power in zip(projection.matrix, m):
-        linear = MVPolynomial(cube.dim, {})
-        for j, coef in enumerate(row):
-            if coef:
-                linear = linear + coef * MVPolynomial.variable(cube.dim, j)
+        linear = MVPolynomial(cube.dim, {tuple(int(k == j) for k in range(cube.dim)): Fraction(coef)
+                                         for j, coef in enumerate(row)})
         for _ in range(power):
             p0 = p0 * linear
     return p0
@@ -438,7 +447,7 @@ def test_count_matches_brute_force(cube):
 @settings(max_examples=60, deadline=None)
 @given(cube=twisted_cubes(), data=st.data())
 def test_volume_and_moments_match_fraction_recursion(cube, data):
-    assert cube.signed_volume() == fraction_integral(cube, MVPolynomial.constant(cube.dim, 1))
+    assert cube.signed_volume() == fraction_integral(cube, constant(cube.dim, 1))
     proj = identity_projection(cube.dim)
     m = tuple(data.draw(st.lists(st.integers(0, 2), min_size=cube.dim, max_size=cube.dim), label="m"))
     assert cube.pushforward_moments(proj, m) == fraction_integral(cube, moment_integrand(cube, proj, m))
@@ -465,7 +474,7 @@ def flag_cubes(draw, max_dim=8):
 @given(case=flag_cubes(), data=st.data())
 def test_letter_classes_match_n_variable_engine(case, data):
     cube, flag_proj = case
-    one = MVPolynomial.constant(cube.dim, 1)
+    one = constant(cube.dim, 1)
     assert cube.signed_volume() == n_variable_sum(cube, one, twistedcube._power_integral)
     assert cube.signed_lattice_count() == n_variable_sum(cube, one, twistedcube._strict_power_sum)
     for proj in (flag_proj, identity_projection(cube.dim)):
@@ -479,7 +488,7 @@ def test_letter_classes_with_mixed_integer_rows():
     """Rows that mix letters and weight coordinates of one letter differently split a
     letter into several classes."""
     cube = TwistedCube(B2, (1, 2, 1, 2, 2), (0, 0, 1, 1, 2))
-    proj = ProjectionMap(((1, -1, 2, 0, 1), (0, 3, 0, -2, 1)), (5,), ((1, 1), (1, 2)))
+    proj = ProjectionMap(((1, -1, 2, 0, 1), (0, 3, 0, -2, 1)))
     for m in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
         want = n_variable_sum(cube, moment_integrand(cube, proj, m), twistedcube._power_integral)
         assert cube.pushforward_moments(proj, m) == want, m
