@@ -14,7 +14,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import index
 from typing import Callable
@@ -93,10 +92,6 @@ def _take(params: dict, allowed: dict) -> dict:
     return out
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 # -- handlers: (root system, params, config) -> (artifact, text, summary) ----------
 # They call generate_crystal, graph_from_elements and the Demazure constructors
 # through this module's globals, looked up at call time, so a wrapper installed
@@ -171,7 +166,7 @@ def _twisted_cube(rs: RootSystem, q: dict):
 
 def _cube_volume(rs: RootSystem, q: dict, config: JobConfig):
     cube, _ = _twisted_cube(rs, q)
-    vol = _frac_str(cube.signed_volume())
+    vol = str(cube.signed_volume())
     return {"word": list(cube.word), "a": list(cube.a), "signed_volume": vol}, None, vol
 
 
@@ -184,7 +179,7 @@ def _cube_moments(rs: RootSystem, q: dict, config: JobConfig):
     slots = combinations_with_replacement(range(proj.rows + 1), degree)
     moments = {}
     for m in sorted(tuple(c.count(t) for t in range(proj.rows)) for c in slots):
-        moments[",".join(str(t) for t in m)] = _frac_str(cube.pushforward_moments(proj, m))
+        moments[",".join(str(t) for t in m)] = str(cube.pushforward_moments(proj, m))
     artifact = {"word": list(cube.word), "a": list(cube.a), "degree": degree, "moments": moments}
     return artifact, None, f"{len(moments)} moments up to degree {degree}"
 

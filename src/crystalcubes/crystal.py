@@ -65,7 +65,8 @@ class PathElement:
         return f"PathElement({self.segs!r})"
 
     def sort_key(self):
-        return tuple((tuple(Fraction(x) for x in v), Fraction(d)) for v, d in self.segs)
+        # ints and Fractions compare exactly with each other, so the segments are the key
+        return self.segs
 
 
 class TensorElement:
@@ -93,7 +94,7 @@ class TensorElement:
         return f"TensorElement({self.factors!r})"
 
     def sort_key(self):
-        return tuple(f.sort_key() for f in self.factors)
+        return tuple(f.segs for f in self.factors)
 
 
 def _normalize(pieces) -> tuple:
@@ -310,13 +311,8 @@ class CrystalGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def to_json_dict(self, omega=None) -> dict:
-        verts = []
-        for k, (v, w) in enumerate(zip(self.vertices, self.weights)):
-            entry = {"index": k, "weight": [_coord_json(c) for c in w.coords]}
-            if omega is not None:
-                entry["omega"] = list(omega[v])
-            verts.append(entry)
+    def to_json_dict(self) -> dict:
+        verts = [{"index": k, "weight": [_coord_json(c) for c in w.coords]} for k, w in enumerate(self.weights)]
         return {
             "vertex_count": self.vertex_count,
             "highest": self.highest,
@@ -328,17 +324,16 @@ class CrystalGraph:
         lines = [f"{u} -> {v} [label={i}]" for (u, i, v) in self.edges]
         return "\n".join(lines) + "\n"
 
-    def canonical_form(self, root: int | None = None):
-        """Isomorphism invariant: BFS relabeling from the root, colors ascending.
+    def canonical_form(self):
+        """Isomorphism invariant: BFS relabeling from the highest vertex, colors ascending.
 
-        Works for graphs whose vertices are all reachable from the root, which
-        holds for f-generated crystals; per-color out-degree ≤ 1 makes the
-        traversal order canonical.
+        Works for graphs whose vertices are all reachable from the highest
+        vertex, which holds for f-generated crystals; per-color out-degree ≤ 1
+        makes the traversal order canonical.
         """
+        root = self.highest
         if root is None:
-            root = self.highest
-        if root is None:
-            raise ValueError("canonical_form needs a root vertex")
+            raise ValueError("canonical_form needs a highest vertex")
         succ = {}
         for u, i, v in self.edges:
             succ.setdefault(u, {})[i] = v
@@ -363,7 +358,7 @@ def _coord_json(c):
 def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     """Crystal graph on an explicit element set; edges are f-edges staying in the set."""
     elems = set(elements)
-    verts = sorted(elems, key=lambda b: (b.sort_key()))
+    verts = sorted(elems, key=lambda b: b.sort_key())
     index = {b: k for k, b in enumerate(verts)}
     edges = []
     highest = None
@@ -401,12 +396,14 @@ def _close(rs: RootSystem, elements, word, budget: int):
 
 def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> CrystalGraph:
     """B(λ) = B_{w_0}(λ): {b_λ} closed along a reduced word of w_0; |B(λ)| = weyl_dimension(λ)."""
-    start = highest_path(rs, rs.weight(lam))
-    return graph_from_elements(rs, _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget))
+    return graph_from_elements(rs, crystal_elements(rs, lam, budget))
 
 
 def crystal_elements(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> tuple:
-    return generate_crystal(rs, lam, budget).vertices
+    """The elements of B(λ) in vertex order: {b_λ} closed along a reduced word of w_0, sorted."""
+    start = highest_path(rs, rs.weight(lam))
+    elements = _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget)
+    return tuple(sorted(elements, key=lambda b: b.sort_key()))
 
 
 def tensor_product_elements(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> list:

@@ -25,11 +25,12 @@ from .crystal import (
     DEFAULT_BUDGET,
     TensorElement,
     _close,
-    graph_from_elements,
+    graph_from_elements,  # noqa: F401  (cli imports it from here)
     highest_path,
     is_highest,
     path_e,
     path_f,
+    wt,
 )
 from .rootsys import InvariantError, RootSystem, SubsetSequence, WordSequence
 
@@ -91,19 +92,17 @@ def demazure_crystal(rs: RootSystem, lam, word, budget: int = DEFAULT_BUDGET) ->
 
 @dataclass
 class GenDemazureCrystal:
-    """Generated element set with its parametrization word and cached Ω-vectors.
+    """Generated element set with its parametrization words and cached Ω-vectors.
 
-    ``tops`` and ``blocks`` are the b_{λ_k} and block words it was saturated
+    ``tops`` and ``words`` are the b_{λ_k} and block words it was saturated
     from; ``shape`` is the input shape in its exported JSON form.
     """
 
     rs: RootSystem
     elements: frozenset
-    word: tuple[int, ...]
-    block_sizes: tuple[int, ...]
+    words: WordSequence
     shape: dict
     tops: tuple
-    blocks: tuple
     _omega: dict | None = field(default=None, repr=False)
 
     @property
@@ -112,7 +111,7 @@ class GenDemazureCrystal:
 
     def omega_map(self) -> dict:
         if self._omega is None:
-            mapping = {b: _peel(self.rs, self.tops, self.blocks, b) for b in self.elements}
+            mapping = {b: _peel(self.rs, self.tops, self.words.blocks, b) for b in self.elements}
             values = set(mapping.values())
             if len(values) != len(mapping):
                 raise InvariantError("string parametrization failed to separate elements")
@@ -122,13 +121,10 @@ class GenDemazureCrystal:
     def omega_vectors(self) -> list[tuple[int, ...]]:
         return sorted(sv.entries for sv in self.omega_map().values())
 
-    def graph(self):
-        return graph_from_elements(self.rs, self.elements)
-
     def components(self) -> list[dict]:
         """Connected pieces of the in-set crystal graph with their highest weights."""
-        g = self.graph()
-        parent = list(range(g.vertex_count))
+        rs = self.rs
+        parent = {b: b for b in self.elements}
 
         def find(x):
             while parent[x] != x:
@@ -136,20 +132,21 @@ class GenDemazureCrystal:
                 x = parent[x]
             return x
 
-        for u, _, v in g.edges:
-            parent[find(u)] = find(v)
-        groups: dict[int, list[int]] = {}
-        for k in range(g.vertex_count):
-            groups.setdefault(find(k), []).append(k)
-        out = []
-        for members in groups.values():
-            heads = [k for k in members if is_highest(self.rs, g.vertices[k])]
-            out.append(
-                {
-                    "size": len(members),
-                    "highest_weights": sorted(tuple(g.weights[k].coords) for k in heads),
-                }
-            )
+        for b in self.elements:
+            for i in range(1, rs.n + 1):
+                c = path_f(rs, b, i)
+                if c in parent:
+                    parent[find(b)] = find(c)
+        groups: dict = {}
+        for b in self.elements:
+            groups.setdefault(find(b), []).append(b)
+        out = [
+            {
+                "size": len(members),
+                "highest_weights": sorted(wt(rs, b).coords for b in members if is_highest(rs, b)),
+            }
+            for members in groups.values()
+        ]
         out.sort(key=lambda c: (-c["size"], c["highest_weights"]))
         return out
 
@@ -157,8 +154,8 @@ class GenDemazureCrystal:
         omega_sorted = self.omega_vectors()
         return {
             "shape": deepcopy(self.shape),
-            "word": list(self.word),
-            "block_sizes": list(self.block_sizes),
+            "word": list(self.words.flat),
+            "block_sizes": list(self.words.block_sizes),
             "element_count": self.element_count,
             "omega_vectors": [list(v) for v in omega_sorted],
             "components": self.components(),
@@ -184,11 +181,9 @@ def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) 
     return GenDemazureCrystal(
         rs=rs,
         elements=_saturate(rs, tops, blocks, budget),
-        word=word,
-        block_sizes=(1,) * len(word),
+        words=WordSequence(blocks),
         shape={"kind": "word", "a": list(a)},
         tops=tops,
-        blocks=blocks,
     )
 
 
@@ -212,8 +207,7 @@ def gen_demazure_crystal_weights(
     return GenDemazureCrystal(
         rs=rs,
         elements=_saturate(rs, tops, words.blocks, budget),
-        word=words.flat,
-        block_sizes=words.block_sizes,
+        words=words,
         shape={
             "kind": "weights",
             "subsets": [list(s) for s in subsets.sets],
@@ -221,7 +215,6 @@ def gen_demazure_crystal_weights(
             "words": [list(b) for b in words.blocks],
         },
         tops=tops,
-        blocks=words.blocks,
     )
 
 

@@ -256,32 +256,25 @@ class RootSystem:
     # -- roots ------------------------------------------------------------
 
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        """Δ⁺ as integer coefficient vectors over the simple roots, root-closure order."""
+        """Δ⁺ as integer coefficient vectors over the simple roots, sorted.
+
+        The simple roots closed under s_i β = β − ⟨β, α_i^∨⟩ α_i, keeping the
+        positive images: every non-simple positive root has a simple reflection
+        that lowers its height and stays positive.
+        """
         if self._positive_roots is None:
             c = self.cartan.entries
-            simple = [tuple(1 if j == k else 0 for j in range(self.n)) for k in range(self.n)]
-            roots = set(simple)
-            frontier = list(simple)
+            roots = {tuple(int(j == k) for j in range(self.n)) for k in range(self.n)}
+            frontier = list(roots)
             while frontier:
                 beta = frontier.pop()
                 for i in range(self.n):
-                    pair = sum(beta[j] * c[i][j] for j in range(self.n))
-                    p = 0
-                    down = list(beta)
-                    while True:
-                        down[i] -= 1
-                        t = tuple(down)
-                        if t in roots or all(x == 0 for x in t):
-                            p += 1
-                        else:
-                            break
-                    if p - pair > 0:
-                        up = list(beta)
-                        up[i] += 1
-                        t = tuple(up)
-                        if t not in roots:
-                            roots.add(t)
-                            frontier.append(t)
+                    image = list(beta)
+                    image[i] -= sum(b * c[i][j] for j, b in enumerate(beta))
+                    image = tuple(image)
+                    if min(image) >= 0 and image not in roots:
+                        roots.add(image)
+                        frontier.append(image)
             self._positive_roots = tuple(sorted(roots))
         return self._positive_roots
 

@@ -79,8 +79,7 @@ def lattice_points(rs: RootSystem, word, a, level: int = 1, budget: int = DEFAUL
         raise ValueError("level must be a positive integer")
     scaled = tuple(level * x for x in a)
     crystal = gen_demazure_crystal(rs, word, scaled, budget)
-    pts = tuple(sorted(sv.entries for sv in crystal.omega_map().values()))
-    return LatticePointSet(block_sizes=(1,) * len(tuple(word)), points=pts, level=level)
+    return LatticePointSet(block_sizes=crystal.words.block_sizes, points=tuple(crystal.omega_vectors()), level=level)
 
 
 def _require_full_first_block(rs: RootSystem, subsets: SubsetSequence) -> None:

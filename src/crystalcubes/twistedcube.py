@@ -49,6 +49,7 @@ import numpy as np
 from .rootsys import InvariantError, RootSystem, UnsupportedInputError
 
 _CHUNK = 1 << 16  # rows per Monte Carlo chunk; bounds memory, never the results
+_SVG_CELL = 24  # side of one histogram cell in the SVG, in pixels
 
 
 class MVPolynomial:
@@ -429,13 +430,13 @@ def projected_box(cube: TwistedCube, projection: ProjectionMap) -> tuple[tuple[F
     return tuple(out)
 
 
-def render_histogram_svg(hist: SignedHistogram, cell: int = 24) -> str:
+def render_histogram_svg(hist: SignedHistogram) -> str:
     """Two-dimensional signed histogram as an SVG grid with a diverging color scale."""
     if hist.dim != 2:
         raise UnsupportedInputError("SVG rendering targets 2-D histograms only")
     nx, ny = hist.values.shape
     vmax = float(np.max(np.abs(hist.values))) or 1.0
-    width, height = nx * cell, ny * cell
+    width, height = nx * _SVG_CELL, ny * _SVG_CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
@@ -446,8 +447,8 @@ def render_histogram_svg(hist: SignedHistogram, cell: int = 24) -> str:
             frac = min(abs(v) / vmax, 1.0)
             shade = int(round(255 * (1 - frac)))
             color = f"rgb(255,{shade},{shade})" if v > 0 else f"rgb({shade},{shade},255)" if v < 0 else "rgb(255,255,255)"
-            x = ix * cell
-            y = (ny - 1 - iy) * cell
-            parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{color}"/>')
+            x = ix * _SVG_CELL
+            y = (ny - 1 - iy) * _SVG_CELL
+            parts.append(f'<rect x="{x}" y="{y}" width="{_SVG_CELL}" height="{_SVG_CELL}" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

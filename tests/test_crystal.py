@@ -1,6 +1,7 @@
 """Path-model crystals: operators, axioms, generation, tensor products."""
 
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from crystalcubes.crystal import (
     TensorElement,
+    crystal_elements,
     epsilon,
     generate_crystal,
     graph_from_elements,
@@ -402,3 +404,23 @@ def small_dominant_weights(draw):
 def test_generate_crystal_matches_bfs(drawn):
     rs, lam = drawn
     assert generate_crystal(rs, lam) == bfs_crystal(rs, lam)
+
+
+def fraction_key(b):
+    """Vertex order with every path coordinate rebuilt as a Fraction, kept as the oracle
+    for the stored-segment `sort_key`s."""
+    factors = b.factors if isinstance(b, TensorElement) else (b,)
+    key = tuple(tuple((tuple(Fraction(x) for x in v), Fraction(d)) for v, d in f.segs) for f in factors)
+    return key if isinstance(b, TensorElement) else key[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=small_dominant_weights(), data=st.data())
+def test_vertex_order_matches_fraction_order(drawn, data):
+    rs, lam = drawn
+    elements = crystal_elements(rs, lam)
+    assert list(elements) == sorted(elements, key=fraction_key)
+    assert generate_crystal(rs, lam).vertices == elements
+    other = rs.fundamental_weight(data.draw(st.integers(1, rs.n), label="i"))
+    pairs = tensor_product_elements(rs, [lam, other])
+    assert list(graph_from_elements(rs, pairs).vertices) == sorted(pairs, key=fraction_key)

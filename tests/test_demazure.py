@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalcubes.crystal import TensorElement, epsilon, highest_path, path_e, path_f, wt
+from crystalcubes.crystal import (
+    TensorElement,
+    epsilon,
+    graph_from_elements,
+    highest_path,
+    is_highest,
+    path_e,
+    path_f,
+    wt,
+)
 from crystalcubes.demazure import (
     demazure_crystal,
     gen_demazure_crystal,
@@ -312,3 +321,50 @@ def test_string_word_rejected():
         gen_demazure_crystal(A2, "12", (1, 1))
     with pytest.raises(TypeError):
         gen_demazure_crystal(A2, (1, 2), "11")
+
+
+def graph_components(crystal):
+    """Components read off the sorted in-set crystal graph, kept as the oracle for
+    `GenDemazureCrystal.components`, which unions f-edges over the element set."""
+    g = graph_from_elements(crystal.rs, crystal.elements)
+    parent = list(range(g.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, _, v in g.edges:
+        parent[find(u)] = find(v)
+    groups = {}
+    for k in range(g.vertex_count):
+        groups.setdefault(find(k), []).append(k)
+    out = [
+        {
+            "size": len(members),
+            "highest_weights": sorted(g.weights[k].coords for k in members if is_highest(crystal.rs, g.vertices[k])),
+        }
+        for members in groups.values()
+    ]
+    return sorted(out, key=lambda c: (-c["size"], c["highest_weights"]))
+
+
+@st.composite
+def small_block_crystals(draw):
+    """A random B_{I,λ_1..λ_r} over A2, A3, B2, C2, G2: 1-3 blocks, each a random subset
+    with a dominant weight, the weight coordinates summing to at most 3 (2 for G2)."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
+    r = draw(st.integers(1, 3), label="blocks")
+    subsets = [sorted(draw(st.sets(st.integers(1, rs.n), min_size=1), label="subset")) for _ in range(r)]
+    left, coords = (2 if rs is G2 else 3), []
+    for _ in range(r * rs.n):
+        coords.append(draw(st.integers(0, min(2, left)), label="weight coordinate"))
+        left -= coords[-1]
+    lams = [rs.weight(coords[k * rs.n:(k + 1) * rs.n]) for k in range(r)]
+    return gen_demazure_crystal_weights(rs, subsets, lams)
+
+
+@settings(max_examples=60, deadline=None)
+@given(crystal=small_block_crystals())
+def test_components_match_graph_oracle(crystal):
+    assert crystal.components() == graph_components(crystal)

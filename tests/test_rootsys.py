@@ -72,6 +72,38 @@ class TestCartanValidation:
             CartanMatrix([])
 
 
+def simply_laced_cartan(n, edges):
+    """Cartan grid of a simply-laced Dynkin diagram on 1..n with the given edges."""
+    grid = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        grid[i - 1][j - 1] = grid[j - 1][i - 1] = -1
+    return grid
+
+
+E_EDGES = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+EXCEPTIONAL_GRIDS = {
+    "D4": simply_laced_cartan(4, [(1, 2), (2, 3), (2, 4)]),
+    # entries[i][j] = ⟨α_{j+1}, α_{i+1}^∨⟩ with α_1, α_2 long (Bourbaki), and its transpose
+    "F4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]],
+    "F4 transposed": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    **{f"E{n}": simply_laced_cartan(n, [e for e in E_EDGES if max(e) <= n]) for n in (6, 7, 8)},
+}
+
+
+@pytest.mark.parametrize("name,count,dim", [
+    ("D4", 12, 28), ("F4", 24, 52), ("F4 transposed", 24, 52), ("E6", 36, 78), ("E7", 63, 133), ("E8", 120, 248),
+])
+def test_exceptional_positive_roots(name, count, dim):
+    """|Δ⁺| pinned, and the adjoint module V(θ) of the highest root θ has dimension n + 2|Δ⁺|."""
+    rs = RootSystem(EXCEPTIONAL_GRIDS[name])
+    roots = rs.positive_roots()
+    assert len(roots) == count
+    assert len(rs.longest_word(range(1, rs.n + 1))) == count
+    theta = max(roots, key=sum)
+    c = rs.cartan.entries
+    assert rs.weyl_dimension(rs.weight([sum(b * c[i][j] for j, b in enumerate(theta)) for i in range(rs.n)])) == dim
+
+
 class TestPairing:
     def test_fundamental(self):
         assert A3.pairing(A3.fundamental_weight(2), 2) == 1

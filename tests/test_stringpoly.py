@@ -90,6 +90,11 @@ class TestLatticePoints:
         assert lines[0] == "x1_1"
         assert lines[1:] == ["0", "1"]
 
+    def test_iterator_word_keeps_its_blocks(self):
+        points = lattice_points(A2, iter([1, 2]), (1, 1))
+        assert points.block_sizes == (1, 1)
+        assert points.to_csv_lines()[0] == "x1_1,x2_1"
+
 
 def in_hull_1d(q, points):
     xs = [p[0] for p in points]
