@@ -1,10 +1,11 @@
 """Littelmann path realization of the crystals B(λ) and their tensor products.
 
 A crystal element is a piecewise-linear path from the origin, stored as merged
-(direction, duration) segments with exact rational coordinates.  The root
-operators cut the path where t ↦ ⟨π(t), α_i^∨⟩ attains its minimum and reflect
-the middle stretch; tensor elements carry the Kashiwara rule, with the first
-factor receiving f_i whenever φ_i(b1) > ε_i(b2).
+(direction, duration) segments whose integer durations share one denominator
+per path, so the path model runs on integers alone.  The root operators cut
+the path where t ↦ ⟨π(t), α_i^∨⟩ attains its minimum and reflect the middle
+stretch; tensor elements carry the Kashiwara rule, with the first factor
+receiving f_i whenever φ_i(b1) > ε_i(b2).
 
 One closure builds every crystal here and in `demazure`: `_close` saturates a
 set under f_{i_1}^* ... f_{i_N}^* along a word.  B(λ) is the Demazure crystal
@@ -19,40 +20,41 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
+from math import gcd, lcm
 
 from .rootsys import BudgetExceededError, RootSystem, Weight
-
-ONE = Fraction(1)
 
 DEFAULT_BUDGET = 10**6
 
 
 class PathElement:
-    """Piecewise-linear path: segments ((direction, duration), ...), durations summing to 1."""
+    """Piecewise-linear path: segments ((direction, n_j), ...) run for times n_j / den.
 
-    __slots__ = ("segs", "_hash", "_end", "_ef")
+    The durations are positive integers with Σ n_j = den and gcd(den, n_1, ...) = 1,
+    and adjacent directions differ, so equal paths have equal segment tuples.
+    """
 
-    def __init__(self, segs):
+    __slots__ = ("segs", "den", "_hash", "_end", "_ef")
+
+    def __init__(self, segs, den: int):
         self.segs = segs
+        self.den = den
         self._hash = hash(segs)
         self._end = None
         self._ef = {}
 
     @staticmethod
     def straight(coords) -> "PathElement":
-        return PathElement(((tuple(coords), ONE),))
+        return PathElement(((tuple(coords), 1),), 1)
 
     def endpoint(self) -> tuple:
         if self._end is None:
-            n = len(self.segs[0][0])
+            n, den = len(self.segs[0][0]), self.den
             total = [0] * n
             for v, d in self.segs:
                 for k in range(n):
                     total[k] += v[k] * d
-            # integral coordinates collapse to int, keeping comparisons cheap
-            self._end = tuple(
-                int(t) if isinstance(t, Fraction) and t.denominator == 1 else t for t in total
-            )
+            self._end = tuple(t // den if t % den == 0 else Fraction(t, den) for t in total)
         return self._end
 
     def __eq__(self, other):
@@ -62,11 +64,7 @@ class PathElement:
         return self._hash
 
     def __repr__(self):
-        return f"PathElement({self.segs!r})"
-
-    def sort_key(self):
-        # ints and Fractions compare exactly with each other, so the segments are the key
-        return self.segs
+        return f"PathElement({self.segs!r}, {self.den!r})"
 
 
 class TensorElement:
@@ -93,29 +91,29 @@ class TensorElement:
     def __repr__(self):
         return f"TensorElement({self.factors!r})"
 
-    def sort_key(self):
-        return tuple(f.segs for f in self.factors)
+
+def _vertex_order(elements) -> list:
+    """Elements sorted by their segments, the durations n_j / den compared as rationals.
+
+    Scaled to the lcm L of every denominator in the set, n_j · (L // den)
+    compares as n_j / den does, so the keys are integer tuples.
+    """
+    elements = list(elements)
+    scale = lcm(*{f.den for b in elements for f in (b.factors if isinstance(b, TensorElement) else (b,))})
+
+    def segs_key(f):
+        k = scale // f.den
+        return tuple((v, n * k) for v, n in f.segs)
+
+    def key(b):
+        return tuple(map(segs_key, b.factors)) if isinstance(b, TensorElement) else segs_key(b)
+
+    return sorted(elements, key=key)
 
 
-def _normalize(pieces) -> tuple:
-    """Drop zero-duration pieces and merge consecutive equal directions."""
-    out = []
-    for v, d in pieces:
-        if d == 0:
-            continue
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + d)
-        else:
-            out.append((v, d))
-    return tuple(out)
-
-
-def _height_profile(p: PathElement, idx: int):
-    """Breakpoint values of h(t) = ⟨π(t), α_i^∨⟩ (coordinate idx of the path)."""
-    hs = [Fraction(0)]
-    for v, d in p.segs:
-        hs.append(hs[-1] + v[idx] * d)
-    return hs
+def _height_profile(p: PathElement, idx: int) -> list:
+    """Breakpoint values of den · h(t), h(t) = ⟨π(t), α_i^∨⟩ (coordinate idx of the path)."""
+    return list(accumulate((v[idx] * n for v, n in p.segs), initial=0))
 
 
 def _eps_phi_path(p: PathElement, idx: int):
@@ -123,60 +121,76 @@ def _eps_phi_path(p: PathElement, idx: int):
     if cached is None:
         hs = _height_profile(p, idx)
         m = min(hs)
-        if Fraction(m).denominator != 1:
+        eps, rest = divmod(-m, p.den)
+        if rest:
             raise ValueError("non-integral path minimum; element is outside the integral path class")
-        cached = (int(-m), int(hs[-1] - m))
+        cached = (eps, (hs[-1] - m) // p.den)
         p._ef[idx] = cached
     return cached
 
 
-def _crossing(p: PathElement, times, hs, j: int, target) -> Fraction:
-    """Time inside segment j-1 at which h reaches target."""
-    return times[j - 1] + p.segs[j - 1][1] * (target - hs[j - 1]) / (hs[j] - hs[j - 1])
+def _crossing(p: PathElement, times, hs, j: int, idx: int, target: int):
+    """(s, s·t): den · h reaches target at time t / den inside segment j, and s is the least scale making s·t whole.
+
+    Along segment j, den · h grows by the slope c = ⟨v_j, α_i^∨⟩ per unit of t,
+    so t = times[j] + (target − hs[j]) / c, whose denominator divides c.
+    """
+    c = p.segs[j][0][idx]
+    rise = target - hs[j]
+    s = abs(c) // gcd(rise, c)
+    return s, s * times[j] + rise * s // c
 
 
 def _f_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
-    hs = _height_profile(p, i - 1)
+    idx = i - 1
+    hs = _height_profile(p, idx)
     m = min(hs)
-    if hs[-1] - m < 1:
+    if hs[-1] - m < p.den:
         return None
-    # t0: last time h = m (a breakpoint); t1: first time h = m+1 after t0
-    target = m + 1
-    j0 = max(j for j, h in enumerate(hs) if h == m)
-    j1 = next(j for j in range(j0 + 1, len(hs)) if hs[j] >= target)
-    times = list(accumulate((d for _, d in p.segs), initial=Fraction(0)))
-    return _rebuild(rs, p, times, times[j0], _crossing(p, times, hs, j1, target), i)
+    # t0: last time h = m (a breakpoint); t1: first time h = m+1 after t0, inside segment j
+    target = m + p.den
+    j0 = len(hs) - 1 - hs[::-1].index(m)
+    j = next(j for j in range(j0, len(hs) - 1) if hs[j + 1] >= target)
+    times = list(accumulate((n for _, n in p.segs), initial=0))
+    s, t1 = _crossing(p, times, hs, j, idx, target)
+    return _rebuild(rs, p, s, s * times[j0], t1, i)
 
 
 def _e_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
-    hs = _height_profile(p, i - 1)
+    idx = i - 1
+    hs = _height_profile(p, idx)
     m = min(hs)
-    if m > -1:
+    if m > -p.den:
         return None
-    # t1: first time h = m (a breakpoint); t0: last time h = m+1 before t1
-    target = m + 1
+    # t1: first time h = m (a breakpoint); t0: last time h = m+1 before t1, inside segment j
+    target = m + p.den
     j1 = hs.index(m)
-    j0 = next(j for j in range(j1, 0, -1) if hs[j - 1] >= target)
-    times = list(accumulate((d for _, d in p.segs), initial=Fraction(0)))
-    return _rebuild(rs, p, times, _crossing(p, times, hs, j0, target), times[j1], i)
+    j = next(j for j in range(j1 - 1, -1, -1) if hs[j] >= target)
+    times = list(accumulate((n for _, n in p.segs), initial=0))
+    s, t0 = _crossing(p, times, hs, j, idx, target)
+    return _rebuild(rs, p, s, t0, s * times[j1], i)
 
 
-def _rebuild(rs: RootSystem, p: PathElement, times, t0, t1, i: int) -> PathElement:
-    """Reflect directions on [t0, t1]; the tail translate falls out of the segment encoding."""
-    pieces = []
-    for j, (v, d) in enumerate(p.segs):
-        a, b = times[j], times[j + 1]
-        cuts = [a]
-        for t in (t0, t1):
-            if a < t < b:
-                cuts.append(t)
-        cuts.append(b)
+def _rebuild(rs: RootSystem, p: PathElement, s: int, t0: int, t1: int, i: int) -> PathElement:
+    """Reflect directions on [t0, t1]; the tail translate falls out of the segment encoding.
+
+    Times and durations are in units of 1 / (s · den): the pieces are cut,
+    reflected and merged there, then divided by the gcd of their durations.
+    """
+    segs = []
+    a = 0
+    for v, n in p.segs:
+        b = a + n * s
+        cuts = [a, *(t for t in (t0, t1) if a < t < b), b]
         for lo, hi in zip(cuts, cuts[1:]):
-            if hi == lo:
-                continue
-            inside = t0 <= lo and hi <= t1
-            pieces.append((rs.reflect(v, i) if inside else v, hi - lo))
-    return PathElement(_normalize(pieces))
+            w = rs.reflect(v, i) if t0 <= lo and hi <= t1 else v
+            if segs and segs[-1][0] == w:
+                segs[-1] = (w, segs[-1][1] + hi - lo)
+            else:
+                segs.append((w, hi - lo))
+        a = b
+    g = gcd(*(n for _, n in segs))
+    return PathElement(tuple((v, n // g) for v, n in segs), p.den * s // g)
 
 
 # -- public crystal operations ------------------------------------------------
@@ -358,7 +372,7 @@ def _coord_json(c):
 def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     """Crystal graph on an explicit element set; edges are f-edges staying in the set."""
     elems = set(elements)
-    verts = sorted(elems, key=lambda b: b.sort_key())
+    verts = _vertex_order(elems)
     index = {b: k for k, b in enumerate(verts)}
     edges = []
     highest = None
@@ -394,16 +408,20 @@ def _close(rs: RootSystem, elements, word, budget: int):
     return elements
 
 
+def _closure_of_top(rs: RootSystem, lam, budget: int) -> set:
+    """B(λ) = B_{w_0}(λ) as a set: {b_λ} closed along a reduced word of w_0."""
+    start = highest_path(rs, rs.weight(lam))
+    return _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget)
+
+
 def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> CrystalGraph:
-    """B(λ) = B_{w_0}(λ): {b_λ} closed along a reduced word of w_0; |B(λ)| = weyl_dimension(λ)."""
-    return graph_from_elements(rs, crystal_elements(rs, lam, budget))
+    """The crystal graph of B(λ); |B(λ)| = weyl_dimension(λ)."""
+    return graph_from_elements(rs, _closure_of_top(rs, lam, budget))
 
 
 def crystal_elements(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> tuple:
-    """The elements of B(λ) in vertex order: {b_λ} closed along a reduced word of w_0, sorted."""
-    start = highest_path(rs, rs.weight(lam))
-    elements = _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget)
-    return tuple(sorted(elements, key=lambda b: b.sort_key()))
+    """The elements of B(λ) in vertex order."""
+    return tuple(_vertex_order(_closure_of_top(rs, lam, budget)))
 
 
 def tensor_product_elements(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> list:

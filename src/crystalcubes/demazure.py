@@ -32,7 +32,7 @@ from .crystal import (
     path_f,
     wt,
 )
-from .rootsys import InvariantError, RootSystem, SubsetSequence, WordSequence
+from .rootsys import InvariantError, RootSystem, WordSequence
 
 
 @dataclass(frozen=True)
@@ -227,13 +227,14 @@ def omega(rs: RootSystem, word, a, b) -> StringVector:
     return _peel(rs, *_singleton_blocks(rs, word, a), current)
 
 
-def omega_blocked(rs: RootSystem, subsets: SubsetSequence, words: WordSequence, lams, b) -> StringVector:
+def omega_blocked(rs: RootSystem, subsets, words, lams, b) -> StringVector:
     """Parametrization of B_{I,λ_1..λ_r}: per-block maximal raising, peeling b_{λ_k} after block k."""
+    subsets, words = rs.blocks(subsets, words)
+    lams = rs.block_weights(subsets, lams, dominant=True)
     current = b if isinstance(b, TensorElement) else TensorElement((b,))
     if len(current.factors) != subsets.r:
         raise ValueError("element factor count does not match the subset sequence")
-    tops = [highest_path(rs, rs.weight(lam)) for lam in lams]
-    return _peel(rs, tops, words.blocks, current)
+    return _peel(rs, [highest_path(rs, lam) for lam in lams], words.blocks, current)
 
 
 def rebuild_from_omega(rs: RootSystem, word, a, sv: StringVector) -> TensorElement:

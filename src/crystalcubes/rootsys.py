@@ -33,6 +33,8 @@ Coords = tuple[Fraction, ...]
 
 
 def _num(x) -> int | Fraction:
+    if type(x) is int:
+        return x
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
 

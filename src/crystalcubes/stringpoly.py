@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .crystal import DEFAULT_BUDGET, TensorElement, _close, highest_path, is_highest
-from .demazure import gen_demazure_crystal, gen_demazure_crystal_weights, omega_blocked
+from .demazure import _peel, gen_demazure_crystal, gen_demazure_crystal_weights
 from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
 
@@ -100,7 +100,7 @@ def _highest_weight_tails(rs: RootSystem, subsets: SubsetSequence, lams, words: 
     for x in rest.elements:
         if not is_highest(rs, TensorElement((top,) + x.factors)):
             continue
-        tail = omega_blocked(rs, tail_subsets, tail_words, lams[1:], x).entries
+        tail = _peel(rs, rest.tops, rest.words.blocks, x).entries
         if tail in tails:
             raise InvariantError("string parametrization failed to separate elements")
         tails[tail] = x.factors
@@ -181,8 +181,9 @@ def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: in
     x = tuple(map(index, x))
     if x not in tails:
         raise ValueError(f"projected point {x} is not attained")
-    component = _close(rs, {TensorElement((highest_path(rs, lams[0]),) + tails[x])}, words.blocks[0], budget)
-    strings = [omega_blocked(rs, subsets, words, lams, b) for b in component]
+    tops = tuple(highest_path(rs, lam) for lam in lams)
+    component = _close(rs, {TensorElement((tops[0],) + tails[x])}, words.blocks[0], budget)
+    strings = [_peel(rs, tops, words.blocks, b) for b in component]
     if any(sv.tail(1) != x for sv in strings):
         raise InvariantError(f"the component over {x} has elements with another string tail")
     return tuple(sorted({sv.head(1) for sv in strings}))

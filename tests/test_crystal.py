@@ -2,12 +2,15 @@
 
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalcubes.crystal import (
+    PathElement,
     TensorElement,
     crystal_elements,
     epsilon,
@@ -22,6 +25,7 @@ from crystalcubes.crystal import (
     tensor_product_elements,
     wt,
 )
+from crystalcubes.demazure import gen_demazure_crystal_weights
 from crystalcubes.rootsys import BudgetExceededError, RootSystem
 
 A2 = RootSystem.preset("A2")
@@ -160,10 +164,12 @@ class TestGeneration:
         assert all(d == 1 for d in in_deg.values())
 
     def test_segment_invariants(self):
-        for b in generate_crystal(A2, A2.weight(1, 1)).vertices:
-            assert sum(d for _, d in b.segs) == 1
-            assert all(d > 0 for _, d in b.segs)
-            assert all(b.segs[k][0] != b.segs[k + 1][0] for k in range(len(b.segs) - 1))
+        for rs in (A2, B2, G2):
+            for b in generate_crystal(rs, rs.weight(1, 1)).vertices:
+                assert sum(n for _, n in b.segs) == b.den
+                assert all(n > 0 for _, n in b.segs)
+                assert gcd(b.den, *(n for _, n in b.segs)) == 1
+                assert all(b.segs[k][0] != b.segs[k + 1][0] for k in range(len(b.segs) - 1))
 
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
@@ -311,16 +317,91 @@ def test_tensor_axioms(coords1, coords2, word, i):
         assert path_f(A2, d, i) == b
 
 
-# -- the Kashiwara signature rule written out once per statistic and operator, kept as the oracle
+# -- the path model over Fraction durations, kept as the oracle for the integer-scaled one
+
+
+def fraction_segs(p):
+    """The segments of p with each duration n_j / den as a Fraction."""
+    return tuple((v, Fraction(n, p.den)) for v, n in p.segs)
+
+
+def from_fraction_segs(segs):
+    """The PathElement of Fraction segments summing to 1: durations over the lcm of their denominators."""
+    den = lcm(*(d.denominator for _, d in segs))
+    return PathElement(tuple((v, int(d * den)) for v, d in segs), den)
+
+
+def fraction_heights(segs, i):
+    """Breakpoint values of h(t) = ⟨π(t), α_i^∨⟩."""
+    hs = [Fraction(0)]
+    for v, d in segs:
+        hs.append(hs[-1] + v[i - 1] * d)
+    return hs
+
+
+def fraction_crossing(segs, times, hs, j, target):
+    """Time inside segment j-1 at which h reaches target."""
+    return times[j - 1] + segs[j - 1][1] * (target - hs[j - 1]) / (hs[j] - hs[j - 1])
+
+
+def fraction_rebuild(rs, segs, times, t0, t1, i):
+    """Reflect directions on [t0, t1], dropping empty pieces and merging equal neighbours."""
+    out = []
+    for j, (v, d) in enumerate(segs):
+        a, b = times[j], times[j + 1]
+        cuts = [a] + [t for t in (t0, t1) if a < t < b] + [b]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi == lo:
+                continue
+            w = rs.reflect(v, i) if t0 <= lo and hi <= t1 else v
+            if out and out[-1][0] == w:
+                out[-1] = (w, out[-1][1] + hi - lo)
+            else:
+                out.append((w, hi - lo))
+    return tuple(out)
+
+
+def fraction_f(rs, segs, i):
+    hs = fraction_heights(segs, i)
+    m = min(hs)
+    if hs[-1] - m < 1:
+        return None
+    # t0: last time h = m (a breakpoint); t1: first time h = m+1 after t0
+    target = m + 1
+    j0 = max(j for j, h in enumerate(hs) if h == m)
+    j1 = next(j for j in range(j0 + 1, len(hs)) if hs[j] >= target)
+    times = list(accumulate((d for _, d in segs), initial=Fraction(0)))
+    return fraction_rebuild(rs, segs, times, times[j0], fraction_crossing(segs, times, hs, j1, target), i)
+
+
+def fraction_e(rs, segs, i):
+    hs = fraction_heights(segs, i)
+    m = min(hs)
+    if m > -1:
+        return None
+    # t1: first time h = m (a breakpoint); t0: last time h = m+1 before t1
+    target = m + 1
+    j1 = hs.index(m)
+    j0 = next(j for j in range(j1, 0, -1) if hs[j - 1] >= target)
+    times = list(accumulate((d for _, d in segs), initial=Fraction(0)))
+    return fraction_rebuild(rs, segs, times, fraction_crossing(segs, times, hs, j0, target), times[j1], i)
+
+
+def oracle_path_op(rs, p, i, raising):
+    """f_i (or e_i) of one path, computed over Fraction durations."""
+    segs = (fraction_e if raising else fraction_f)(rs, fraction_segs(p), i)
+    return None if segs is None else from_fraction_segs(segs)
 
 
 def oracle_eps_phi_path(p, i):
     """(ε_i, φ_i) of one path: −min of h(t) = ⟨π(t), α_i^∨⟩, and h(1) − min."""
-    heights = [0]
-    for v, d in p.segs:
-        heights.append(heights[-1] + v[i - 1] * d)
+    heights = fraction_heights(fraction_segs(p), i)
     low = min(heights)
+    assert low.denominator == 1
     return -low, heights[-1] - low
+
+
+# -- the Kashiwara signature rule written out once per statistic and operator, kept as the oracle
 
 
 def oracle_epsilon(b, i):
@@ -346,7 +427,7 @@ def oracle_operator(rs, b, i, raising):
         _, pf = oracle_eps_phi_path(f, i)
         rest = oracle_epsilon(TensorElement(factors[k + 1 :]), i) if k < len(factors) - 1 else None
         if rest is None or pf > rest or (raising and pf == rest):
-            child = (path_e if raising else path_f)(rs, f, i)
+            child = oracle_path_op(rs, f, i, raising)
             return None if child is None else TensorElement(factors[:k] + (child,) + factors[k + 1 :])
 
 
@@ -372,6 +453,42 @@ def test_signature_rule_matches_oracle(drawn):
         assert phi(rs, b, i) == oracle_phi(b, i)
         assert path_f(rs, b, i) == oracle_operator(rs, b, i, raising=False)
         assert path_e(rs, b, i) == oracle_operator(rs, b, i, raising=True)
+
+
+@st.composite
+def path_model_crystals(draw):
+    """A root system and the elements of a small B(λ), or of a random B_{I,λ_1..λ_r} with
+    1-3 blocks, over A2, A3, B2, C2, G2; slopes 2 and 3 make denominators other than 1."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
+    r = draw(st.integers(0, 3), label="blocks (0: B(λ))")
+    left, coords = (2 if rs is G2 else 3), []
+    for _ in range(max(r, 1) * rs.n):
+        coords.append(draw(st.integers(0, min(2, left)), label="weight coordinate"))
+        left -= coords[-1]
+    if r == 0:
+        return rs, crystal_elements(rs, coords)
+    subsets = [sorted(draw(st.sets(st.integers(1, rs.n), min_size=1), label="subset")) for _ in range(r)]
+    lams = [coords[k * rs.n : (k + 1) * rs.n] for k in range(r)]
+    return rs, gen_demazure_crystal_weights(rs, subsets, lams).elements
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=path_model_crystals())
+def test_integer_paths_match_fraction_model(drawn):
+    """f_i, e_i, ε_i and φ_i on every path and tensor element equal the Fraction path model's."""
+    rs, elements = drawn
+    for b in elements:
+        for f in b.factors if isinstance(b, TensorElement) else (b,):
+            for i in range(1, rs.n + 1):
+                assert (epsilon(rs, f, i), phi(rs, f, i)) == oracle_eps_phi_path(f, i)
+                assert path_f(rs, f, i) == oracle_path_op(rs, f, i, raising=False)
+                assert path_e(rs, f, i) == oracle_path_op(rs, f, i, raising=True)
+        if isinstance(b, TensorElement):
+            for i in range(1, rs.n + 1):
+                assert epsilon(rs, b, i) == oracle_epsilon(b, i)
+                assert phi(rs, b, i) == oracle_phi(b, i)
+                assert path_f(rs, b, i) == oracle_operator(rs, b, i, raising=False)
+                assert path_e(rs, b, i) == oracle_operator(rs, b, i, raising=True)
 
 
 # -- B(λ) by breadth-first search under every f_i, kept as the oracle for the closure along w_0
@@ -407,10 +524,10 @@ def test_generate_crystal_matches_bfs(drawn):
 
 
 def fraction_key(b):
-    """Vertex order with every path coordinate rebuilt as a Fraction, kept as the oracle
-    for the stored-segment `sort_key`s."""
+    """Vertex order with every path coordinate and duration n_j / den as a Fraction, kept as
+    the oracle for the integer keys that vertex order sorts on."""
     factors = b.factors if isinstance(b, TensorElement) else (b,)
-    key = tuple(tuple((tuple(Fraction(x) for x in v), Fraction(d)) for v, d in f.segs) for f in factors)
+    key = tuple(tuple((tuple(Fraction(x) for x in v), Fraction(n, f.den)) for v, n in f.segs) for f in factors)
     return key if isinstance(b, TensorElement) else key[0]
 
 

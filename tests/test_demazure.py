@@ -244,6 +244,29 @@ class TestOmega:
         with pytest.raises(ValueError):
             omega_blocked(A2, SL3_SUBSETS, SL3_WORDS, [lam, lam], foreign)
 
+    def test_blocked_peeling_takes_plain_lists(self):
+        lam = A2.weight(1, 1)
+        crystal = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS)
+        for b, sv in crystal.omega_map().items():
+            assert omega_blocked(A2, [[1, 2], [1, 2]], [[1, 2, 1], [1, 2, 1]], [[1, 1], [1, 1]], b) == sv
+            assert omega_blocked(A2, [[1, 2], [1, 2]], None, [[1, 1], [1, 1]], b) == sv
+
+    @pytest.mark.parametrize(
+        "words,lams",
+        [
+            ([[1, 2, 1], [1, 2]], [[1, 1], [1, 1]]),  # not a longest word of W_{1,2}
+            ([[1, 2, 1], [1, 1, 2]], [[1, 1], [1, 1]]),  # not reduced
+            ([[1, 2, 1]], [[1, 1], [1, 1]]),  # one word for two subsets
+            (SL3_WORDS, [[1, 1], [-1, 2]]),  # a weight that is not dominant
+            (SL3_WORDS, [[1, 1]]),  # one weight for two subsets
+        ],
+    )
+    def test_blocked_peeling_rejects_bad_words_and_weights(self, words, lams):
+        lam = A2.weight(1, 1)
+        b = next(iter(gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS).elements))
+        with pytest.raises(ValueError):
+            omega_blocked(A2, [[1, 2], [1, 2]], words, lams, b)
+
 
 class TestExport:
     def test_json_dict(self):
