@@ -7,6 +7,13 @@ the path where t ↦ ⟨π(t), α_i^∨⟩ attains its minimum and reflect the m
 stretch; tensor elements carry the Kashiwara rule, with the first factor
 receiving f_i whenever φ_i(b1) > ε_i(b2).
 
+An operator splices its result: the segments outside the reflected stretch are
+copied, only the pieces inside are reflected, through a per-root-system memo of
+s_i on directions, and only the two seams can merge.  It carries state to the
+child instead of summing segments again: the endpoint moves by ∓α_i, and the
+(ε_i, φ_i) that the height profile gave for the parent, stored in its `_ef`,
+moves by (±1, ∓1), so ε, φ, `is_highest` and the signature rule read them there.
+
 One closure builds every crystal here and in `demazure`: `_close` saturates a
 set under f_{i_1}^* ... f_{i_N}^* along a word.  B(λ) is the Demazure crystal
 B_{w_0}(λ), so `generate_crystal` closes {b_λ} along a reduced word of w_0;
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
+from operator import add, sub
 
 from .rootsys import BudgetExceededError, RootSystem, Weight
 
@@ -32,20 +40,22 @@ class PathElement:
 
     The durations are positive integers with Σ n_j = den and gcd(den, n_1, ...) = 1,
     and adjacent directions differ, so equal paths have equal segment tuples.
+    ``_end`` holds the endpoint and ``_ef[i - 1]`` holds (ε_i, φ_i) once known.
     """
 
     __slots__ = ("segs", "den", "_hash", "_end", "_ef")
 
-    def __init__(self, segs, den: int):
+    def __init__(self, segs, den: int, end=None):
         self.segs = segs
         self.den = den
         self._hash = hash(segs)
-        self._end = None
+        self._end = end
         self._ef = {}
 
     @staticmethod
     def straight(coords) -> "PathElement":
-        return PathElement(((tuple(coords), 1),), 1)
+        coords = tuple(coords)
+        return PathElement(((coords, 1),), 1, coords)
 
     def endpoint(self) -> tuple:
         if self._end is None:
@@ -82,6 +92,14 @@ class TensorElement:
         self.factors = factors
         self._hash = hash(factors)
 
+    @classmethod
+    def _of_valid(cls, factors: tuple) -> "TensorElement":
+        """A tensor of factors taken out of valid tensors of one root system: no rank check."""
+        b = object.__new__(cls)
+        b.factors = factors
+        b._hash = hash(factors)
+        return b
+
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self.factors == other.factors
 
@@ -92,6 +110,10 @@ class TensorElement:
         return f"TensorElement({self.factors!r})"
 
 
+def _factors(b) -> tuple:
+    return b.factors if isinstance(b, TensorElement) else (b,)
+
+
 def _vertex_order(elements) -> list:
     """Elements sorted by their segments, the durations n_j / den compared as rationals.
 
@@ -99,7 +121,7 @@ def _vertex_order(elements) -> list:
     compares as n_j / den does, so the keys are integer tuples.
     """
     elements = list(elements)
-    scale = lcm(*{f.den for b in elements for f in (b.factors if isinstance(b, TensorElement) else (b,))})
+    scale = lcm(*{f.den for b in elements for f in _factors(b)})
 
     def segs_key(f):
         k = scale // f.den
@@ -111,86 +133,118 @@ def _vertex_order(elements) -> list:
     return sorted(elements, key=key)
 
 
-def _height_profile(p: PathElement, idx: int) -> list:
-    """Breakpoint values of den · h(t), h(t) = ⟨π(t), α_i^∨⟩ (coordinate idx of the path)."""
-    return list(accumulate((v[idx] * n for v, n in p.segs), initial=0))
+def _heights(p: PathElement, idx: int) -> list:
+    """Breakpoint values of den · h(t), h(t) = ⟨π(t), α_i^∨⟩ (coordinate idx of the path),
+    after storing (ε_i, φ_i) = (−min h, h(1) − min h) in p._ef."""
+    hs = list(accumulate((v[idx] * n for v, n in p.segs), initial=0))
+    m = min(hs)
+    eps, rest = divmod(-m, p.den)
+    if rest:
+        raise ValueError("non-integral path minimum; element is outside the integral path class")
+    p._ef[idx] = (eps, (hs[-1] - m) // p.den)
+    return hs
 
 
 def _eps_phi_path(p: PathElement, idx: int):
     cached = p._ef.get(idx)
     if cached is None:
-        hs = _height_profile(p, idx)
-        m = min(hs)
-        eps, rest = divmod(-m, p.den)
-        if rest:
-            raise ValueError("non-integral path minimum; element is outside the integral path class")
-        cached = (eps, (hs[-1] - m) // p.den)
-        p._ef[idx] = cached
+        _heights(p, idx)
+        cached = p._ef[idx]
     return cached
 
 
-def _crossing(p: PathElement, times, hs, j: int, idx: int, target: int):
-    """(s, s·t): den · h reaches target at time t / den inside segment j, and s is the least scale making s·t whole.
-
-    Along segment j, den · h grows by the slope c = ⟨v_j, α_i^∨⟩ per unit of t,
-    so t = times[j] + (target − hs[j]) / c, whose denominator divides c.
-    """
-    c = p.segs[j][0][idx]
-    rise = target - hs[j]
-    s = abs(c) // gcd(rise, c)
-    return s, s * times[j] + rise * s // c
+def _scaled(segs, s: int):
+    return segs if s == 1 else [(v, n * s) for v, n in segs]
 
 
 def _f_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
+    """Reflect [t0, t1]: t0 the last time h is minimal (breakpoint j0), t1 the first time after
+    it that h is one higher, inside segment j; the pieces after t1 are the tail."""
     idx = i - 1
-    hs = _height_profile(p, idx)
-    m = min(hs)
-    if hs[-1] - m < p.den:
+    if p._ef.get(idx, (0, 1))[1] == 0:  # φ_i = 0 known
         return None
-    # t0: last time h = m (a breakpoint); t1: first time h = m+1 after t0, inside segment j
+    hs = _heights(p, idx)
+    eps, phi = p._ef[idx]
+    if phi == 0:
+        return None
+    segs, m = p.segs, -eps * p.den
     target = m + p.den
     j0 = len(hs) - 1 - hs[::-1].index(m)
-    j = next(j for j in range(j0, len(hs) - 1) if hs[j + 1] >= target)
-    times = list(accumulate((n for _, n in p.segs), initial=0))
-    s, t1 = _crossing(p, times, hs, j, idx, target)
-    return _rebuild(rs, p, s, s * times[j0], t1, i)
+    j = j0
+    while hs[j + 1] < target:
+        j += 1
+    (v, n), reflect = segs[j], rs._reflections[idx]
+    s, cut = _crossing(v[idx], target - hs[j])
+    mid = [(reflect[w], d * s) for w, d in segs[j0:j]]
+    mid.append((reflect[v], cut))
+    tail = _scaled(segs[j + 1 :], s)
+    if cut < n * s:
+        tail = [(v, n * s - cut), *tail]
+    end = tuple(map(sub, p.endpoint(), rs._alpha_cols[idx]))
+    child = _splice(_scaled(segs[:j0], s), mid, tail, p.den * s, end)
+    child._ef[idx] = (eps + 1, phi - 1)
+    return child
 
 
 def _e_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
+    """Reflect [t0, t1]: t1 the first time h is minimal (breakpoint j1), t0 the last time before
+    it that h is one higher, inside segment j; the pieces before t0 are the head."""
     idx = i - 1
-    hs = _height_profile(p, idx)
-    m = min(hs)
-    if m > -p.den:
+    if p._ef.get(idx, (1, 0))[0] == 0:  # ε_i = 0 known
         return None
-    # t1: first time h = m (a breakpoint); t0: last time h = m+1 before t1, inside segment j
+    hs = _heights(p, idx)
+    eps, phi = p._ef[idx]
+    if eps == 0:
+        return None
+    segs, m = p.segs, -eps * p.den
     target = m + p.den
     j1 = hs.index(m)
-    j = next(j for j in range(j1 - 1, -1, -1) if hs[j] >= target)
-    times = list(accumulate((n for _, n in p.segs), initial=0))
-    s, t0 = _crossing(p, times, hs, j, idx, target)
-    return _rebuild(rs, p, s, t0, s * times[j1], i)
+    j = j1 - 1
+    while hs[j] < target:
+        j -= 1
+    (v, n), reflect = segs[j], rs._reflections[idx]
+    s, cut = _crossing(v[idx], target - hs[j])
+    head = _scaled(segs[:j], s)
+    if cut:
+        head = [*head, (v, cut)]
+    mid = [(reflect[v], n * s - cut)]
+    mid += [(reflect[w], d * s) for w, d in segs[j + 1 : j1]]
+    end = tuple(map(add, p.endpoint(), rs._alpha_cols[idx]))
+    child = _splice(head, mid, _scaled(segs[j1:], s), p.den * s, end)
+    child._ef[idx] = (eps - 1, phi + 1)
+    return child
 
 
-def _rebuild(rs: RootSystem, p: PathElement, s: int, t0: int, t1: int, i: int) -> PathElement:
-    """Reflect directions on [t0, t1]; the tail translate falls out of the segment encoding.
+def _crossing(c: int, rise: int) -> tuple:
+    """(s, cut): den · h, of slope c along a segment, rises by `rise` after cut / s of its
+    den-units, and s is the least scale making cut whole (the denominator of rise / c divides c)."""
+    s = abs(c) // gcd(rise, c)
+    return s, rise * s // c
 
-    Times and durations are in units of 1 / (s · den): the pieces are cut,
-    reflected and merged there, then divided by the gcd of their durations.
+
+def _splice(head, mid, tail, den: int, end) -> PathElement:
+    """The path head + mid + tail, durations over den, merged at the two seams only.
+
+    Adjacent pieces inside each part come from adjacent segments (mid reflected by
+    s_i, a bijection) or from the two sides of a cut where the slope is not 0, so
+    they differ.  Scaling by s and cutting once keeps gcd(durations) = 1, so only a
+    merge at a seam can leave a common factor to divide out.
     """
-    segs = []
-    a = 0
-    for v, n in p.segs:
-        b = a + n * s
-        cuts = [a, *(t for t in (t0, t1) if a < t < b), b]
-        for lo, hi in zip(cuts, cuts[1:]):
-            w = rs.reflect(v, i) if t0 <= lo and hi <= t1 else v
-            if segs and segs[-1][0] == w:
-                segs[-1] = (w, segs[-1][1] + hi - lo)
-            else:
-                segs.append((w, hi - lo))
-        a = b
-    g = gcd(*(n for _, n in segs))
-    return PathElement(tuple((v, n // g) for v, n in segs), p.den * s // g)
+    segs = list(head)
+    merged = False
+    for part in (mid, tail):
+        if segs and part and segs[-1][0] == part[0][0]:
+            segs[-1] = (segs[-1][0], segs[-1][1] + part[0][1])
+            segs += part[1:]
+            merged = True
+        else:
+            segs += part
+    if merged:
+        g = gcd(*(n for _, n in segs))
+        if g > 1:
+            segs = [(v, n // g) for v, n in segs]
+            den //= g
+    return PathElement(tuple(segs), den, end)
 
 
 # -- public crystal operations ------------------------------------------------
@@ -207,30 +261,41 @@ def wt(rs: RootSystem, b) -> Weight:
     return Weight(b.endpoint())
 
 
-def _eps_suffix(factors, idx: int) -> list:
-    """Kashiwara's signature rule: entry k is ε_i(b_k ⊗ ... ⊗ b_r), entry r is 0."""
-    eps = [0] * (len(factors) + 1)
-    for k in range(len(factors) - 1, -1, -1):
-        ef, _ = _eps_phi_path(factors[k], idx)
-        eps[k] = max(ef, eps[k + 1] - factors[k].endpoint()[idx])
-    return eps
+def _signature(factors, idx: int, strict: bool = True) -> tuple:
+    """Kashiwara's signature rule on b_1 ⊗ ... ⊗ b_r: (ε_i of the tensor, the index k of the
+    factor that f_i, for strict, or e_i acts on).
+
+    Read right to left, ε_i(b_k ⊗ ... ⊗ b_r) = ε_k + max(0, E − φ_k) for E = ε_i(b_{k+1} ⊗
+    ... ⊗ b_r), as ⟨wt(b_k), α_i^∨⟩ = φ_k − ε_k.  The operator acts on the first b_k with
+    φ_k > E (f_i) or φ_k ≥ E (e_i), and on the last factor if there is none.
+    """
+    total, k = 0, len(factors) - 1
+    for j in range(k, -1, -1):
+        f = factors[j]
+        eps, phi = f._ef.get(idx) or _eps_phi_path(f, idx)
+        if phi > total or (phi == total and not strict):
+            k = j
+        total = eps + total - phi if total > phi else eps
+    return total, k
 
 
 def epsilon(rs: RootSystem, b, i: int) -> int:
     rs._check_index(i)
-    if isinstance(b, TensorElement):
-        return int(_eps_suffix(b.factors, i - 1)[0])
-    return _eps_phi_path(b, i - 1)[0]
+    return _signature(_factors(b), i - 1)[0]
 
 
 def is_highest(rs: RootSystem, b) -> bool:
     """ε_i(b) = 0 for every i: b is the highest-weight element of its component."""
-    return all(epsilon(rs, b, i) == 0 for i in range(1, rs.n + 1))
+    factors = _factors(b)
+    return all(_signature(factors, idx)[0] == 0 for idx in range(rs.n))
 
 
 def phi(rs: RootSystem, b, i: int) -> int:
     """φ_i(b) = ε_i(b) + ⟨wt(b), α_i^∨⟩."""
     return epsilon(rs, b, i) + int(wt(rs, b).coords[i - 1])
+
+
+_MISSING = object()
 
 
 def _cached(op, cache_name: str):
@@ -239,12 +304,12 @@ def _cached(op, cache_name: str):
     def cached(rs: RootSystem, b: PathElement, i: int):
         cache = getattr(rs, cache_name)
         key = (b, i)
-        if key in cache:
-            return cache[key]
-        res = op(rs, b, i)
-        if res is not None:
-            res = rs._paths.setdefault(res, res)
-        cache[key] = res
+        res = cache.get(key, _MISSING)
+        if res is _MISSING:
+            res = op(rs, b, i)
+            if res is not None:
+                res = rs._paths.setdefault(res, res)
+            cache[key] = res
         return res
 
     return cached
@@ -255,26 +320,16 @@ _e_path_cached = _cached(_e_path, "_e_cache")
 
 
 def _apply(rs: RootSystem, b, i: int, op, strict: bool):
-    """op on a path; on a tensor, op on the factor the signature rule picks.
-
-    That is the first b_k with φ_i(b_k) > ε_i(b_{k+1} ⊗ ... ⊗ b_r) for f_i
-    (strict), or ≥ for e_i, and the last factor if there is none.
-    """
+    """op on a path; on a tensor, op on the factor the signature rule picks."""
     rs._check_index(i)
     if not isinstance(b, TensorElement):
         return op(rs, b, i)
-    factors, idx = b.factors, i - 1
-    eps = _eps_suffix(factors, idx)
-    k = 0
-    while k < len(factors) - 1:
-        pf = _eps_phi_path(factors[k], idx)[1]
-        if pf > eps[k + 1] or (not strict and pf == eps[k + 1]):
-            break
-        k += 1
+    factors = b.factors
+    k = _signature(factors, i - 1, strict)[1]
     child = op(rs, factors[k], i)
     if child is None:
         return None
-    return TensorElement(factors[:k] + (child,) + factors[k + 1 :])
+    return TensorElement._of_valid(factors[:k] + (child,) + factors[k + 1 :])
 
 
 def path_f(rs: RootSystem, b, i: int):

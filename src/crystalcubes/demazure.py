@@ -6,6 +6,9 @@ under f_i for the letters of block r's word, right to left, then b_{λ_{r-1}}
 is tensored on the left and the set is closed under block r-1's letters, and
 so on outward.  The parametrization Ω peels the same way from the outside:
 raise maximally along block k's letters, then drop the exposed b_{λ_k}.
+`_peeler` peels a whole element set with one memo on (element, flat letter
+position): each e-string is walked once, and every element on it is recorded
+at that position, so elements that share a raised state share the rest of Ω.
 
 The word shape B_{i,a} is the case of singleton blocks ({i_k}, a_k ϖ_{i_k}),
 as Bott-Samelson varieties are the flag Bott-Samelson varieties with singleton
@@ -60,25 +63,56 @@ def _saturate(rs: RootSystem, tops, blocks, budget: int) -> frozenset:
     """b_{λ_1} ⊗ (... ⊗ b_{λ_r}), closed under each block's letters, innermost block first."""
     tails = [()]
     for top, block in zip(reversed(tops), reversed(blocks)):
-        current = _close(rs, {TensorElement((top,) + tail) for tail in tails}, block, budget)
+        current = _close(rs, {TensorElement._of_valid((top,) + tail) for tail in tails}, block, budget)
         tails = [b.factors for b in current]
     return frozenset(current)
 
 
-def _peel(rs: RootSystem, tops, blocks, b: TensorElement) -> StringVector:
-    """Ω: raise maximally along each block's letters, then drop the exposed top path."""
-    xs = []
-    for k, (top, block) in enumerate(zip(tops, blocks)):
-        for i in block:
-            x = 0
+def _peeler(rs: RootSystem, tops, blocks):
+    """Ω as a function of the element, memoized on (element, flat letter position).
+
+    Peeling is a walk through states (b, p): raise b maximally along the letter at
+    position p, and drop the exposed b_{λ_k} after block k's last letter.  Every
+    element on the e-string walked from b at p reaches the same top, so the walk
+    records them all at p, each with its distance to the top, and a walk that meets
+    an element recorded at p stops there.  The memo lives as long as the returned
+    function.
+    """
+    letters = [(i, k, pos == len(block) - 1) for k, block in enumerate(blocks) for pos, i in enumerate(block)]
+    sizes = tuple(len(block) for block in blocks)
+    last = len(blocks) - 1
+    memo = [{} for _ in letters]  # memo[p][b]: the Ω-entries from position p on
+
+    def peel(b) -> StringVector:
+        walked = []  # (position, elements raised through it, lowest first)
+        p = 0
+        while p < len(letters) and b not in memo[p]:
+            (i, k, ends_block), seen, string = letters[p], memo[p], [b]
             while (c := path_e(rs, b, i)) is not None:
-                b, x = c, x + 1
-            xs.append(x)
-        if b.factors[0] != top:
-            raise ValueError("element is not in the generalized Demazure crystal (peeling failed)")
-        if k < len(blocks) - 1:
-            b = TensorElement(b.factors[1:])
-    return StringVector(tuple(xs), tuple(len(block) for block in blocks))
+                b = c
+                if b in seen:
+                    break
+                string.append(b)
+            walked.append((p, string))
+            if c is not None:  # met an element recorded at p
+                break
+            if ends_block:
+                if b.factors[0] != tops[k]:
+                    raise ValueError("element is not in the generalized Demazure crystal (peeling failed)")
+                if k < last:
+                    b = TensorElement._of_valid(b.factors[1:])
+            p += 1
+        entries = memo[p][b] if p < len(letters) else ()
+        for q, string in reversed(walked):
+            # the highest element of the string sits one below b (met at q == p) or is the top
+            x, rest = (entries[0] + 1, entries[1:]) if q == p else (0, entries)
+            seen = memo[q]
+            for d, c in enumerate(reversed(string)):
+                seen[c] = (x + d,) + rest
+            entries = seen[string[0]]
+        return StringVector(entries, sizes)
+
+    return peel
 
 
 def demazure_crystal(rs: RootSystem, lam, word, budget: int = DEFAULT_BUDGET) -> frozenset:
@@ -111,7 +145,8 @@ class GenDemazureCrystal:
 
     def omega_map(self) -> dict:
         if self._omega is None:
-            mapping = {b: _peel(self.rs, self.tops, self.words.blocks, b) for b in self.elements}
+            peel = _peeler(self.rs, self.tops, self.words.blocks)
+            mapping = {b: peel(b) for b in self.elements}
             values = set(mapping.values())
             if len(values) != len(mapping):
                 raise InvariantError("string parametrization failed to separate elements")
@@ -224,7 +259,7 @@ def omega(rs: RootSystem, word, a, b) -> StringVector:
     current = b if isinstance(b, TensorElement) else TensorElement((b,))
     if len(current.factors) != len(word):
         raise ValueError("element factor count does not match the word")
-    return _peel(rs, *_singleton_blocks(rs, word, a), current)
+    return _peeler(rs, *_singleton_blocks(rs, word, a))(current)
 
 
 def omega_blocked(rs: RootSystem, subsets, words, lams, b) -> StringVector:
@@ -234,7 +269,7 @@ def omega_blocked(rs: RootSystem, subsets, words, lams, b) -> StringVector:
     current = b if isinstance(b, TensorElement) else TensorElement((b,))
     if len(current.factors) != subsets.r:
         raise ValueError("element factor count does not match the subset sequence")
-    return _peel(rs, [highest_path(rs, lam) for lam in lams], words.blocks, current)
+    return _peeler(rs, [highest_path(rs, lam) for lam in lams], words.blocks)(current)
 
 
 def rebuild_from_omega(rs: RootSystem, word, a, sv: StringVector) -> TensorElement:

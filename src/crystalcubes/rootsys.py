@@ -161,7 +161,35 @@ PRESETS = {
     "C2": [[2, -2], [-1, 2]],
     "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
     "G2": [[2, -3], [-1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "F4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]],
 }
+
+
+def _reflect(coords, idx: int, col) -> tuple:
+    """s_i on ϖ-coordinates, v - ⟨v, α_i^∨⟩ α_i, for idx = i - 1 and col = α_i."""
+    k = coords[idx]
+    if k == 0:
+        return tuple(coords)
+    return tuple(v - k * a for v, a in zip(coords, col))
+
+
+class _ReflectionMemo(dict):
+    """v ↦ s_i(v) for one i, each image computed on its first lookup.
+
+    It holds α_i rather than its root system: a reference cycle would keep a
+    root system and its operator caches alive until the cyclic collector runs.
+    """
+
+    __slots__ = ("idx", "col")
+
+    def __init__(self, idx: int, col: tuple):
+        super().__init__()
+        self.idx, self.col = idx, col
+
+    def __missing__(self, v):
+        image = self[v] = _reflect(v, self.idx, self.col)
+        return image
 
 
 class RootSystem:
@@ -184,6 +212,8 @@ class RootSystem:
         self._f_cache: dict = {}
         self._e_cache: dict = {}
         self._paths: dict = {}
+        # s_i on path directions, one memo per i: directions lie in the Weyl orbits of the tops
+        self._reflections = tuple(_ReflectionMemo(idx, col) for idx, col in enumerate(self._alpha_cols))
 
     @classmethod
     def preset(cls, name: str) -> "RootSystem":
@@ -249,11 +279,7 @@ class RootSystem:
 
     def reflect(self, coords: Coords, i: int) -> tuple:
         """s_i acting on ϖ-coordinates: v - ⟨v, α_i^∨⟩ α_i."""
-        k = coords[i - 1]
-        if k == 0:
-            return tuple(coords)
-        col = self._alpha_cols[i - 1]
-        return tuple(v - k * a for v, a in zip(coords, col))
+        return _reflect(coords, i - 1, self._alpha_cols[i - 1])
 
     # -- roots ------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .crystal import DEFAULT_BUDGET, TensorElement, _close, highest_path, is_highest
-from .demazure import _peel, gen_demazure_crystal, gen_demazure_crystal_weights
+from .demazure import _peeler, gen_demazure_crystal, gen_demazure_crystal_weights
 from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
 
@@ -96,11 +96,12 @@ def _highest_weight_tails(rs: RootSystem, subsets: SubsetSequence, lams, words: 
     tail_words = WordSequence(words.blocks[1:])
     rest = gen_demazure_crystal_weights(rs, tail_subsets, lams[1:], tail_words, budget)
     top = highest_path(rs, lams[0])
+    peel = _peeler(rs, rest.tops, rest.words.blocks)
     tails: dict = {}
     for x in rest.elements:
-        if not is_highest(rs, TensorElement((top,) + x.factors)):
+        if not is_highest(rs, TensorElement._of_valid((top,) + x.factors)):
             continue
-        tail = _peel(rs, rest.tops, rest.words.blocks, x).entries
+        tail = peel(x).entries
         if tail in tails:
             raise InvariantError("string parametrization failed to separate elements")
         tails[tail] = x.factors
@@ -182,8 +183,9 @@ def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: in
     if x not in tails:
         raise ValueError(f"projected point {x} is not attained")
     tops = tuple(highest_path(rs, lam) for lam in lams)
-    component = _close(rs, {TensorElement((tops[0],) + tails[x])}, words.blocks[0], budget)
-    strings = [_peel(rs, tops, words.blocks, b) for b in component]
+    component = _close(rs, {TensorElement._of_valid((tops[0],) + tails[x])}, words.blocks[0], budget)
+    peel = _peeler(rs, tops, words.blocks)
+    strings = [peel(b) for b in component]
     if any(sv.tail(1) != x for sv in strings):
         raise InvariantError(f"the component over {x} has elements with another string tail")
     return tuple(sorted({sv.head(1) for sv in strings}))

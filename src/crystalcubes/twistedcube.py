@@ -118,10 +118,6 @@ def _strict_power_sum(k: int) -> tuple[int, tuple[int, ...]]:
     return d, tuple(int(c * d) for c in s)
 
 
-def _sign(x) -> int:
-    return -1 if x <= 0 else 1
-
-
 @dataclass(frozen=True)
 class ProjectionMap:
     """0/1 block matrix sending cube coordinate (k,l) to the row of letter i_{k,l} in I_k;
@@ -178,27 +174,6 @@ class TwistedCube:
     @property
     def dim(self) -> int:
         return len(self.word)
-
-    def bound_value(self, l: int, x) -> Fraction:
-        const, coeffs = self.forms[l]
-        return const + sum(c * x[j] for j, c in coeffs.items())
-
-    # -- pointwise density -------------------------------------------------
-
-    def density(self, x) -> int:
-        """ρ(x) ∈ {-1, 0, +1}; zero outside the region."""
-        x = tuple(Fraction(v) for v in x)
-        if len(x) != self.dim:
-            raise ValueError("point dimension mismatch")
-        sign_product = 1
-        for l in range(self.dim - 1, -1, -1):
-            bound = self.bound_value(l, x)
-            closed = bound <= x[l] <= 0
-            open_ = 0 < x[l] < bound
-            if not (closed or open_):
-                return 0
-            sign_product *= _sign(x[l])
-        return (-1) ** self.dim * sign_product
 
     # -- exact integration and lattice counts --------------------------------
 

@@ -659,7 +659,7 @@ def test_internal_invariant_exit_5(tmp_path, capsys, monkeypatch):
     from crystalcubes.demazure import StringVector
 
     # an Ω that sends every element to one vector breaks the separation check
-    monkeypatch.setattr(stringpoly, "_peel", lambda *args: StringVector((0, 0, 0), (3,)))
+    monkeypatch.setattr(stringpoly, "_peeler", lambda *args: lambda b: StringVector((0, 0, 0), (3,)))
     config = {"root_system": "A2", "command": "tensor-decompose", "params": {"weights": [[1, 1], [1, 1]]}}
     assert run_cli(tmp_path, config) == 5
     assert json.loads(capsys.readouterr().err) == {

@@ -1,5 +1,7 @@
 """Path-model crystals: operators, axioms, generation, tensor products."""
 
+import hashlib
+import json
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate
@@ -26,7 +28,7 @@ from crystalcubes.crystal import (
     wt,
 )
 from crystalcubes.demazure import gen_demazure_crystal_weights
-from crystalcubes.rootsys import BudgetExceededError, RootSystem
+from crystalcubes.rootsys import PRESETS, BudgetExceededError, RootSystem
 
 A2 = RootSystem.preset("A2")
 A3 = RootSystem.preset("A3")
@@ -491,6 +493,48 @@ def test_integer_paths_match_fraction_model(drawn):
                 assert path_e(rs, b, i) == oracle_operator(rs, b, i, raising=True)
 
 
+@st.composite
+def fresh_crystals(draw):
+    """A fresh root system, so that every path in it comes out of its operators, with the
+    elements of a small B(λ) or of a random B_{I,λ_1..λ_r}.  Over A2, A3, B2, C2 and G2 the
+    weights are as in `path_model_crystals`; over F4, B(λ) has λ = ϖ1, ϖ3 or ϖ4, and
+    B_{I,λ} has 1-2 blocks with weights 0, ϖ1 or ϖ4."""
+    name = draw(st.sampled_from(["A2", "A3", "B2", "C2", "G2", "F4"]), label="root system")
+    rs = RootSystem(PRESETS[name])
+    r = draw(st.integers(0, 2 if name == "F4" else 3), label="blocks (0: B(λ))")
+    if name == "F4":
+        picks = (1, 3, 4) if r == 0 else (0, 1, 4)
+        lams = [[int(k == draw(st.sampled_from(picks), label="ϖ")) for k in range(1, 5)] for _ in range(max(r, 1))]
+    else:
+        left, coords = (2 if name == "G2" else 3), []
+        for _ in range(max(r, 1) * rs.n):
+            coords.append(draw(st.integers(0, min(2, left)), label="weight coordinate"))
+            left -= coords[-1]
+        lams = [coords[k * rs.n : (k + 1) * rs.n] for k in range(max(r, 1))]
+    if r == 0:
+        return rs, crystal_elements(rs, lams[0])
+    subsets = [sorted(draw(st.sets(st.integers(1, rs.n), min_size=1), label="subset")) for _ in range(r)]
+    return rs, gen_demazure_crystal_weights(rs, subsets, lams).elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=fresh_crystals())
+def test_carried_state_matches_segments(drawn):
+    """The endpoint and the (ε_i, φ_i) that the operators carry to their results equal the
+    endpoint summed from the segments and the Fraction path model's ε_i and φ_i."""
+    rs, elements = drawn
+    for b in elements:
+        for i in range(1, rs.n + 1):
+            path_f(rs, b, i)
+            path_e(rs, b, i)
+    paths = set(rs._paths.values())
+    assert len(paths) > 1 or len(elements) == 1
+    for p in paths:
+        assert p._end == tuple(Fraction(sum(v[k] * n for v, n in p.segs), p.den) for k in range(rs.n))
+        for idx, ef in p._ef.items():
+            assert ef == oracle_eps_phi_path(p, idx + 1)
+
+
 # -- B(λ) by breadth-first search under every f_i, kept as the oracle for the closure along w_0
 
 
@@ -541,3 +585,24 @@ def test_vertex_order_matches_fraction_order(drawn, data):
     other = rs.fundamental_weight(data.draw(st.integers(1, rs.n), label="i"))
     pairs = tensor_product_elements(rs, [lam, other])
     assert list(graph_from_elements(rs, pairs).vertices) == sorted(pairs, key=fraction_key)
+
+
+# sha256 of the crystal JSON artifacts of ϖ1..ϖ4, one after the other, captured before the
+# root operators were spliced: vertex order and edges of types D and F stay byte for byte
+FUNDAMENTAL_CRYSTALS = {
+    "D4": ((8, 28, 8, 8), "cffe30df1b51fd0859878c39a1ad81a74c23b6cc62ec05d1faedbbf9b7cac509"),
+    "F4": ((52, 1274, 273, 26), "8fedf7240727c5d1ca4a81caf76ce57762a05b9f9e4c3abc81de91ce98603f37"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNDAMENTAL_CRYSTALS))
+def test_fundamental_crystals_of_d4_and_f4(name):
+    rs = RootSystem.preset(name)
+    dims, digest = FUNDAMENTAL_CRYSTALS[name]
+    artifacts = hashlib.sha256()
+    for i, want in enumerate(dims, start=1):
+        lam = rs.fundamental_weight(i)
+        graph = generate_crystal(rs, lam)
+        assert graph.vertex_count == rs.weyl_dimension(lam) == want
+        artifacts.update((json.dumps(graph.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n").encode())
+    assert artifacts.hexdigest() == digest

@@ -15,6 +15,8 @@ from crystalcubes.crystal import (
     wt,
 )
 from crystalcubes.demazure import (
+    StringVector,
+    _peeler,
     demazure_crystal,
     gen_demazure_crystal,
     gen_demazure_crystal_weights,
@@ -391,3 +393,53 @@ def small_block_crystals(draw):
 @given(crystal=small_block_crystals())
 def test_components_match_graph_oracle(crystal):
     assert crystal.components() == graph_components(crystal)
+
+
+# -- Ω peeled element by element, kept as the oracle for the peeler memoized on (element, position)
+
+
+def peel_oracle(rs, tops, blocks, b):
+    """Ω: raise maximally along each block's letters, then drop the exposed top path."""
+    xs = []
+    for k, (top, block) in enumerate(zip(tops, blocks)):
+        for i in block:
+            x = 0
+            while (c := path_e(rs, b, i)) is not None:
+                b, x = c, x + 1
+            xs.append(x)
+        if b.factors[0] != top:
+            raise ValueError("element is not in the generalized Demazure crystal (peeling failed)")
+        if k < len(blocks) - 1:
+            b = TensorElement(b.factors[1:])
+    return StringVector(tuple(xs), tuple(len(block) for block in blocks))
+
+
+@st.composite
+def small_word_crystals(draw):
+    """A random B_{i,a} over A2, A3, B2, C2, G2 with 1-3 letters and entries of a at most 2."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
+    word = draw(st.lists(st.integers(1, rs.n), min_size=1, max_size=3), label="word")
+    a = draw(st.lists(st.integers(0, 2), min_size=len(word), max_size=len(word)), label="a")
+    return gen_demazure_crystal(rs, word, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(crystal=st.one_of(small_word_crystals(), small_block_crystals()))
+def test_memoized_omega_matches_oracle(crystal):
+    expected = {b: peel_oracle(crystal.rs, crystal.tops, crystal.words.blocks, b) for b in crystal.elements}
+    assert crystal.omega_map() == expected
+
+
+def test_peeler_rejects_foreign_element_after_peeling_the_crystal():
+    lam = A2.weight(1, 1)
+    crystal = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS)
+    peel = _peeler(A2, crystal.tops, SL3_WORDS.blocks)
+    for b in crystal.elements:
+        peel(b)
+    foreign = TensorElement((highest_path(A2, A2.weight(2, 2)), highest_path(A2, lam)))
+    with pytest.raises(ValueError, match="peeling failed"):
+        peel(foreign)
+    with pytest.raises(ValueError, match="peeling failed"):
+        peel_oracle(A2, crystal.tops, SL3_WORDS.blocks, foreign)
+    with pytest.raises(ValueError, match="peeling failed"):
+        omega_blocked(A2, SL3_SUBSETS, SL3_WORDS, [lam, lam], foreign)

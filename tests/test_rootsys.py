@@ -27,7 +27,7 @@ A4 = RootSystem.preset("A4")
 
 class TestCartanValidation:
     def test_presets_exist(self):
-        for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "G2"):
+        for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "F4", "G2"):
             assert RootSystem.preset(name).n == int(name[1])
 
     @pytest.mark.parametrize("name,dims", [
