@@ -1,4 +1,4 @@
-"""Grossberg-Karshon twisted cubes: density, exact signed measure, lattice counts.
+"""Grossberg-Karshon twisted cubes: density, exact signed measure, lattice counts, Monte Carlo.
 
 The cube for a word i and integer vector a is carved out by affine forms
 
@@ -34,6 +34,13 @@ their entries in every row with m_r > 0 (for `projection_map`, one class per
 (block, letter) row).  So p_l is a polynomial in x_{l+1} and one variable per
 class, the cube-side form of the tower of flag fibrations taken down to single
 letters: its number of variables depends on the rank and the moment, not on N.
+
+Monte Carlo samples down the same tower: for l = N-1 down to 0, x_l = A_l(x)·u_l
+with u uniform in [0, 1)^N, so x_l is uniform on its branch, [A_l, 0] or (0, A_l).
+The weight (-1)^N Π A_l is ρ times the Π |A_l| that undoes the sampling density
+(sign(x_l)·|A_l| = A_l on either branch), so E[w·f(Lx)] = ∫ ρ f(Lx) dx and every
+sample lies in the support.  Histograms add the weights in sample order, as one
+np.histogramdd pass would, so no byte depends on how the samples are chunked.
 """
 
 from __future__ import annotations
@@ -270,62 +277,46 @@ class TwistedCube:
             hi[l] = max(Fraction(0), bmax)
         return tuple(zip(lo, hi))
 
-    def _density_batch(self, samples: np.ndarray) -> np.ndarray:
-        n = self.dim
-        rho = np.full(len(samples), (-1.0) ** n)
-        alive = np.ones(len(samples), dtype=bool)
-        for l in range(n - 1, -1, -1):
+    def mc_sample(self, rng: np.random.Generator, rows: int):
+        """(points, weights) of `rows` samples drawn by rng down the tower: x_l = A_l(x)·u_l
+        for l = N-1 down to 0 with u = rng.random((rows, N)), and weight (-1)^N Π A_l."""
+        pts = rng.random((rows, self.dim))
+        weights = np.full(rows, (-1.0) ** self.dim)
+        for l in range(self.dim - 1, -1, -1):
             const, coeffs = self.forms[l]
-            bound = np.full(len(samples), float(const))
+            bound = np.full(rows, float(const))
             for j, c in coeffs.items():
-                bound += float(c) * samples[:, j]
-            xl = samples[:, l]
-            closed = (bound <= xl) & (xl <= 0)
-            open_ = (0 < xl) & (xl < bound)
-            alive &= closed | open_
-            rho *= np.where(xl <= 0, -1.0, 1.0)
-        rho[~alive] = 0.0
-        return rho
-
-    def mc_sample(self, rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, rows: int):
-        """`rows` points drawn by rng uniformly from the box [lo, hi], with their densities."""
-        pts = rng.uniform(lo, hi, size=(rows, self.dim))
-        return pts, self._density_batch(pts)
+                bound += float(c) * pts[:, j]
+            pts[:, l] *= bound
+            weights *= bound
+        return pts, weights
 
     def _mc_stream(self, samples: int, seed: int, shards: int):
-        """(box volume, `mc_sample` chunks of at most _CHUNK rows): each shard draws its
-        samples/shards points from its own stream, spawned from SeedSequence(seed).  A
-        stream gives the same values drawn at once or in chunks, so no result depends on _CHUNK."""
+        """`mc_sample` chunks of at most _CHUNK rows: each shard draws its samples/shards
+        points from its own stream, spawned from SeedSequence(seed).  A stream gives the
+        same values drawn at once or in chunks, so no sample depends on _CHUNK."""
         samples, shards = index(samples), index(shards)
         if samples <= 0:
             raise ValueError("sample count must be positive")
         if shards < 1 or samples % shards:
             raise ValueError("shards must divide the sample count")
-        box = self.bounding_box()
-        lo, hi = np.array(box, dtype=float).reshape(-1, 2).T
         per = samples // shards
-        streams = np.random.SeedSequence(seed).spawn(shards)
-
-        def chunks():
-            for stream in streams:
-                rng = np.random.default_rng(stream)
-                for start in range(0, per, _CHUNK):
-                    yield self.mc_sample(rng, lo, hi, min(_CHUNK, per - start))
-
-        return math.prod(float(b - a) for a, b in box), chunks()
+        for stream in np.random.SeedSequence(seed).spawn(shards):
+            rng = np.random.default_rng(stream)
+            for start in range(0, per, _CHUNK):
+                yield self.mc_sample(rng, min(_CHUNK, per - start))
 
     def mc_volume(self, samples: int, seed: int, shards: int = 1):
         """(estimate, standard error) for the signed volume: the zero moment."""
         return self.mc_moment(identity_projection(self.dim), (0,) * self.dim, samples, seed, shards)
 
     def mc_moment(self, projection: ProjectionMap, multi_index, samples: int, seed: int, shards: int = 1):
-        """(estimate, standard error) for a pushforward moment, from the running
-        sums of g = ρ·(Lx)^m and g² over the sample stream."""
+        """(estimate, standard error) for a pushforward moment: the mean of
+        g = w·(Lx)^m over the sample stream, from the running sums of g and g²."""
         m = self._multi_index(projection, multi_index)
-        vol, chunks = self._mc_stream(samples, seed, shards)
         lt = np.array(projection.matrix, dtype=float).T
         s1 = s2 = 0.0
-        for pts, g in chunks:
+        for pts, g in self._mc_stream(samples, seed, shards):
             if any(m):
                 proj = pts @ lt
                 for t, power in enumerate(m):
@@ -334,8 +325,7 @@ class TwistedCube:
             s1 += g.sum()
             s2 += g @ g
         mean = s1 / samples
-        err = vol * math.sqrt(max(s2 / samples - mean * mean, 0.0)) / math.sqrt(samples)
-        return float(vol * mean), err
+        return float(mean), math.sqrt(max(s2 / samples - mean * mean, 0.0)) / math.sqrt(samples)
 
 
 @dataclass(frozen=True)
@@ -376,22 +366,32 @@ def mc_histogram(
     seed: int,
     shards: int = 1,
 ) -> SignedHistogram:
-    """Deterministic signed histogram: bin value = (box volume / samples) · Σ ρ,
-    summed chunk by chunk (ρ ∈ {-1, 0, 1}, so every bin sum is an exact integer)."""
+    """Deterministic signed histogram over `projected_box`: bin value = (Σ w over the
+    samples whose Lx falls in the bin) / samples, an estimate of ∫_bin of the pushforward."""
     if isinstance(bins, int):
         bins = (bins,) * projection.rows
     bins = tuple(map(index, bins))
     if len(bins) != projection.rows or any(b <= 0 for b in bins):
         raise ValueError("need one positive bin count per target dimension")
-    vol, chunks = cube._mc_stream(samples, seed, shards)
     lt = np.array(projection.matrix, dtype=float).T
-    target_box = projected_box(cube, projection)
-    edges = [np.linspace(float(a), float(b), bins[t] + 1) for t, (a, b) in enumerate(target_box)]
-    hist = np.zeros(bins)
-    for pts, rho in chunks:
-        hist += np.histogramdd(pts @ lt, bins=edges, weights=rho)[0]
-    hist *= vol / samples
-    return SignedHistogram(tuple(tuple(e) for e in edges), hist, samples, seed)
+    edges = [np.linspace(float(a), float(b), n + 1) for n, (a, b) in zip(bins, projected_box(cube, projection))]
+    padded = np.zeros(tuple(b + 2 for b in bins))
+    for pts, weights in cube._mc_stream(samples, seed, shards):
+        _add_to_bins(padded, edges, pts @ lt, weights)
+    hist = padded[(slice(1, -1),) * len(bins)] / samples
+    return SignedHistogram(tuple(tuple(map(float, e)) for e in edges), hist, samples, seed)
+
+
+def _add_to_bins(padded: np.ndarray, edges, points: np.ndarray, weights: np.ndarray) -> None:
+    """Add each weight, in sample order, to its cell of `padded` (the bins and an outlier
+    cell at each end) by np.histogramdd's rule, so the bins equal one histogramdd pass for
+    any chunking.  A helper, so that its temporaries die before the next chunk is drawn."""
+    cells = []
+    for edge, x in zip(edges, points.T):
+        k = np.searchsorted(edge, x, side="right")
+        k[x == edge[-1]] -= 1
+        cells.append(k)
+    np.add.at(padded.reshape(-1), np.ravel_multi_index(cells, padded.shape), weights)
 
 
 def projected_box(cube: TwistedCube, projection: ProjectionMap) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -9,6 +9,7 @@ import pytest
 
 from crystalcubes import cli, twistedcube
 from crystalcubes.cli import main
+from crystalcubes.rootsys import RootSystem
 
 
 def run_cli(tmp_path, config, *args):
@@ -199,6 +200,23 @@ def test_cube_jobs_from_subsets(tmp_path, capsys):
     }
     assert run_cli(tmp_path, svg) == 0
     assert (tmp_path / "cube.svg").read_text().startswith("<svg")
+
+
+def test_g2_flag_histogram_total_is_not_a_confident_zero(tmp_path):
+    """Uniform samples over the bounding box of the G2 flag cube, some 7.5·10⁶ times
+    the cube's volume of 1, all missed its support and wrote a total of 0.0."""
+    config = {
+        "root_system": "G2",
+        "command": "cube-histogram",
+        "params": {"subsets": [[1, 2]], "weights": [[1, 1]], "samples": 100_000},
+        "output": {"path": "g2.json", "format": "json"},
+        "seed": 5,
+    }
+    assert run_cli(tmp_path, config) == 0
+    doc = json.loads((tmp_path / "g2.json").read_text())
+    cube = twistedcube.TwistedCube(RootSystem.preset("G2"), doc["word"], doc["a"])
+    _, err = cube.mc_volume(100_000, seed=5)
+    assert err > 0 and abs(doc["total"] - 1) < 4 * err
 
 
 def test_fiber_command(tmp_path):
@@ -670,7 +688,9 @@ def test_internal_invariant_exit_5(tmp_path, capsys, monkeypatch):
 # Artifacts of bundle-vectors, cube-histogram, cube-svg and the word-shape cube
 # with subsets, pinned before the command table replaced the if/elif dispatch.
 # The Monte Carlo ones were re-captured when shard streams came to be spawned
-# from SeedSequence(seed) instead of seeded with seed + shard index.
+# from SeedSequence(seed) instead of seeded with seed + shard index, and again
+# when samples came to be drawn down the cube's tower with real weights instead
+# of uniformly over its bounding box with densities in {-1, 0, 1}.
 ARTIFACT_GOLDENS = [
     (
         "A3",
@@ -698,7 +718,7 @@ ARTIFACT_GOLDENS = [
         {"subsets": [[1, 2]], "weights": [[2, 1]], "samples": 200, "bins": 3},
         "json",
         7,
-        b'{"a":[0,1,2],"samples":200,"total":2.52,"word":[1,2,1],"words":[[1,2,1]]}\n',
+        b'{"a":[0,1,2],"samples":200,"total":2.892651374005214,"word":[1,2,1],"words":[[1,2,1]]}\n',
     ),
     (
         "A2",
@@ -706,8 +726,9 @@ ARTIFACT_GOLDENS = [
         {"subsets": [[1, 2]], "weights": [[2, 1]], "samples": 200, "bins": 3},
         "csv",
         7,
-        b"center_1,center_2,value\n-5.5,-2.5,0.0\n-5.5,-1.5,0.0\n-5.5,-0.5,0.0\n-2.5,-2.5,0.21\n-2.5,-1.5,0.42\n"
-        b"-2.5,-0.5,0.84\n0.5,-2.5,0.0\n0.5,-1.5,0.21\n0.5,-0.5,0.84\n",
+        b"center_1,center_2,value\n-5.5,-2.5,0.0\n-5.5,-1.5,0.0\n-5.5,-0.5,0.0\n-2.5,-2.5,0.4328540281729101\n"
+        b"-2.5,-1.5,1.450850245183717\n-2.5,-0.5,0.738297858607719\n0.5,-2.5,0.0\n0.5,-1.5,0.29758174813140287\n"
+        b"0.5,-0.5,-0.02693250609053495\n",
     ),
     (
         B2_GRID,
@@ -715,7 +736,7 @@ ARTIFACT_GOLDENS = [
         {"word": [1, 2, 1], "a": [1, 1, 1], "samples": 200, "shards": 2, "bins": [3, 2, 2]},
         "json",
         3,
-        b'{"a":[1,1,1],"samples":200,"total":4.575,"word":[1,2,1]}\n',
+        b'{"a":[1,1,1],"samples":200,"total":3.79050522016327,"word":[1,2,1]}\n',
     ),
     (
         B2_GRID,
@@ -724,10 +745,11 @@ ARTIFACT_GOLDENS = [
         "csv",
         3,
         b"center_1,center_2,center_3,value\n-4.166666666666666,-2.25,-0.75,0.0\n-4.166666666666666,-2.25,-0.25,0.0\n"
-        b"-4.166666666666666,-0.75,-0.75,0.0\n-4.166666666666666,-0.75,-0.25,0.0\n-2.5,-2.25,-0.75,0.75\n"
-        b"-2.5,-2.25,-0.25,0.0\n-2.5,-0.75,-0.75,0.0\n-2.5,-0.75,-0.25,0.22499999999999998\n"
-        b"-0.8333333333333333,-2.25,-0.75,0.8999999999999999\n-0.8333333333333333,-2.25,-0.25,0.44999999999999996\n"
-        b"-0.8333333333333333,-0.75,-0.75,1.125\n-0.8333333333333333,-0.75,-0.25,1.125\n",
+        b"-4.166666666666666,-0.75,-0.75,0.0\n-4.166666666666666,-0.75,-0.25,0.0\n-2.5,-2.25,-0.75,0.38880338330572395\n"
+        b"-2.5,-2.25,-0.25,0.15940300952343803\n-2.5,-0.75,-0.75,0.06576309386014975\n"
+        b"-2.5,-0.75,-0.25,0.39865702198439684\n-0.8333333333333333,-2.25,-0.75,0.5789604177965068\n"
+        b"-0.8333333333333333,-2.25,-0.25,0.11067989071094513\n-0.8333333333333333,-0.75,-0.75,0.9341186325904799\n"
+        b"-0.8333333333333333,-0.75,-0.25,1.1541197703916297\n",
     ),
     (
         "A2",
@@ -739,12 +761,12 @@ ARTIFACT_GOLDENS = [
         b'<rect x="0" y="48" width="24" height="24" fill="rgb(255,255,255)"/>\n'
         b'<rect x="0" y="24" width="24" height="24" fill="rgb(255,255,255)"/>\n'
         b'<rect x="0" y="0" width="24" height="24" fill="rgb(255,255,255)"/>\n'
-        b'<rect x="24" y="48" width="24" height="24" fill="rgb(255,170,170)"/>\n'
+        b'<rect x="24" y="48" width="24" height="24" fill="rgb(255,196,196)"/>\n'
         b'<rect x="24" y="24" width="24" height="24" fill="rgb(255,0,0)"/>\n'
-        b'<rect x="24" y="0" width="24" height="24" fill="rgb(255,128,128)"/>\n'
+        b'<rect x="24" y="0" width="24" height="24" fill="rgb(255,183,183)"/>\n'
         b'<rect x="48" y="48" width="24" height="24" fill="rgb(255,255,255)"/>\n'
-        b'<rect x="48" y="24" width="24" height="24" fill="rgb(255,212,212)"/>\n'
-        b'<rect x="48" y="0" width="24" height="24" fill="rgb(255,170,170)"/>\n'
+        b'<rect x="48" y="24" width="24" height="24" fill="rgb(255,219,219)"/>\n'
+        b'<rect x="48" y="0" width="24" height="24" fill="rgb(255,214,214)"/>\n'
         b"</svg>\n",
     ),
     (
@@ -864,7 +886,7 @@ ECHO_GOLDENS = [
         "A2",
         "cube-histogram",
         {"subsets": [[1, 2]], "weights": [[2, 1]], "samples": 200, "bins": 3},
-        "histogram total 3.15 [words [[1, 2, 1]]] -> OUT/cube-histogram.csv",
+        "histogram total 3.10849 [words [[1, 2, 1]]] -> OUT/cube-histogram.csv",
     ),
     (
         "A2",

@@ -48,7 +48,7 @@ def bound_value(cube, l, x):
 
 def density(cube, x):
     """ρ(x) ∈ {-1, 0, +1}, zero outside the region: the pointwise definition, kept as the
-    oracle for the batched density and the exact sums."""
+    oracle for the sampler's support and the exact sums."""
     x = tuple(Fraction(v) for v in x)
     sign_product = 1
     for l in range(cube.dim - 1, -1, -1):
@@ -121,6 +121,21 @@ class TestSignedVolume:
             est, err = cube.mc_volume(100_000, seed=11)
             assert abs(est - exact) < 4 * err
 
+    @pytest.mark.parametrize("name,subsets,lams", [
+        ("G2", [[1, 2]], [(1, 1)]),
+        ("A4", [[1, 2, 3, 4]], [(1, 1, 1, 1)]),
+        ("A3", [[1, 2, 3], [1, 2]], [(1, 1, 1), (1, 1, 0)]),
+    ], ids=["G2-flag", "A4-flag-rho", "A3-two-block"])
+    def test_flag_cube_monte_carlo_is_not_a_confident_zero(self, name, subsets, lams):
+        """Uniform samples over the bounding box, which outgrows these cubes a
+        million-fold, all missed the support and gave (0.0, 0.0)."""
+        rs = RootSystem.preset(name)
+        _, words = rs.blocks(subsets)
+        cube = TwistedCube(rs, words.flat, pullback_vector(rs, subsets, None, lams).flat)
+        exact = float(cube.signed_volume())
+        est, err = cube.mc_volume(100_000, seed=11)
+        assert err > 0 and abs(est - exact) < 4 * err
+
 
 class TestSignedLatticeCount:
     def test_one_dim(self):
@@ -145,11 +160,8 @@ class TestSignedLatticeCount:
 class TestUntwistedCase:
     def test_density_nonnegative_when_dominant(self):
         cube = TwistedCube(A2, (1, 2), (1, 1))
-        rng = np.random.default_rng(5)
-        lo = [float(a) for a, _ in cube.bounding_box()]
-        hi = [float(b) for _, b in cube.bounding_box()]
-        pts = rng.uniform(lo, hi, size=(2000, 2))
-        assert (cube._density_batch(pts) >= 0).all()
+        _, weights = cube.mc_sample(np.random.default_rng(5), 2000)
+        assert (weights >= 0).all()
 
     def test_signed_equals_plain_count(self):
         cube = TwistedCube(A2, (1, 2), (1, 1))
@@ -257,6 +269,10 @@ class TestMonteCarloHistogram:
         cube = TwistedCube(A1, (1,), (2,))
         with pytest.raises(ValueError):
             mc_histogram(cube, identity_projection(1), 8, 0, seed=1)
+
+    def test_edges_are_python_floats(self):
+        hist = mc_histogram(SL4_CUBE, SL4_PROJ, 4, 100, seed=1)
+        assert all(type(x) is float for edge in hist.edges for x in edge)
 
     def test_support_within_projected_box(self):
         hist = mc_histogram(SL4_CUBE, SL4_PROJ, 6, 50_000, seed=9)
@@ -472,6 +488,20 @@ def test_volume_and_moments_match_fraction_recursion(cube, data):
     assert cube.pushforward_moments(proj, m) == fraction_integral(cube, moment_integrand(cube, proj, m))
 
 
+@settings(max_examples=100, deadline=None)
+@given(rs=st.sampled_from([A2, B2, C2, G2]), data=st.data())
+def test_samples_lie_in_support(rs, data):
+    """Every sample with w ≠ 0 lies in the cube, open branches included, with
+    sign(w) = ρ(x) there."""
+    word = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=4), label="word")
+    a = data.draw(st.lists(st.integers(-3, 3), min_size=len(word), max_size=len(word)), label="a")
+    cube = TwistedCube(rs, word, a)
+    pts, weights = cube.mc_sample(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")), 200)
+    for x, w in zip(pts, weights):
+        if w:
+            assert density(cube, x) == np.sign(w), (x, w)
+
+
 @st.composite
 def flag_cubes(draw, max_dim=8):
     """(cube, projection_map) of 1-3 blocks over A2, A3, B2, C2, G2 with a in -2..3; a
@@ -586,45 +616,38 @@ def test_cube_artifacts_golden(tmp_path, root_system, command, params, expected)
     assert (tmp_path / "out.json").read_bytes() == expected
 
 
-# -- the streamed Monte Carlo pass against the materialising one it replaced -------
+# -- the streamed Monte Carlo pass against one materialised pass -------------------
 
 
 def materialised_sample(cube, samples, seed, shards):
-    """Every sample and its density at once, then the bounding-box volume."""
-    box = cube.bounding_box()
-    lo = np.array([float(a) for a, _ in box])
-    hi = np.array([float(b) for _, b in box])
-    vol = 1.0
-    for a, b in box:
-        vol *= float(b - a)
+    """Every sample and its weight, each shard's drawn at once."""
     per = samples // shards
     streams = np.random.SeedSequence(seed).spawn(shards)
-    pts = [np.random.default_rng(s).uniform(lo, hi, size=(per, cube.dim)) for s in streams]
-    return np.concatenate(pts), np.concatenate([cube._density_batch(p) for p in pts]), vol
+    pts, weights = zip(*(cube.mc_sample(np.random.default_rng(s), per) for s in streams))
+    return np.concatenate(pts), np.concatenate(weights)
 
 
 def materialised_moment(cube, projection, m, samples, seed, shards):
-    pts, rho, vol = materialised_sample(cube, samples, seed, shards)
+    pts, g = materialised_sample(cube, samples, seed, shards)
     proj = pts @ np.array(projection.matrix, dtype=float).T
-    g = rho.copy()
     for t, power in enumerate(m):
         if power:
             g *= proj[:, t] ** power
-    return vol * float(np.mean(g)), vol * float(np.std(g)) / math.sqrt(samples)
+    return float(np.mean(g)), float(np.std(g)) / math.sqrt(samples)
 
 
 def materialised_volume(cube, samples, seed, shards):
-    _, rho, vol = materialised_sample(cube, samples, seed, shards)
-    return vol * float(np.mean(rho)), vol * float(np.std(rho)) / math.sqrt(samples)
+    _, w = materialised_sample(cube, samples, seed, shards)
+    return float(np.mean(w)), float(np.std(w)) / math.sqrt(samples)
 
 
 def materialised_histogram(cube, projection, bins, samples, seed, shards):
-    pts, rho, vol = materialised_sample(cube, samples, seed, shards)
+    """One np.histogramdd pass over every sample: the binning oracle."""
+    pts, w = materialised_sample(cube, samples, seed, shards)
     proj = pts @ np.array(projection.matrix, dtype=float).T
     edges = [np.linspace(float(a), float(b), n + 1) for n, (a, b) in zip(bins, projected_box(cube, projection))]
-    hist, _ = np.histogramdd(proj, bins=edges, weights=rho)
-    hist *= vol / samples
-    return tuple(tuple(e) for e in edges), hist
+    hist, _ = np.histogramdd(proj, bins=edges, weights=w)
+    return tuple(tuple(map(float, e)) for e in edges), hist / samples
 
 
 STREAM_CASES = [
@@ -648,7 +671,7 @@ def test_stream_matches_materialised_pass(monkeypatch, case, shards, chunk):
     assert hist.edges == edges and hist.values.tobytes() == values.tobytes()
     est, err = cube.mc_volume(samples, seed, shards)
     want_est, want_err = materialised_volume(cube, samples, seed, shards)
-    assert est == want_est and err == pytest.approx(want_err, rel=1e-9)
+    assert est == pytest.approx(want_est, rel=1e-9) and err == pytest.approx(want_err, rel=1e-9)
     for m in [(1,) + (0,) * (proj.rows - 1), (0,) * (proj.rows - 1) + (2,), (1,) * proj.rows]:
         got = cube.mc_moment(proj, m, samples, seed, shards)
         assert got == pytest.approx(materialised_moment(cube, proj, m, samples, seed, shards), rel=1e-9), m
