@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Tensor-product decompositions via projected lattice points of string polytopes.
 
-Reproduces the SL(3) worked example (adjoint square) and then sweeps small
-dominant weights, cross-checking every table against the crystal-graph
-decomposition oracle.
+Decomposes the adjoint square (for A2, the SL(3) worked example) and then
+sweeps small dominant weights, cross-checking every table against the
+crystal-graph decomposition oracle.  The adjoint representation has the highest
+root as its highest weight.
 
-Run:  python scripts/decompose_tensor_products.py [rank]
+Run:  python scripts/decompose_tensor_products.py [rank | preset]
+      (a type-A rank such as 3, or a preset name such as B2, G2 or B3; default A2)
 """
 
 import sys
@@ -29,16 +31,22 @@ def show_table(rs, coords1, coords2):
     return status == "ok"
 
 
+def highest_root(rs):
+    """The positive root of greatest height, in ϖ-coordinates."""
+    beta = max(rs.positive_roots(), key=sum)
+    return sum((b * rs.simple_root_as_weight(j) for j, b in enumerate(beta, start=1)), start=rs.zero_weight()).coords
+
+
 def main():
-    rank = int(sys.argv[1]) if len(sys.argv) > 1 else 2
-    rs = RootSystem.preset(f"A{rank}")
+    name = sys.argv[1] if len(sys.argv) > 1 else "2"
+    rs = RootSystem.preset(f"A{name}" if name.isdigit() else name)
 
     print("== adjoint square ==")
-    adjoint = tuple(1 for _ in range(rank)) if rank == 2 else (1,) + (0,) * (rank - 2) + (1,)
+    adjoint = highest_root(rs)
     show_table(rs, adjoint, adjoint)
 
     print("\n== sweep of small dominant weights ==")
-    menu = [c for c in product(range(2), repeat=rank) if any(c)]
+    menu = [c for c in product(range(2), repeat=rs.n) if any(c)]
     good = True
     for c1 in menu:
         for c2 in menu:

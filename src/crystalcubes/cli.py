@@ -59,11 +59,28 @@ class JobConfig:
         output = raw.get("output", {})
         if not isinstance(output, dict) or set(output) - {"path", "format"}:
             raise ConfigError("output must be an object with keys path/format")
+        if _holds_bool(raw):
+            raise ConfigError("config values must not be booleans")
         try:
             seed, budget = index(raw.get("seed", 0)), index(raw.get("budget", DEFAULT_BUDGET))
         except TypeError:
             raise ConfigError("seed and budget must be integers") from None
         return cls(raw["root_system"], command, params, output, seed=seed, budget=budget)
+
+
+def _holds_bool(value) -> bool:
+    """Whether a JSON value holds a boolean at any depth: no command takes one, and
+    Python would read true as the integer 1."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, bool):
+            return True
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return False
 
 
 def _root_system(spec) -> RootSystem:

@@ -161,6 +161,8 @@ class TwistedCube:
         self.rs = rs
         self.word = tuple(map(index, word))
         self.a = tuple(map(index, a))
+        if not self.word:
+            raise ValueError("the word must not be empty")
         if len(self.word) != len(self.a):
             raise ValueError("word and integer vector lengths differ")
         for i in self.word:
@@ -175,7 +177,7 @@ class TwistedCube:
                 coef = -c[self.word[l] - 1][self.word[j] - 1]
                 if coef:
                     coeffs[j] = coef
-            forms.append((Fraction(const), coeffs))
+            forms.append((const, coeffs))
         self.forms = tuple(forms)
 
     @property
@@ -225,7 +227,7 @@ class TwistedCube:
             den *= scale
             const, coeffs = self.forms[l]
             bound = {unit[class_of[j]]: c for j, c in coeffs.items()}
-            bound[zero] = int(const)
+            bound[zero] = const
             p = MVPolynomial(nvars, terms).substitute(0, MVPolynomial(nvars, bound))
             g = math.gcd(den, *p.terms.values())
             if g > 1:
@@ -262,19 +264,19 @@ class TwistedCube:
 
     # -- Monte Carlo ------------------------------------------------------------
 
-    def bounding_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
+    def bounding_box(self) -> tuple[tuple[int, int], ...]:
         """Coordinate intervals guaranteed to contain the region, by interval
         arithmetic over the boxes of later coordinates (processed last to first)."""
-        lo = [Fraction(0)] * self.dim
-        hi = [Fraction(0)] * self.dim
+        lo = [0] * self.dim
+        hi = [0] * self.dim
         for l in range(self.dim - 1, -1, -1):
             const, coeffs = self.forms[l]
             bmin = bmax = const
             for j, c in coeffs.items():
                 bmin += min(c * lo[j], c * hi[j])
                 bmax += max(c * lo[j], c * hi[j])
-            lo[l] = min(Fraction(0), bmin)
-            hi[l] = max(Fraction(0), bmax)
+            lo[l] = min(0, bmin)
+            hi[l] = max(0, bmax)
         return tuple(zip(lo, hi))
 
     def mc_sample(self, rng: np.random.Generator, rows: int):
@@ -394,13 +396,13 @@ def _add_to_bins(padded: np.ndarray, edges, points: np.ndarray, weights: np.ndar
     np.add.at(padded.reshape(-1), np.ravel_multi_index(cells, padded.shape), weights)
 
 
-def projected_box(cube: TwistedCube, projection: ProjectionMap) -> tuple[tuple[Fraction, Fraction], ...]:
+def projected_box(cube: TwistedCube, projection: ProjectionMap) -> tuple[tuple[int, int], ...]:
     """Exact image intervals of the cube's bounding box under the 0/1 projection."""
     box = cube.bounding_box()
     out = []
     for row in projection.matrix:
-        lo = sum((a for (a, _), r in zip(box, row) if r), start=Fraction(0))
-        hi = sum((b for (_, b), r in zip(box, row) if r), start=Fraction(0))
+        lo = sum(a for (a, _), r in zip(box, row) if r)
+        hi = sum(b for (_, b), r in zip(box, row) if r)
         out.append((lo, hi))
     return tuple(out)
 

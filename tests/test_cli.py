@@ -521,11 +521,31 @@ def test_non_dominant_first_weight_exit_2(tmp_path, capsys):
     }
 
 
-@pytest.mark.parametrize("command", ["gen-demazure", "lattice-points"])
+@pytest.mark.parametrize(
+    "command", ["gen-demazure", "lattice-points", "cube-volume", "cube-moments", "cube-histogram", "cube-svg"]
+)
 def test_empty_word_exit_2(tmp_path, capsys, command):
     config = {"root_system": "A2", "command": command, "params": {"word": [], "a": []}}
     assert run_cli(tmp_path, config) == 2
     assert json.loads(capsys.readouterr().err) == {"error": {"kind": "invalid", "message": "the word must not be empty"}}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"root_system": "A2", "command": "cube-histogram", "params": {"word": [1, 2], "a": [1, 1], "samples": True}},
+        {"root_system": [[2]], "command": "crystal", "params": {"weight": [True]}},
+        {"root_system": "A2", "command": "cube-volume", "params": {"word": [1, 2], "a": [1, 1]}, "seed": True},
+    ],
+    ids=["param", "weight-coordinate", "seed"],
+)
+def test_boolean_exit_2(tmp_path, capsys, config):
+    # JSON true would otherwise be read as the integer 1
+    assert run_cli(tmp_path, config) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"kind": "config", "message": "config values must not be booleans"}
+    }
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
 
 
 def test_config_file_is_closed(tmp_path):
