@@ -212,6 +212,8 @@ class RootSystem:
         self._f_cache: dict = {}
         self._e_cache: dict = {}
         self._paths: dict = {}
+        # checked subset → its longest word; tuples only, so no cycle holds the root system
+        self._longest_words: dict = {}
         # s_i on path directions, one memo per i: directions lie in the Weyl orbits of the tops
         self._reflections = tuple(_ReflectionMemo(idx, col) for idx, col in enumerate(self._alpha_cols))
 
@@ -318,9 +320,12 @@ class RootSystem:
 
         Greedy descent: repeatedly apply the smallest i in I with ⟨v, α_i^∨⟩ > 0
         to v = Σ_{i∈I} ϖ_i until v is I-antidominant; `is_reduced` walks the
-        same descents to check a given word.
+        same descents to check a given word.  Each subset's word is built and checked
+        once per root system.
         """
         subset = self._check_subset(subset)
+        if subset in self._longest_words:
+            return self._longest_words[subset]
         v = tuple(1 if (k + 1) in subset else 0 for k in range(self.n))
         word: list[int] = []
         while True:
@@ -331,7 +336,8 @@ class RootSystem:
             v = self.reflect(v, i)
         if len(word) != len(self.positive_roots_in(subset)):
             raise InvariantError(f"greedy word {word} for {subset} is not a reduced word of the longest element")
-        return tuple(word)
+        self._longest_words[subset] = tuple(word)
+        return self._longest_words[subset]
 
     def _check_subset(self, subset: Sequence[int]) -> tuple[int, ...]:
         out = tuple(subset)

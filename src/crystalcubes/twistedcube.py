@@ -39,8 +39,11 @@ Monte Carlo samples down the same tower: for l = N-1 down to 0, x_l = A_l(x)·u_
 with u uniform in [0, 1)^N, so x_l is uniform on its branch, [A_l, 0] or (0, A_l).
 The weight (-1)^N Π A_l is ρ times the Π |A_l| that undoes the sampling density
 (sign(x_l)·|A_l| = A_l on either branch), so E[w·f(Lx)] = ∫ ρ f(Lx) dx and every
-sample lies in the support.  Histograms add the weights in sample order, as one
-np.histogramdd pass would, so no byte depends on how the samples are chunked.
+sample lies in the support.  Histograms find each sample's cell by arithmetic on
+the bin edges, checked against the same edges, and add the weights in sample order,
+as one np.histogramdd pass would, so no histogram byte depends on how the samples
+are chunked.  Moments sum each chunk before adding it to the running sums, so they
+agree across chunk sizes only up to rounding.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ import numpy as np
 
 from .rootsys import InvariantError, RootSystem, UnsupportedInputError
 
-_CHUNK = 1 << 16  # rows per Monte Carlo chunk; bounds memory, never the results
+# rows per Monte Carlo chunk, small enough that a chunk's temporaries stay in cache; it
+# bounds memory and never changes a histogram byte, but moments round per chunk
+_CHUNK = 1 << 14
 _SVG_CELL = 24  # side of one histogram cell in the SVG, in pixels
 
 
@@ -388,12 +393,31 @@ def _add_to_bins(padded: np.ndarray, edges, points: np.ndarray, weights: np.ndar
     """Add each weight, in sample order, to its cell of `padded` (the bins and an outlier
     cell at each end) by np.histogramdd's rule, so the bins equal one histogramdd pass for
     any chunking.  A helper, so that its temporaries die before the next chunk is drawn."""
-    cells = []
+    flat = np.zeros(len(weights), dtype=np.intp)
     for edge, x in zip(edges, points.T):
+        flat *= len(edge) + 1
+        flat += _cells(edge, x)
+    np.add.at(padded.reshape(-1), flat, weights)
+
+
+def _cells(edge: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cell of each x among the n bins of edge = linspace(a, b, n + 1) and the outlier cells
+    0 and n + 1, by np.histogramdd's rule: np.searchsorted(edge, x, side="right"), the k
+    with edge[k-1] ≤ x < edge[k], except that x = b goes to the last bin n.
+
+    For b > a no search runs: k is read off (x - a)·n/(b - a), which rounding leaves at
+    most one cell off, and corrected once against the edges padded with -inf and +inf.
+    A zero-span axis, where every edge is a, keeps the search."""
+    a, b, n = edge[0], edge[-1], len(edge) - 1
+    if b > a:
+        k = np.clip(np.floor((x - a) * (n / (b - a))), -1, n).astype(np.intp) + 1
+        bounds = np.concatenate(([-np.inf], edge, [np.inf]))
+        k -= x < bounds[k]
+        k += x >= bounds[k + 1]
+    else:
         k = np.searchsorted(edge, x, side="right")
-        k[x == edge[-1]] -= 1
-        cells.append(k)
-    np.add.at(padded.reshape(-1), np.ravel_multi_index(cells, padded.shape), weights)
+    k[x == b] -= 1
+    return k
 
 
 def projected_box(cube: TwistedCube, projection: ProjectionMap) -> tuple[tuple[int, int], ...]:

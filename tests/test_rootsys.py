@@ -1,5 +1,7 @@
 """Root-system arithmetic, Weyl words, and subset machinery."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -210,6 +212,32 @@ class TestLongestWord:
             word = rs.longest_word(subset)
             assert len(word) == len(rs.positive_roots_in(subset))
             assert rs.is_reduced_word_for_longest(word, subset)
+
+    def test_word_checked_once_per_subset(self, monkeypatch):
+        rs = RootSystem.preset("A3")
+        checks = []
+        positive_roots_in = RootSystem.positive_roots_in
+        monkeypatch.setattr(
+            RootSystem, "positive_roots_in", lambda self, s: checks.append(s) or positive_roots_in(self, s)
+        )
+        assert rs.longest_word(range(1, 4)) == rs.longest_word([1, 2, 3]) == rs.longest_word((1, 2, 3))
+        assert rs.longest_word([2]) == (2,)
+        assert checks == [(1, 2, 3), (2,)]
+        for bad in ([], [0], [3, 1], [1, 1]):
+            with pytest.raises(ValueError):
+                rs.longest_word(bad)
+
+    def test_word_memo_holds_no_cycle(self):
+        # the memo holds tuples only, so a dropped root system is freed by reference counting
+        rs = RootSystem.preset("A3")
+        rs.longest_word([1, 2, 3])
+        ref = weakref.ref(rs)
+        gc.disable()
+        try:
+            del rs
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_is_reduced(self):
         assert A2.is_reduced((1, 2, 1))

@@ -665,16 +665,67 @@ STREAM_CASES = [
 def test_stream_matches_materialised_pass(monkeypatch, case, shards, chunk):
     monkeypatch.setattr(twistedcube, "_CHUNK", chunk)
     cube, proj = STREAM_CASES[case]
-    samples, seed, bins = 4000, 17 + case, (3,) * proj.rows
-    hist = mc_histogram(cube, proj, bins, samples, seed, shards)
-    edges, values = materialised_histogram(cube, proj, bins, samples, seed, shards)
-    assert hist.edges == edges and hist.values.tobytes() == values.tobytes()
+    samples, seed = 4000, 17 + case
+    for n in (1, 3, 7, 30):
+        bins = (n,) * proj.rows
+        hist = mc_histogram(cube, proj, bins, samples, seed, shards)
+        edges, values = materialised_histogram(cube, proj, bins, samples, seed, shards)
+        assert hist.edges == edges and hist.values.tobytes() == values.tobytes(), n
     est, err = cube.mc_volume(samples, seed, shards)
     want_est, want_err = materialised_volume(cube, samples, seed, shards)
     assert est == pytest.approx(want_est, rel=1e-9) and err == pytest.approx(want_err, rel=1e-9)
     for m in [(1,) + (0,) * (proj.rows - 1), (0,) * (proj.rows - 1) + (2,), (1,) * proj.rows]:
         got = cube.mc_moment(proj, m, samples, seed, shards)
         assert got == pytest.approx(materialised_moment(cube, proj, m, samples, seed, shards), rel=1e-9), m
+
+
+def histogramdd_cells(edge, x):
+    """np.histogramdd's cell rule, as it reads: a search, then x on the last edge moved into the last bin."""
+    k = np.searchsorted(edge, x, side="right")
+    k[x == edge[-1]] -= 1
+    return k
+
+
+def near_edges(edge):
+    """Every edge, one ulp either side of it, and points outside the box."""
+    span = max(edge[-1] - edge[0], 1.0)
+    outside = [edge[0] - span, edge[-1] + span, -1e300, 1e300]
+    return np.concatenate([edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), outside])
+
+
+BOXES = [(0, 0), (-2, -2), (5, 5), (0, 1), (-1, 0), (-3, 7), (-7, -2), (2, 11), (-40, 37), (-1000, 3)]
+
+
+@pytest.mark.parametrize("a,b", BOXES)
+def test_cells_match_histogramdd_at_every_edge(a, b):
+    for n in range(1, 33):
+        edge = np.linspace(float(a), float(b), n + 1)
+        x = near_edges(edge)
+        assert np.array_equal(twistedcube._cells(edge, x), histogramdd_cells(edge, x)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(-60, 60),
+    span=st.integers(0, 60),
+    n=st.integers(1, 32),
+    xs=st.lists(st.floats(-200, 200), min_size=1, max_size=50),
+)
+def test_cells_match_histogramdd(a, span, n, xs):
+    edge = np.linspace(float(a), float(a + span), n + 1)
+    x = np.concatenate([np.array(xs), near_edges(edge)])
+    assert np.array_equal(twistedcube._cells(edge, x), histogramdd_cells(edge, x))
+
+
+@pytest.mark.parametrize("a", [(0, 0, 0), (1, 0, 0)], ids=["both-axes", "second-axis"])
+def test_zero_span_histogram_matches_histogramdd(a):
+    """A projected box of zero width on some axis: every sample lands on its one edge."""
+    cube, proj = TwistedCube(A2, (1, 2, 1), a), projection_map(A2, [(1, 2)])
+    assert projected_box(cube, proj)[1] == (0, 0)
+    for bins in [(1, 1), (4, 3)]:
+        hist = mc_histogram(cube, proj, bins, 3000, seed=2, shards=3)
+        edges, values = materialised_histogram(cube, proj, bins, 3000, 2, 3)
+        assert hist.edges == edges and hist.values.tobytes() == values.tobytes()
 
 
 def test_histogram_memory_independent_of_samples():
