@@ -25,6 +25,7 @@ from .rootsys import BudgetExceededError, InvariantError, RootSystem, Unsupporte
 
 TOP_KEYS = {"root_system", "command", "params", "output", "seed", "budget"}
 LIST_PARAMS = {"word", "a", "subsets", "weights", "words", "weight", "nu", "x"}
+TEXT_FORMATS = ("csv", "svg", "txt")
 
 
 class ConfigError(ValueError):
@@ -110,21 +111,22 @@ def _take(params: dict, allowed: dict) -> dict:
 
 
 # -- handlers: (root system, params, config) -> (artifact, text, summary) ----------
-# They call generate_crystal, graph_from_elements and the Demazure constructors
-# through this module's globals, looked up at call time, so a wrapper installed
-# on the module sees every call.
+# `text` is None or a function that builds the csv/svg/txt artifact; `_render` calls
+# it only when one of those formats is asked for.  Handlers call generate_crystal,
+# graph_from_elements and the Demazure constructors through this module's globals,
+# looked up at call time, so a wrapper installed on the module sees every call.
 
 
 def _crystal(rs: RootSystem, q: dict, config: JobConfig):
     graph = generate_crystal(rs, q["weight"], config.budget)
     summary = f"crystal with {graph.vertex_count} vertices, {len(graph.edges)} edges"
-    return graph.to_json_dict(), graph.to_edge_lines(), summary
+    return graph.to_json_dict(), graph.to_edge_lines, summary
 
 
 def _demazure(rs: RootSystem, q: dict, config: JobConfig):
     elements = demazure_crystal(rs, q["weight"], q["word"], config.budget)
     graph = graph_from_elements(rs, elements)
-    return graph.to_json_dict(), graph.to_edge_lines(), f"Demazure crystal with {len(elements)} elements"
+    return graph.to_json_dict(), graph.to_edge_lines, f"Demazure crystal with {len(elements)} elements"
 
 
 def _gen_demazure(rs: RootSystem, q: dict, config: JobConfig):
@@ -139,7 +141,7 @@ def _lattice_points(rs: RootSystem, q: dict, config: JobConfig):
     pts = stringpoly.lattice_points(rs, q["word"], q["a"], q.get("level", 1), config.budget)
     points = [list(x) for x in pts.points]
     artifact = {"word": q["word"], "a": q["a"], "level": pts.level, "count": len(pts), "points": points}
-    return artifact, "\n".join(pts.to_csv_lines()) + "\n", f"{len(pts)} lattice points"
+    return artifact, lambda: "\n".join(pts.to_csv_lines()) + "\n", f"{len(pts)} lattice points"
 
 
 def _multiplicity(rs: RootSystem, q: dict, config: JobConfig):
@@ -210,9 +212,9 @@ def _cube_histogram(rs: RootSystem, q: dict, config: JobConfig):
     hist = twistedcube.mc_histogram(cube, proj, q.get("bins", 20), samples, config.seed, q.get("shards", 1))
     artifact = {"word": list(cube.word), "a": list(cube.a), "samples": samples}
     if svg:
-        return artifact, twistedcube.render_histogram_svg(hist), "SVG rendered"
+        return artifact, lambda: twistedcube.render_histogram_svg(hist), "SVG rendered"
     artifact["total"] = hist.total()
-    return artifact, "\n".join(hist.to_csv_lines()) + "\n", f"histogram total {hist.total():.6g}"
+    return artifact, lambda: "\n".join(hist.to_csv_lines()) + "\n", f"histogram total {hist.total():.6g}"
 
 
 @dataclass(frozen=True)
@@ -271,6 +273,8 @@ def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_over
     path = config.output.get("path") or f"{config.command}.{fmt}"
     if not os.path.isabs(path):
         path = os.path.join(out_dir, path)
+    if fmt not in TEXT_FORMATS:
+        text = None  # frees what the builder holds, such as a whole crystal graph, before the dump
     _atomic_write(path, _render(artifact, text, fmt))
     if echo_word and "words" not in p and "words" in artifact:
         summary += f" [words {artifact['words']}]"
@@ -280,10 +284,10 @@ def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_over
 def _render(artifact, text, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(artifact, sort_keys=True, separators=(",", ":")) + "\n"
-    if fmt in ("csv", "svg", "txt"):
+    if fmt in TEXT_FORMATS:
         if text is None:
             raise ConfigError(f"this command has no {fmt} artifact")
-        return text
+        return text()
     raise ConfigError(f"unknown format {fmt!r}")
 
 

@@ -64,7 +64,7 @@ class Weight:
         return Weight(k * c for c in self.coords)
 
     def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.coords)
+        return all(type(c) is int for c in self.coords)  # _num stores integral values as int
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
@@ -214,6 +214,8 @@ class RootSystem:
         self._paths: dict = {}
         # checked subset → its longest word; tuples only, so no cycle holds the root system
         self._longest_words: dict = {}
+        # (subset, word) pairs that WordSequence.validate has verified; tuples only, too
+        self._verified_words: set = set()
         # s_i on path directions, one memo per i: directions lie in the Weyl orbits of the tops
         self._reflections = tuple(_ReflectionMemo(idx, col) for idx, col in enumerate(self._alpha_cols))
 
@@ -460,11 +462,17 @@ class WordSequence:
         return tuple(len(b) for b in self.blocks)
 
     def validate(self, rs: RootSystem, subsets: SubsetSequence) -> "WordSequence":
+        """Check each block against its subset.  A pair that passes is remembered by rs, so
+        checking it again is one set lookup; a pair that fails raises on every call."""
         if len(self.blocks) != subsets.r:
             raise ValueError("word sequence and subset sequence lengths differ")
-        for block, subset in zip(self.blocks, subsets.sets):
+        for pair in zip(subsets.sets, self.blocks):
+            if pair in rs._verified_words:
+                continue
+            subset, block = pair
             if not rs.is_reduced_word_for_longest(block, subset):
                 raise ValueError(f"block {block} is not a reduced word for the longest element of W_{subset}")
+            rs._verified_words.add(pair)
         return self
 
     @classmethod

@@ -35,6 +35,12 @@ their entries in every row with m_r > 0 (for `projection_map`, one class per
 class, the cube-side form of the tower of flag fibrations taken down to single
 letters: its number of variables depends on the rank and the moment, not on N.
 
+Each monomial is stored as one int with every exponent in a fixed-width bit field
+(packed exponent vectors: Monagan-Pearce, CASC 2007), so a product of monomials is
+one integer addition and the power of a variable is a shift and a mask.  No
+exponent exceeds the degree bound |m| + N (see `_sum_out`), so fields of
+(|m| + N).bit_length() bits never carry into each other.
+
 Monte Carlo samples down the same tower: for l = N-1 down to 0, x_l = A_l(x)·u_l
 with u uniform in [0, 1)^N, so x_l is uniform on its branch, [A_l, 0] or (0, A_l).
 The weight (-1)^N Π A_l is ρ times the Π |A_l| that undoes the sampling density
@@ -52,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add, index
+from operator import index
 
 import numpy as np
 
@@ -65,43 +71,50 @@ _SVG_CELL = 24  # side of one histogram cell in the SVG, in pixels
 
 
 class MVPolynomial:
-    """Sparse multivariate polynomial: exponent tuple → exact rational coefficient."""
+    """Sparse multivariate polynomial: packed exponent vector → exact coefficient.
 
-    __slots__ = ("nvars", "terms")
+    A monomial is one int whose bits [v·width, (v+1)·width) hold the exponent of x_v, so
+    the product of two monomials is the sum of their keys as long as no exponent reaches
+    2^width; the caller picks `width` from a bound on the total degree."""
 
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
+    __slots__ = ("width", "terms")
+
+    def __init__(self, width: int, terms: dict | None = None):
+        self.width = width
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
 
     def __mul__(self, other: "MVPolynomial") -> "MVPolynomial":
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return MVPolynomial(self.nvars, terms)
+        return MVPolynomial(self.width, terms)
 
     def substitute(self, idx: int, value: "MVPolynomial") -> "MVPolynomial":
         """Replace variable idx by a polynomial in the remaining variables, by Horner's
         rule: q_K, then q_K·value + q_{K-1}, ..., where q_k collects the x_idx^k terms."""
+        shift = idx * self.width
+        mask = (1 << self.width) - 1
         by_power: dict = {}
         for e, c in self.terms.items():
-            by_power.setdefault(e[idx], {})[e[:idx] + (0,) + e[idx + 1 :]] = c
+            k = (e >> shift) & mask
+            by_power.setdefault(k, {})[e - (k << shift)] = c
+        value_terms = tuple(value.terms.items())
         out: dict = {}
         for k in range(max(by_power, default=0), -1, -1):
             acc = by_power.get(k, {})
             for e1, c1 in out.items():
-                for e2, c2 in value.terms.items():
-                    key = tuple(map(add, e1, e2))
+                for e2, c2 in value_terms:
+                    key = e1 + e2
                     acc[key] = acc.get(key, 0) + c1 * c2
             out = acc
-        return MVPolynomial(self.nvars, out)
+        return MVPolynomial(self.width, out)
 
     def constant_value(self) -> Fraction:
-        for e, c in self.terms.items():
-            if any(e):
-                raise ValueError("polynomial is not constant")
-        return Fraction(self.terms.get((0,) * self.nvars, Fraction(0)))
+        if self.terms.keys() - {0}:
+            raise ValueError("polynomial is not constant")
+        return Fraction(self.terms.get(0, 0))
 
 
 def _power_integral(k: int) -> tuple[int, tuple[int, ...]]:
@@ -196,8 +209,9 @@ class TwistedCube:
         each coordinate l, x_l^k becomes step(k) = (d, f), that is Σ_j f_j x_l^j / d,
         and then x_l becomes A_l.
 
-        Slot 0 holds x_l; slot v ≥ 1 holds y_v, the sum of the coordinates j ≥ l of
-        class v, which share a letter and their entries in every row of `moment`.
+        Slot 0, the low bits of each packed key, holds x_l; slot v ≥ 1 holds y_v, the
+        sum of the coordinates j ≥ l of class v, which share a letter and their entries
+        in every row of `moment`.
         Before its step, x_l is split off its class, y_v := x + y_v, or y_v := x at
         the class's last coordinate, which drops the class.  The polynomial is kept
         as integer numerators over one denominator, which only the steps multiply
@@ -208,36 +222,41 @@ class TwistedCube:
         class_of = [slots.setdefault((i, *(row[j] for row, _ in moment)), len(slots) + 1)
                     for j, i in enumerate(self.word)]
         last = {v: l for l, v in enumerate(class_of)}
-        nvars = len(slots) + 1
-        zero = (0,) * nvars
-        unit = [tuple(int(k == v) for k in range(nvars)) for v in range(nvars)]
-        p = MVPolynomial(nvars, {zero: 1})
+        # p_0 has total degree |m|; each step raises it by at most 1, and both substitutions
+        # (y_v := x + y_v, x := A_l) are affine, so no exponent ever exceeds |m| + N and
+        # fields of this width never carry into each other
+        width = (sum(power for _, power in moment) + self.dim).bit_length()
+        mask = (1 << width) - 1
+        unit = [1 << (v * width) for v in range(len(slots) + 1)]
+        p = MVPolynomial(width, {0: 1})
         for row, power in moment:
-            linear = MVPolynomial(nvars, {unit[v]: c for v, c in zip(class_of, row)})
+            linear = MVPolynomial(width, {unit[v]: c for v, c in zip(class_of, row)})
             for _ in range(power):
                 p = p * linear
         den = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
-        p = MVPolynomial(nvars, {e: int(c * den) for e, c in p.terms.items()})
+        p = MVPolynomial(width, {e: int(c * den) for e, c in p.terms.items()})
         for l, v in enumerate(class_of):
             split = {unit[0]: 1} if last[v] == l else {unit[0]: 1, unit[v]: 1}
-            p = p.substitute(v, MVPolynomial(nvars, split))
-            rows = {k: step(k) for k in {e[0] for e in p.terms}}
+            p = p.substitute(v, MVPolynomial(width, split))
+            rows = {k: step(k) for k in {e & mask for e in p.terms}}
             scale = math.lcm(*(d for d, _ in rows.values()))
             rows = {k: [(j, fj * (scale // d)) for j, fj in enumerate(f) if fj] for k, (d, f) in rows.items()}
             terms: dict = {}
             for e, c in p.terms.items():
-                for j, fj in rows[e[0]]:
-                    key = (j,) + e[1:]
+                k = e & mask
+                rest = e - k
+                for j, fj in rows[k]:
+                    key = rest + j
                     terms[key] = terms.get(key, 0) + c * fj
             den *= scale
             const, coeffs = self.forms[l]
             bound = {unit[class_of[j]]: c for j, c in coeffs.items()}
-            bound[zero] = const
-            p = MVPolynomial(nvars, terms).substitute(0, MVPolynomial(nvars, bound))
+            bound[0] = const
+            p = MVPolynomial(width, terms).substitute(0, MVPolynomial(width, bound))
             g = math.gcd(den, *p.terms.values())
             if g > 1:
                 den //= g
-                p = MVPolynomial(nvars, {e: c // g for e, c in p.terms.items()})
+                p = MVPolynomial(width, {e: c // g for e, c in p.terms.items()})
         return (-1) ** self.dim * Fraction(p.constant_value(), den)
 
     def _multi_index(self, projection: ProjectionMap, multi_index) -> tuple[int, ...]:

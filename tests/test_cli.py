@@ -3,11 +3,12 @@
 import gc
 import json
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
 
-from crystalcubes import cli, twistedcube
+from crystalcubes import cli, crystal, stringpoly, twistedcube
 from crystalcubes.cli import main
 from crystalcubes.rootsys import RootSystem
 
@@ -144,6 +145,48 @@ def test_crystal_json_and_edges(tmp_path):
     assert run_cli(tmp_path, config) == 0
     text = (tmp_path / "adjoint.txt").read_text()
     assert text.count("->") == 8 and "[label=1]" in text
+
+
+@pytest.mark.parametrize("command,params,owner,builder", [
+    ("crystal", {"weight": [1, 1]}, crystal.CrystalGraph, "to_edge_lines"),
+    ("demazure", {"weight": [1, 1], "word": [1, 2]}, crystal.CrystalGraph, "to_edge_lines"),
+    ("lattice-points", {"word": [1, 2, 1], "a": [1, 0, 1]}, stringpoly.LatticePointSet, "to_csv_lines"),
+    ("cube-histogram", {"word": [1, 2], "a": [1, 1], "samples": 1000}, twistedcube.SignedHistogram, "to_csv_lines"),
+    ("cube-svg", {"word": [1, 2], "a": [1, 1], "samples": 1000}, twistedcube, "render_histogram_svg"),
+])
+def test_text_built_only_for_text_formats(tmp_path, monkeypatch, command, params, owner, builder):
+    """A JSON artifact never builds the csv/svg/txt text; a text format builds it once."""
+    built = []
+    original = getattr(owner, builder)
+    monkeypatch.setattr(owner, builder, lambda *args: built.append(1) or original(*args))
+    config = {"root_system": "A2", "command": command, "params": params, "output": {"path": "out.json", "format": "json"}}
+    assert run_cli(tmp_path, config) == 0
+    assert built == []
+    fmt = {"cube-svg": "svg", "crystal": "txt", "demazure": "txt"}.get(command, "csv")
+    config["output"] = {"path": f"out.{fmt}", "format": fmt}
+    assert run_cli(tmp_path, config) == 0
+    assert built == [1]
+
+
+def test_json_dump_holds_no_graph(tmp_path, monkeypatch):
+    """The crystal graph behind the unused text builder is freed before the JSON dump."""
+    generate, render = cli.generate_crystal, cli._render
+    refs, alive = [], []
+
+    def record(*args):
+        graph = generate(*args)
+        refs.append(weakref.ref(graph))
+        return graph
+
+    def spy(*args):
+        alive.append(refs[0]() is not None)
+        return render(*args)
+
+    monkeypatch.setattr(cli, "generate_crystal", record)
+    monkeypatch.setattr(cli, "_render", spy)
+    config = {"root_system": "A2", "command": "crystal", "params": {"weight": [1, 1]}, "output": {"path": "g.json"}}
+    assert run_cli(tmp_path, config) == 0
+    assert alive == [False]
 
 
 def test_lattice_points_csv_default(tmp_path):

@@ -228,9 +228,10 @@ class TestLongestWord:
                 rs.longest_word(bad)
 
     def test_word_memo_holds_no_cycle(self):
-        # the memo holds tuples only, so a dropped root system is freed by reference counting
+        # the memos hold tuples only, so a dropped root system is freed by reference counting
         rs = RootSystem.preset("A3")
         rs.longest_word([1, 2, 3])
+        rs.blocks([[1, 2]], [[2, 1, 2]])
         ref = weakref.ref(rs)
         gc.disable()
         try:
@@ -318,6 +319,23 @@ class TestSequences:
             WordSequence([(1, 2), (3,)]).validate(A3, subs)
         with pytest.raises(ValueError):
             WordSequence([(1, 2, 1), (1,)]).validate(A3, subs)
+
+    def test_word_pair_verified_once(self, monkeypatch):
+        rs = RootSystem.preset("A3")
+        checks = []
+        check = RootSystem.is_reduced_word_for_longest
+        monkeypatch.setattr(
+            RootSystem, "is_reduced_word_for_longest", lambda self, w, s: checks.append((s, w)) or check(self, w, s)
+        )
+        subs = SubsetSequence([(1, 2), (3,)])
+        for _ in range(2):
+            WordSequence([(2, 1, 2), (3,)]).validate(rs, subs)
+        assert checks == [((1, 2), (2, 1, 2)), ((3,), (3,))]
+        # a failing pair is never remembered: every call checks it again and raises the same error
+        for attempt in range(1, 3):
+            with pytest.raises(ValueError, match=r"block \(1, 2\) is not a reduced word for the longest element of W_\(1, 2\)"):
+                WordSequence([(2, 1, 2), (1, 2)]).validate(rs, SubsetSequence([(1, 2), (1, 2)]))
+            assert checks[2:] == [((1, 2), (1, 2))] * attempt
 
     def test_non_integer_entries_rejected(self):
         with pytest.raises(TypeError):

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import numpy as np
 import pytest
@@ -297,35 +298,47 @@ class TestSvg:
             render_histogram_svg(hist)
 
 
+def pack(e, width=4):
+    """The packed key of the exponent vector e: e_v in bits [v·width, (v+1)·width)."""
+    return sum(k << (v * width) for v, k in enumerate(e))
+
+
+def packed(p, width=4):
+    """A TuplePolynomial as an MVPolynomial with packed keys."""
+    return MVPolynomial(width, {pack(e, width): c for e, c in p.terms.items()})
+
+
 class TestMVPolynomial:
     def test_antiderivative(self):
-        p = MVPolynomial(2, {(1, 0): Fraction(2)})  # 2x
-        q = antiderivative(p, 0)
-        assert q.terms == {(2, 0): Fraction(1)}
+        # 2x integrates to x^2 under the oracle, and the packed keys read the same
+        q = antiderivative(TuplePolynomial(2, {(1, 0): Fraction(2)}), 0)
+        assert packed(q).terms == {pack((2, 0)): Fraction(1)}
 
     def test_substitute(self):
         # (x0)^2 with x0 := x1 + 1 gives x1^2 + 2x1 + 1
-        p = MVPolynomial(2, {(2, 0): Fraction(1)})
-        value = MVPolynomial(2, {(0, 1): Fraction(1), (0, 0): Fraction(1)})
+        p = MVPolynomial(4, {pack((2, 0)): Fraction(1)})
+        value = MVPolynomial(4, {pack((0, 1)): Fraction(1), pack((0, 0)): Fraction(1)})
         q = p.substitute(0, value)
-        assert q.terms == {(0, 2): Fraction(1), (0, 1): Fraction(2), (0, 0): Fraction(1)}
+        assert q.terms == {pack((0, 2)): Fraction(1), pack((0, 1)): Fraction(2), pack((0, 0)): Fraction(1)}
 
     def test_substitute_colliding_terms(self):
         # x0^2 + 3 x0 x1 - 4 x1^2 - 2 x1 + x2 with x0 := x1 - 1/2:
         # x1^2 - x1 + 1/4  +  3 x1^2 - 3/2 x1  -  4 x1^2  -  2 x1  +  x2, so x1^2 cancels
-        p = MVPolynomial(3, {(2, 0, 0): Fraction(1), (1, 1, 0): Fraction(3), (0, 2, 0): Fraction(-4),
-                             (0, 1, 0): Fraction(-2), (0, 0, 1): Fraction(1)})
-        value = MVPolynomial(3, {(0, 1, 0): Fraction(1), (0, 0, 0): Fraction(-1, 2)})
+        p = MVPolynomial(4, {pack((2, 0, 0)): Fraction(1), pack((1, 1, 0)): Fraction(3),
+                             pack((0, 2, 0)): Fraction(-4), pack((0, 1, 0)): Fraction(-2),
+                             pack((0, 0, 1)): Fraction(1)})
+        value = MVPolynomial(4, {pack((0, 1, 0)): Fraction(1), pack((0, 0, 0)): Fraction(-1, 2)})
         q = p.substitute(0, value)
-        assert q.terms == {(0, 1, 0): Fraction(-9, 2), (0, 0, 0): Fraction(1, 4), (0, 0, 1): Fraction(1)}
+        assert q.terms == {pack((0, 1, 0)): Fraction(-9, 2), pack((0, 0, 0)): Fraction(1, 4),
+                           pack((0, 0, 1)): Fraction(1)}
         assert all(type(c) is Fraction for c in q.terms.values())
         # a substitution that cancels every term leaves the zero polynomial
-        diff = MVPolynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
-        assert diff.substitute(0, MVPolynomial(2, {(0, 1): Fraction(1)})).terms == {}
+        diff = MVPolynomial(4, {pack((1, 0)): Fraction(1), pack((0, 1)): Fraction(-1)})
+        assert diff.substitute(0, MVPolynomial(4, {pack((0, 1)): Fraction(1)})).terms == {}
 
     def test_constant_value_rejects_nonconstant(self):
         with pytest.raises(ValueError):
-            MVPolynomial(1, {(1,): Fraction(1)}).constant_value()
+            MVPolynomial(4, {pack((1,)): Fraction(1)}).constant_value()
 
 
 rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -378,15 +391,54 @@ def brute_force_count(cube):
     return (-1) ** n * rec(n - 1, [0] * n)
 
 
+class TuplePolynomial:
+    """The tuple-keyed polynomial the exact engine ran on before its keys were packed:
+    exponent tuple → exact coefficient, kept as the oracle for the packed engine."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return TuplePolynomial(self.nvars, terms)
+
+    def substitute(self, idx, value):
+        """Horner's rule on exponent tuples, as MVPolynomial.substitute is on packed keys."""
+        by_power = {}
+        for e, c in self.terms.items():
+            by_power.setdefault(e[idx], {})[e[:idx] + (0,) + e[idx + 1 :]] = c
+        out = {}
+        for k in range(max(by_power, default=0), -1, -1):
+            acc = by_power.get(k, {})
+            for e1, c1 in out.items():
+                for e2, c2 in value.terms.items():
+                    key = tuple(map(add, e1, e2))
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            out = acc
+        return TuplePolynomial(self.nvars, out)
+
+    def constant_value(self):
+        if any(any(e) for e in self.terms):
+            raise ValueError("polynomial is not constant")
+        return Fraction(self.terms.get((0,) * self.nvars, Fraction(0)))
+
+
 def constant(nvars, c):
-    return MVPolynomial(nvars, {(0,) * nvars: Fraction(c)})
+    return TuplePolynomial(nvars, {(0,) * nvars: Fraction(c)})
 
 
 def poly_sum(p, q):
     terms = dict(p.terms)
     for e, c in q.terms.items():
         terms[e] = terms.get(e, 0) + c
-    return MVPolynomial(p.nvars, terms)
+    return TuplePolynomial(p.nvars, terms)
 
 
 def antiderivative(p, idx):
@@ -395,19 +447,19 @@ def antiderivative(p, idx):
     for e, c in p.terms.items():
         e2 = e[:idx] + (e[idx] + 1,) + e[idx + 1 :]
         terms[e2] = c / (e[idx] + 1)
-    return MVPolynomial(p.nvars, terms)
+    return TuplePolynomial(p.nvars, terms)
 
 
 def old_substitute(p, idx, value):
-    """MVPolynomial.substitute as it was: one polynomial sum per term."""
+    """The substitution before Horner's rule: one polynomial sum per term."""
     max_k = max((e[idx] for e in p.terms), default=0)
     powers = [constant(p.nvars, 1)]
     for _ in range(max_k):
         powers.append(powers[-1] * value)
-    out = MVPolynomial(p.nvars, {})
+    out = TuplePolynomial(p.nvars, {})
     for e, c in p.terms.items():
         rest = e[:idx] + (0,) + e[idx + 1 :]
-        out = poly_sum(out, MVPolynomial(p.nvars, {rest: c}) * powers[e[idx]])
+        out = poly_sum(out, TuplePolynomial(p.nvars, {rest: c}) * powers[e[idx]])
     return out
 
 
@@ -417,7 +469,7 @@ def bound_polynomial(cube, l):
     terms = {(0,) * cube.dim: int(const)}
     for j, c in coeffs.items():
         terms[tuple(int(k == j) for k in range(cube.dim))] = c
-    return MVPolynomial(cube.dim, terms)
+    return TuplePolynomial(cube.dim, terms)
 
 
 def fraction_integral(cube, p0):
@@ -433,7 +485,7 @@ def n_variable_sum(cube, p0, step):
     recursion replaced: x_l^k becomes step(k), then x_l becomes A_l."""
     n = cube.dim
     den = math.lcm(*(Fraction(c).denominator for c in p0.terms.values()))
-    p = MVPolynomial(n, {e: int(c * den) for e, c in p0.terms.items()})
+    p = TuplePolynomial(n, {e: int(c * den) for e, c in p0.terms.items()})
     for l in range(n):
         rows = {k: step(k) for k in {e[l] for e in p.terms}}
         scale = math.lcm(*(d for d, _ in rows.values()))
@@ -446,18 +498,18 @@ def n_variable_sum(cube, p0, step):
                     key = e[:l] + (j,) + e[l + 1 :]
                     terms[key] = terms.get(key, 0) + c * fj
         den *= scale
-        p = MVPolynomial(n, terms).substitute(l, bound_polynomial(cube, l))
+        p = TuplePolynomial(n, terms).substitute(l, bound_polynomial(cube, l))
         g = math.gcd(den, *p.terms.values())
         if g > 1:
             den //= g
-            p = MVPolynomial(n, {e: c // g for e, c in p.terms.items()})
+            p = TuplePolynomial(n, {e: c // g for e, c in p.terms.items()})
     return (-1) ** n * Fraction(p.constant_value(), den)
 
 
 def moment_integrand(cube, projection, m):
     p0 = constant(cube.dim, 1)
     for row, power in zip(projection.matrix, m):
-        linear = MVPolynomial(cube.dim, {tuple(int(k == j) for k in range(cube.dim)): Fraction(coef)
+        linear = TuplePolynomial(cube.dim, {tuple(int(k == j) for k in range(cube.dim)): Fraction(coef)
                                          for j, coef in enumerate(row)})
         for _ in range(power):
             p0 = p0 * linear
@@ -522,12 +574,14 @@ def flag_cubes(draw, max_dim=8):
 @settings(max_examples=60, deadline=None)
 @given(case=flag_cubes(), data=st.data())
 def test_letter_classes_match_n_variable_engine(case, data):
+    """The packed letter-class engine against the tuple-key N-variable oracle: volume,
+    count, and moments of degree 1-4 under the flag and the identity projection."""
     cube, flag_proj = case
     one = constant(cube.dim, 1)
     assert cube.signed_volume() == n_variable_sum(cube, one, twistedcube._power_integral)
     assert cube.signed_lattice_count() == n_variable_sum(cube, one, twistedcube._strict_power_sum)
     for proj in (flag_proj, identity_projection(cube.dim)):
-        rows = data.draw(st.lists(st.integers(0, proj.rows - 1), min_size=1, max_size=2), label="moment rows")
+        rows = data.draw(st.lists(st.integers(0, proj.rows - 1), min_size=1, max_size=4), label="moment rows")
         m = tuple(rows.count(t) for t in range(proj.rows))
         want = n_variable_sum(cube, moment_integrand(cube, proj, m), twistedcube._power_integral)
         assert cube.pushforward_moments(proj, m) == want, m
@@ -541,6 +595,38 @@ def test_letter_classes_with_mixed_integer_rows():
     for m in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
         want = n_variable_sum(cube, moment_integrand(cube, proj, m), twistedcube._power_integral)
         assert cube.pushforward_moments(proj, m) == want, m
+
+
+def largest_exponent(p):
+    """The largest exponent in any field of p's packed keys."""
+    mask, top = (1 << p.width) - 1, 0
+    for e in p.terms:
+        while e:
+            top = max(top, e & mask)
+            e >>= p.width
+    return top
+
+
+@pytest.mark.parametrize("cube,m", [
+    (TwistedCube(G2, (1, 2, 1, 2, 1), (1, 0, 2, -1, 1)), 2),
+    (TwistedCube(A2, (2, 1, 2), (1, -2, 3)), 4),
+])
+def test_largest_exponent_fills_its_field(monkeypatch, cube, m):
+    """|m| + N = 7 = 2^3 - 1 for the moment (x_1 + ... + x_N)^m: the keys are 3 bits a
+    field, and the last coordinate reaches the power 7 without carrying into the next."""
+    proj = ProjectionMap(((1,) * cube.dim,))
+    widths, tops = set(), []
+
+    def spy(p, idx, value):
+        widths.add(p.width)
+        tops.append(largest_exponent(p))
+        return substitute(p, idx, value)
+
+    substitute = MVPolynomial.substitute
+    monkeypatch.setattr(MVPolynomial, "substitute", spy)
+    want = n_variable_sum(cube, moment_integrand(cube, proj, (m,)), twistedcube._power_integral)
+    assert cube.pushforward_moments(proj, (m,)) == want
+    assert widths == {3} and max(tops) == 7
 
 
 def test_a4_flag_cube_dim_19():
