@@ -33,13 +33,9 @@ from .crystal import (
 )
 from .demazure import (
     GenDemazureCrystal,
-    StringVector,
     demazure_crystal,
     gen_demazure_crystal,
     gen_demazure_crystal_weights,
-    omega,
-    omega_blocked,
-    rebuild_from_omega,
 )
 from .stringpoly import (
     LatticePointSet,

@@ -23,7 +23,7 @@ the generalized Demazure crystals B_{I,λ}.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -393,32 +393,6 @@ class CrystalGraph:
         lines = [f"{u} -> {v} [label={i}]" for (u, i, v) in self.edges]
         return "\n".join(lines) + "\n"
 
-    def canonical_form(self):
-        """Isomorphism invariant: BFS relabeling from the highest vertex, colors ascending.
-
-        Works for graphs whose vertices are all reachable from the highest
-        vertex, which holds for f-generated crystals; per-color out-degree ≤ 1
-        makes the traversal order canonical.
-        """
-        root = self.highest
-        if root is None:
-            raise ValueError("canonical_form needs a highest vertex")
-        succ = {}
-        for u, i, v in self.edges:
-            succ.setdefault(u, {})[i] = v
-        order = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for i in sorted(succ.get(u, {})):
-                v = succ[u][i]
-                if v not in order:
-                    order[v] = len(order)
-                    queue.append(v)
-        if len(order) != self.vertex_count:
-            raise ValueError("graph is not reachable from the root")
-        return (self.vertex_count, tuple(sorted((order[u], i, order[v]) for u, i, v in self.edges)))
-
 
 def _coord_json(c):
     return c if isinstance(c, int) else str(Fraction(c))
@@ -474,17 +448,12 @@ def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> Cryst
     return graph_from_elements(rs, _closure_of_top(rs, lam, budget))
 
 
-def crystal_elements(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> tuple:
-    """The elements of B(λ) in vertex order."""
-    return tuple(_vertex_order(_closure_of_top(rs, lam, budget)))
-
-
 def tensor_product_elements(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> list:
     """Full element set of B(λ_1) ⊗ ... ⊗ B(λ_r) (the Cartesian product set)."""
     components = []
     total = 1
     for lam in lams:
-        verts = crystal_elements(rs, lam, budget)
+        verts = _vertex_order(_closure_of_top(rs, lam, budget))
         total *= len(verts)
         if total > budget:
             raise BudgetExceededError(f"tensor crystal exceeds budget of {budget} elements")

@@ -6,6 +6,8 @@ under f_i for the letters of block r's word, right to left, then b_{λ_{r-1}}
 is tensored on the left and the set is closed under block r-1's letters, and
 so on outward.  The parametrization Ω peels the same way from the outside:
 raise maximally along block k's letters, then drop the exposed b_{λ_k}.
+An Ω value is a plain tuple of ints in flat-letter order (the block sizes are
+`words.block_sizes`), read through `GenDemazureCrystal.omega_map()`.
 `_peeler` peels a whole element set with one memo on (element, flat letter
 position): each e-string is walked once, and every element on it is recorded
 at that position, so elements that share a raised state share the rest of Ω.
@@ -38,27 +40,6 @@ from .crystal import (
 from .rootsys import InvariantError, RootSystem, WordSequence
 
 
-@dataclass(frozen=True)
-class StringVector:
-    """Nonnegative integer exponents grouped into blocks matching a word."""
-
-    entries: tuple[int, ...]
-    block_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.block_sizes) != len(self.entries):
-            raise ValueError("block sizes do not match entry count")
-        if any(x < 0 for x in self.entries):
-            raise ValueError("string vector entries must be nonnegative")
-
-    def tail(self, from_block: int = 1) -> tuple[int, ...]:
-        pos = sum(self.block_sizes[:from_block])
-        return self.entries[pos:]
-
-    def head(self, blocks: int = 1) -> tuple[int, ...]:
-        return self.entries[: sum(self.block_sizes[:blocks])]
-
-
 def _saturate(rs: RootSystem, tops, blocks, budget: int) -> frozenset:
     """b_{λ_1} ⊗ (... ⊗ b_{λ_r}), closed under each block's letters, innermost block first."""
     tails = [()]
@@ -76,14 +57,15 @@ def _peeler(rs: RootSystem, tops, blocks):
     element on the e-string walked from b at p reaches the same top, so the walk
     records them all at p, each with its distance to the top, and a walk that meets
     an element recorded at p stops there.  The memo lives as long as the returned
-    function.
+    function.  Ω(b) is a tuple of ints in flat-letter order.  Only elements of the
+    crystal saturated from ``tops`` along ``blocks`` are peeled here, so a peel that
+    does not expose b_{λ_k} is a defect of the program.
     """
     letters = [(i, k, pos == len(block) - 1) for k, block in enumerate(blocks) for pos, i in enumerate(block)]
-    sizes = tuple(len(block) for block in blocks)
     last = len(blocks) - 1
     memo = [{} for _ in letters]  # memo[p][b]: the Ω-entries from position p on
 
-    def peel(b) -> StringVector:
+    def peel(b) -> tuple[int, ...]:
         walked = []  # (position, elements raised through it, lowest first)
         p = 0
         while p < len(letters) and b not in memo[p]:
@@ -98,7 +80,7 @@ def _peeler(rs: RootSystem, tops, blocks):
                 break
             if ends_block:
                 if b.factors[0] != tops[k]:
-                    raise ValueError("element is not in the generalized Demazure crystal (peeling failed)")
+                    raise InvariantError("element is not in the generalized Demazure crystal (peeling failed)")
                 if k < last:
                     b = TensorElement._of_valid(b.factors[1:])
             p += 1
@@ -110,7 +92,7 @@ def _peeler(rs: RootSystem, tops, blocks):
             for d, c in enumerate(reversed(string)):
                 seen[c] = (x + d,) + rest
             entries = seen[string[0]]
-        return StringVector(entries, sizes)
+        return entries
 
     return peel
 
@@ -154,7 +136,7 @@ class GenDemazureCrystal:
         return self._omega
 
     def omega_vectors(self) -> list[tuple[int, ...]]:
-        return sorted(sv.entries for sv in self.omega_map().values())
+        return sorted(self.omega_map().values())
 
     def components(self) -> list[dict]:
         """Connected pieces of the in-set crystal graph with their highest weights."""
@@ -212,7 +194,8 @@ def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) 
         raise ValueError("exponent vector entries must be nonnegative")
     for i in word:
         rs._check_index(i)
-    tops, blocks = _singleton_blocks(rs, word, a)
+    tops = tuple(highest_path(rs, a_k * rs.fundamental_weight(i)) for i, a_k in zip(word, a))
+    blocks = tuple((i,) for i in word)
     return GenDemazureCrystal(
         rs=rs,
         elements=_saturate(rs, tops, blocks, budget),
@@ -220,12 +203,6 @@ def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) 
         shape={"kind": "word", "a": list(a)},
         tops=tops,
     )
-
-
-def _singleton_blocks(rs: RootSystem, word, a) -> tuple:
-    """The tops b_{a_k ϖ_{i_k}} and blocks (i_k,) of B_{i,a}."""
-    tops = tuple(highest_path(rs, a[k] * rs.fundamental_weight(i)) for k, i in enumerate(word))
-    return tops, tuple((i,) for i in word)
 
 
 def gen_demazure_crystal_weights(
@@ -251,37 +228,3 @@ def gen_demazure_crystal_weights(
         },
         tops=tops,
     )
-
-
-def omega(rs: RootSystem, word, a, b) -> StringVector:
-    """Generalized string parametrization on B_{i,a}: raise maximally, peel, repeat."""
-    word = tuple(word)
-    current = b if isinstance(b, TensorElement) else TensorElement((b,))
-    if len(current.factors) != len(word):
-        raise ValueError("element factor count does not match the word")
-    return _peeler(rs, *_singleton_blocks(rs, word, a))(current)
-
-
-def omega_blocked(rs: RootSystem, subsets, words, lams, b) -> StringVector:
-    """Parametrization of B_{I,λ_1..λ_r}: per-block maximal raising, peeling b_{λ_k} after block k."""
-    subsets, words = rs.blocks(subsets, words)
-    lams = rs.block_weights(subsets, lams, dominant=True)
-    current = b if isinstance(b, TensorElement) else TensorElement((b,))
-    if len(current.factors) != subsets.r:
-        raise ValueError("element factor count does not match the subset sequence")
-    return _peeler(rs, [highest_path(rs, lam) for lam in lams], words.blocks)(current)
-
-
-def rebuild_from_omega(rs: RootSystem, word, a, sv: StringVector) -> TensorElement:
-    """Inverse of omega: apply the nested f-pattern with the given exponents."""
-    word = tuple(word)
-    tops, _ = _singleton_blocks(rs, word, a)
-    tail = ()
-    for k in reversed(range(len(word))):
-        current = TensorElement((tops[k],) + tail)
-        for _ in range(sv.entries[k]):
-            current = path_f(rs, current, word[k])
-            if current is None:
-                raise ValueError("exponent pattern leaves the crystal")
-        tail = current.factors
-    return TensorElement(tail)

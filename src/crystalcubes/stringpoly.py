@@ -101,7 +101,7 @@ def _projected(rs: RootSystem, subsets, lams, words, budget: int) -> tuple:
         b = TensorElement._of_valid(tops + x.factors)
         if not is_highest(rs, b):
             continue
-        tail = peel(x).entries
+        tail = peel(x)
         if tail in highest:
             raise InvariantError("string parametrization failed to separate elements")
         highest[tail] = b
@@ -154,7 +154,8 @@ def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: in
     if x not in highest:
         raise ValueError(f"projected point {x} is not attained")
     peel = _peeler(rs, tops, words.blocks)
+    head = len(words.blocks[0])
     strings = [peel(b) for b in _close(rs, {highest[x]}, words.blocks[0], budget)]
-    if any(sv.tail(1) != x for sv in strings):
+    if any(s[head:] != x for s in strings):
         raise InvariantError(f"the component over {x} has elements with another string tail")
-    return tuple(sorted({sv.head(1) for sv in strings}))
+    return tuple(sorted({s[:head] for s in strings}))

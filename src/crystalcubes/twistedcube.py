@@ -75,13 +75,14 @@ class MVPolynomial:
 
     A monomial is one int whose bits [v·width, (v+1)·width) hold the exponent of x_v, so
     the product of two monomials is the sum of their keys as long as no exponent reaches
-    2^width; the caller picks `width` from a bound on the total degree."""
+    2^width; the caller picks `width` from a bound on the total degree.  The terms dict
+    is stored as given: zero coefficients are dropped only where a sum can cancel."""
 
     __slots__ = ("width", "terms")
 
-    def __init__(self, width: int, terms: dict | None = None):
+    def __init__(self, width: int, terms: dict):
         self.width = width
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        self.terms = terms
 
     def __mul__(self, other: "MVPolynomial") -> "MVPolynomial":
         terms: dict = {}
@@ -89,7 +90,7 @@ class MVPolynomial:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return MVPolynomial(self.width, terms)
+        return MVPolynomial(self.width, {e: c for e, c in terms.items() if c})
 
     def substitute(self, idx: int, value: "MVPolynomial") -> "MVPolynomial":
         """Replace variable idx by a polynomial in the remaining variables, by Horner's
@@ -109,7 +110,7 @@ class MVPolynomial:
                     key = e1 + e2
                     acc[key] = acc.get(key, 0) + c1 * c2
             out = acc
-        return MVPolynomial(self.width, out)
+        return MVPolynomial(self.width, {e: c for e, c in out.items() if c})
 
     def constant_value(self) -> Fraction:
         if self.terms.keys() - {0}:
@@ -230,7 +231,7 @@ class TwistedCube:
         unit = [1 << (v * width) for v in range(len(slots) + 1)]
         p = MVPolynomial(width, {0: 1})
         for row, power in moment:
-            linear = MVPolynomial(width, {unit[v]: c for v, c in zip(class_of, row)})
+            linear = MVPolynomial(width, {unit[v]: c for v, c in zip(class_of, row) if c})
             for _ in range(power):
                 p = p * linear
         den = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
@@ -251,8 +252,9 @@ class TwistedCube:
             den *= scale
             const, coeffs = self.forms[l]
             bound = {unit[class_of[j]]: c for j, c in coeffs.items()}
-            bound[0] = const
-            p = MVPolynomial(width, terms).substitute(0, MVPolynomial(width, bound))
+            if const:
+                bound[0] = const
+            p = MVPolynomial(width, {e: c for e, c in terms.items() if c}).substitute(0, MVPolynomial(width, bound))
             g = math.gcd(den, *p.terms.values())
             if g > 1:
                 den //= g

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import crystalcubes
 from crystalcubes import cli, crystal, stringpoly, twistedcube
 from crystalcubes.cli import main
 from crystalcubes.rootsys import RootSystem
@@ -735,12 +736,27 @@ def test_readme_lists_every_command():
     assert tuple(row.split("`")[1] for row in rows) == tuple(cli.COMMANDS)
 
 
+def test_public_surface():
+    # every name the package exports, pinned so that growing or shrinking the API is a visible change
+    assert sorted(crystalcubes.__all__) == [
+        "BottTowerData", "BudgetExceededError", "CartanMatrix", "CrystalGraph", "GenDemazureCrystal",
+        "InvariantError", "LatticePointSet", "MVPolynomial", "MultiplicityTable", "PathElement", "ProjectionMap",
+        "PullbackVector", "RootSystem", "SignedHistogram", "SubsetSequence", "TensorElement", "TwistedCube",
+        "UnsupportedInputError", "Weight", "WordSequence", "bundle_report", "bundles", "component_count",
+        "crystal", "degeneration_vectors", "demazure", "demazure_crystal", "epsilon", "fiber_string_points",
+        "flag_bott_vectors", "gen_demazure_crystal", "gen_demazure_crystal_weights", "generate_crystal",
+        "hat_lattice_points", "highest_path", "highest_weight_decompose", "identity_projection",
+        "lattice_points", "mc_histogram", "mu_weight", "multiplicity", "path_e", "path_f", "phi",
+        "projected_box", "projection_map", "pullback_vector", "render_histogram_svg", "rootsys", "stringpoly",
+        "tensor", "tensor_decompose", "tensor_product_elements", "twistedcube", "wt",
+    ]
+
+
 def test_internal_invariant_exit_5(tmp_path, capsys, monkeypatch):
     from crystalcubes import stringpoly
-    from crystalcubes.demazure import StringVector
 
     # an Ω that sends every element to one vector breaks the separation check
-    monkeypatch.setattr(stringpoly, "_peeler", lambda *args: lambda b: StringVector((0, 0, 0), (3,)))
+    monkeypatch.setattr(stringpoly, "_peeler", lambda *args: lambda b: (0, 0, 0))
     config = {"root_system": "A2", "command": "tensor-decompose", "params": {"weights": [[1, 1], [1, 1]]}}
     assert run_cli(tmp_path, config) == 5
     assert json.loads(capsys.readouterr().err) == {

@@ -15,16 +15,12 @@ from crystalcubes.crystal import (
     wt,
 )
 from crystalcubes.demazure import (
-    StringVector,
     _peeler,
     demazure_crystal,
     gen_demazure_crystal,
     gen_demazure_crystal_weights,
-    omega,
-    omega_blocked,
-    rebuild_from_omega,
 )
-from crystalcubes.rootsys import BudgetExceededError, RootSystem, SubsetSequence, WordSequence
+from crystalcubes.rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, WordSequence
 
 A2 = RootSystem.preset("A2")
 A3 = RootSystem.preset("A3")
@@ -187,31 +183,31 @@ class TestOmega:
         tops = [b for b in crystal.elements if all(epsilon(A2, b, i) == 0 for i in (1, 2))]
         zero = (0,) * 6
         omegas = crystal.omega_map()
-        assert any(omegas[b].entries == zero for b in tops)
+        assert any(omegas[b] == zero for b in tops)
 
     def test_single_string(self):
         crystal = gen_demazure_crystal(A2, (1,), (3,))
-        for b, sv in crystal.omega_map().items():
-            rebuilt = rebuild_from_omega(A2, (1,), (3,), sv)
+        for b, xs in crystal.omega_map().items():
+            rebuilt = rebuild_from_omega(A2, (1,), (3,), xs)
             assert rebuilt == b
 
     def test_round_trip_sl3(self):
         crystal = gen_demazure_crystal(A2, SL3_WORD, SL3_A)
-        for b, sv in crystal.omega_map().items():
-            assert rebuild_from_omega(A2, SL3_WORD, SL3_A, sv) == b
+        for b, xs in crystal.omega_map().items():
+            assert rebuild_from_omega(A2, SL3_WORD, SL3_A, xs) == b
 
     def test_injective_and_nonnegative(self):
         crystal = gen_demazure_crystal(A2, SL3_WORD, SL3_A)
         omegas = list(crystal.omega_map().values())
-        assert len({sv.entries for sv in omegas}) == len(omegas)
-        assert all(x >= 0 for sv in omegas for x in sv.entries)
+        assert len(set(omegas)) == len(omegas)
+        assert all(x >= 0 for xs in omegas for x in xs)
 
     def test_outside_element_rejected(self):
         small = gen_demazure_crystal(A2, (1, 2), (1, 1))
         big = gen_demazure_crystal(A2, (1, 2), (2, 2))
         outside = next(iter(big.elements - small.elements))
-        with pytest.raises(ValueError):
-            omega(A2, (1, 2), (1, 1), outside)
+        with pytest.raises(InvariantError, match="peeling failed"):
+            _peeler(A2, small.tops, small.words.blocks)(outside)
 
     def test_blocked_matches_flat_on_sl3(self):
         lam = A2.weight(1, 1)
@@ -243,15 +239,15 @@ class TestOmega:
         crystal = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS)
         foreign = TensorElement((highest_path(A2, A2.weight(2, 2)), highest_path(A2, lam)))
         assert foreign not in crystal.elements
-        with pytest.raises(ValueError):
-            omega_blocked(A2, SL3_SUBSETS, SL3_WORDS, [lam, lam], foreign)
+        with pytest.raises(InvariantError, match="peeling failed"):
+            _peeler(A2, crystal.tops, SL3_WORDS.blocks)(foreign)
 
     def test_blocked_peeling_takes_plain_lists(self):
         lam = A2.weight(1, 1)
         crystal = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS)
-        for b, sv in crystal.omega_map().items():
-            assert omega_blocked(A2, [[1, 2], [1, 2]], [[1, 2, 1], [1, 2, 1]], [[1, 1], [1, 1]], b) == sv
-            assert omega_blocked(A2, [[1, 2], [1, 2]], None, [[1, 1], [1, 1]], b) == sv
+        for words in ([[1, 2, 1], [1, 2, 1]], None):
+            plain = gen_demazure_crystal_weights(A2, [[1, 2], [1, 2]], [[1, 1], [1, 1]], words)
+            assert plain.omega_map() == crystal.omega_map()
 
     @pytest.mark.parametrize(
         "words,lams",
@@ -264,10 +260,8 @@ class TestOmega:
         ],
     )
     def test_blocked_peeling_rejects_bad_words_and_weights(self, words, lams):
-        lam = A2.weight(1, 1)
-        b = next(iter(gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS).elements))
         with pytest.raises(ValueError):
-            omega_blocked(A2, [[1, 2], [1, 2]], words, lams, b)
+            gen_demazure_crystal_weights(A2, [[1, 2], [1, 2]], lams, words)
 
 
 class TestExport:
@@ -338,7 +332,7 @@ def test_word_shape_is_singleton_block_case(data):
 
     oracle = word_shape_oracle(rs, word, a)
     assert via_word.elements == set(oracle)
-    assert {b: sv.entries for b, sv in via_word.omega_map().items()} == oracle
+    assert via_word.omega_map() == oracle
 
 
 def test_string_word_rejected():
@@ -395,7 +389,8 @@ def test_components_match_graph_oracle(crystal):
     assert crystal.components() == graph_components(crystal)
 
 
-# -- Ω peeled element by element, kept as the oracle for the peeler memoized on (element, position)
+# -- Ω peeled element by element, kept as the oracle for the peeler memoized on (element, position),
+# and its inverse on the word shape
 
 
 def peel_oracle(rs, tops, blocks, b):
@@ -411,7 +406,21 @@ def peel_oracle(rs, tops, blocks, b):
             raise ValueError("element is not in the generalized Demazure crystal (peeling failed)")
         if k < len(blocks) - 1:
             b = TensorElement(b.factors[1:])
-    return StringVector(tuple(xs), tuple(len(block) for block in blocks))
+    return tuple(xs)
+
+
+def rebuild_from_omega(rs, word, a, xs):
+    """Inverse of Ω on B_{i,a}: apply the nested f-pattern f_{i_1}^{x_1}(b_{a_1 ϖ_{i_1}} ⊗ ...)."""
+    tops = [highest_path(rs, a_k * rs.fundamental_weight(i)) for i, a_k in zip(word, a)]
+    tail = ()
+    for k in reversed(range(len(word))):
+        current = TensorElement((tops[k],) + tail)
+        for _ in range(xs[k]):
+            current = path_f(rs, current, word[k])
+            if current is None:
+                raise ValueError("exponent pattern leaves the crystal")
+        tail = current.factors
+    return TensorElement(tail)
 
 
 @st.composite
@@ -437,9 +446,9 @@ def test_peeler_rejects_foreign_element_after_peeling_the_crystal():
     for b in crystal.elements:
         peel(b)
     foreign = TensorElement((highest_path(A2, A2.weight(2, 2)), highest_path(A2, lam)))
-    with pytest.raises(ValueError, match="peeling failed"):
+    with pytest.raises(InvariantError, match="peeling failed"):
         peel(foreign)
     with pytest.raises(ValueError, match="peeling failed"):
         peel_oracle(A2, crystal.tops, SL3_WORDS.blocks, foreign)
-    with pytest.raises(ValueError, match="peeling failed"):
-        omega_blocked(A2, SL3_SUBSETS, SL3_WORDS, [lam, lam], foreign)
+    with pytest.raises(InvariantError, match="peeling failed"):
+        _peeler(A2, crystal.tops, SL3_WORDS.blocks)(foreign)

@@ -297,8 +297,9 @@ def full_saturation_route(rs, subsets, lams, words):
     """
     crystal = gen_demazure_crystal_weights(rs, SubsetSequence(subsets), lams, WordSequence(words))
     omegas = list(crystal.omega_map().values())
-    hat = tuple(sorted({sv.tail(1) for sv in omegas}))
-    fibers = {x: tuple(sorted({sv.head(1) for sv in omegas if sv.tail(1) == x})) for x in hat}
+    head = len(crystal.words.blocks[0])
+    hat = tuple(sorted({xs[head:] for xs in omegas}))
+    fibers = {x: tuple(sorted({xs[:head] for xs in omegas if xs[head:] == x})) for x in hat}
     return crystal, hat, fibers
 
 
