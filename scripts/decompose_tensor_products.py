@@ -3,17 +3,20 @@
 
 Decomposes the adjoint square (for A2, the SL(3) worked example) and then
 sweeps small dominant weights, cross-checking every table against the
-crystal-graph decomposition oracle.  The adjoint representation has the highest
-root as its highest weight.
+crystal-graph decomposition oracle: the weights of the highest elements of
+B(λ) ⊗ B(μ), where B(λ) is the Demazure crystal B_{w_0}(λ).  The adjoint
+representation has the highest root as its highest weight.
 
 Run:  python scripts/decompose_tensor_products.py [rank | preset]
       (a type-A rank such as 3, or a preset name such as B2, G2 or B3; default A2)
 """
 
 import sys
+from collections import Counter
 from itertools import product
 
-from crystalcubes.crystal import highest_weight_decompose, tensor_product_elements
+from crystalcubes.crystal import TensorElement, is_highest, wt
+from crystalcubes.demazure import demazure_crystal
 from crystalcubes.rootsys import RootSystem
 from crystalcubes.stringpoly import tensor_decompose
 
@@ -21,7 +24,9 @@ from crystalcubes.stringpoly import tensor_decompose
 def show_table(rs, coords1, coords2):
     lam, mu = rs.weight(*coords1), rs.weight(*coords2)
     table = tensor_decompose(rs, [lam, mu])
-    oracle = highest_weight_decompose(rs, tensor_product_elements(rs, [lam, mu]), check_closed=False)
+    w0 = rs.longest_word(range(1, rs.n + 1))
+    pairs = map(TensorElement, product(demazure_crystal(rs, lam, w0), demazure_crystal(rs, mu, w0)))
+    oracle = Counter(wt(rs, b).coords for b in pairs if is_highest(rs, b))
     status = "ok" if table.as_dict() == dict(oracle) else "MISMATCH"
     terms = " + ".join(
         f"{c}·V({','.join(map(str, nu))})" if c > 1 else f"V({','.join(map(str, nu))})"

@@ -23,12 +23,9 @@ from .crystal import (
     epsilon,
     generate_crystal,
     highest_path,
-    highest_weight_decompose,
     path_e,
     path_f,
     phi,
-    tensor,
-    tensor_product_elements,
     wt,
 )
 from .demazure import (

@@ -1,8 +1,9 @@
 """Batch front-end: one JSON job per invocation, artifacts written atomically.
 
-Exit codes: 0 success, 2 malformed config or computation error, 3 unsupported
-input (e.g. a Levi block not of type A), 4 element budget exceeded, 5 an
-internal consistency check failed (a defect of the program, not of the input).
+Exit codes: 0 success, 2 malformed config, computation error or unwritable
+output, 3 unsupported input (e.g. a Levi block not of type A), 4 element or
+histogram-cell budget exceeded, 5 an internal consistency check failed (a defect
+of the program, not of the input).
 Errors go to stderr as a one-line JSON object.
 """
 
@@ -15,6 +16,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from math import prod
 from operator import index
 from typing import Callable
 
@@ -209,7 +211,11 @@ def _cube_histogram(rs: RootSystem, q: dict, config: JobConfig):
     if svg and proj.rows != 2:
         raise UnsupportedInputError("cube-svg needs a 2-D projection target; export CSV instead")
     samples = q.get("samples", 10**5)
-    hist = twistedcube.mc_histogram(cube, proj, q.get("bins", 20), samples, config.seed, q.get("shards", 1))
+    bins = twistedcube._bin_counts(q.get("bins", 20), proj.rows)
+    cells = prod(b + 2 for b in bins)  # the bins and an outlier cell at each end of every axis
+    if cells > config.budget:
+        raise BudgetExceededError(f"histogram of {cells} cells exceeds budget of {config.budget} cells")
+    hist = twistedcube.mc_histogram(cube, proj, bins, samples, config.seed, q.get("shards", 1))
     artifact = {"word": list(cube.word), "a": list(cube.a), "samples": samples}
     if svg:
         return artifact, lambda: twistedcube.render_histogram_svg(hist), "SVG rendered"
@@ -342,6 +348,8 @@ def main(argv=None) -> int:
         return fail(4, "budget", str(exc))
     except InvariantError as exc:
         return fail(5, "internal", str(exc))
+    except OSError as exc:  # only writing the artifact touches the file system
+        return fail(2, "output", str(exc))
     except (ConfigError, ValueError, IndexError, KeyError, TypeError) as exc:
         return fail(2, "invalid", str(exc))
 

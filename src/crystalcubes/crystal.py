@@ -23,10 +23,9 @@ the generalized Demazure crystals B_{I,λ}.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, sub
 
@@ -357,13 +356,6 @@ def highest_path(rs: RootSystem, lam: Weight) -> PathElement:
     return path
 
 
-def tensor(b1, b2) -> TensorElement:
-    """Flatten-and-concatenate tensor product of elements."""
-    left = b1.factors if isinstance(b1, TensorElement) else (b1,)
-    right = b2.factors if isinstance(b2, TensorElement) else (b2,)
-    return TensorElement(left + right)
-
-
 # -- crystal graphs -----------------------------------------------------------
 
 
@@ -437,46 +429,8 @@ def _close(rs: RootSystem, elements, word, budget: int):
     return elements
 
 
-def _closure_of_top(rs: RootSystem, lam, budget: int) -> set:
-    """B(λ) = B_{w_0}(λ) as a set: {b_λ} closed along a reduced word of w_0."""
-    start = highest_path(rs, rs.weight(lam))
-    return _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget)
-
-
 def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> CrystalGraph:
-    """The crystal graph of B(λ); |B(λ)| = weyl_dimension(λ)."""
-    return graph_from_elements(rs, _closure_of_top(rs, lam, budget))
-
-
-def tensor_product_elements(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> list:
-    """Full element set of B(λ_1) ⊗ ... ⊗ B(λ_r) (the Cartesian product set)."""
-    components = []
-    total = 1
-    for lam in lams:
-        verts = _vertex_order(_closure_of_top(rs, lam, budget))
-        total *= len(verts)
-        if total > budget:
-            raise BudgetExceededError(f"tensor crystal exceeds budget of {budget} elements")
-        components.append(verts)
-    return [TensorElement(fs) for fs in product(*components)]
-
-
-def highest_weight_decompose(rs: RootSystem, elements, check_closed: bool = True) -> Counter:
-    """Multiset of component highest weights: wt(b) over all b with ε_i(b) = 0 for all i.
-
-    The input must be closed under the raising operators, so that components
-    are counted by their genuine highest elements.
-    """
-    elems = list(elements)
-    if check_closed:
-        elem_set = set(elems)
-        for b in elems:
-            for i in range(1, rs.n + 1):
-                c = path_e(rs, b, i)
-                if c is not None and c not in elem_set:
-                    raise ValueError("element set is not closed under raising operators")
-    out: Counter = Counter()
-    for b in elems:
-        if is_highest(rs, b):
-            out[wt(rs, b).coords] += 1
-    return out
+    """The crystal graph of B(λ) = B_{w_0}(λ): {b_λ} closed along a reduced word of w_0;
+    |B(λ)| = weyl_dimension(λ)."""
+    start = highest_path(rs, rs.weight(lam))
+    return graph_from_elements(rs, _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from operator import index
 from typing import Iterable, Sequence
 
@@ -33,8 +34,11 @@ Coords = tuple[Fraction, ...]
 
 
 def _num(x) -> int | Fraction:
+    """An int or Fraction coordinate; strings and floats are not read as numbers."""
     if type(x) is int:
         return x
+    if not isinstance(x, Rational):
+        raise TypeError(f"weight coordinates must be integers or fractions, not {type(x).__name__}")
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
 
@@ -129,13 +133,7 @@ class CartanMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        def as_int(x):
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("Cartan matrix entries must be integers")
-            return int(f)
-
-        rows = tuple(tuple(as_int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(index, row)) for row in entries)
         if not rows:
             raise ValueError("Cartan matrix must not be empty")
         _validate_gcm(rows)
@@ -227,7 +225,7 @@ class RootSystem:
 
     def weight(self, *coords) -> Weight:
         """A Weight of this rank from a Weight, one coordinate sequence, or the coordinates themselves."""
-        if len(coords) == 1 and not isinstance(coords[0], (int, Fraction)):
+        if len(coords) == 1 and not isinstance(coords[0], Rational):
             coords = coords[0]
         w = coords if isinstance(coords, Weight) else Weight(coords)
         if len(w) != self.n:

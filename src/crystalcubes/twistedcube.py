@@ -396,11 +396,7 @@ def mc_histogram(
 ) -> SignedHistogram:
     """Deterministic signed histogram over `projected_box`: bin value = (Σ w over the
     samples whose Lx falls in the bin) / samples, an estimate of ∫_bin of the pushforward."""
-    if isinstance(bins, int):
-        bins = (bins,) * projection.rows
-    bins = tuple(map(index, bins))
-    if len(bins) != projection.rows or any(b <= 0 for b in bins):
-        raise ValueError("need one positive bin count per target dimension")
+    bins = _bin_counts(bins, projection.rows)
     lt = np.array(projection.matrix, dtype=float).T
     edges = [np.linspace(float(a), float(b), n + 1) for n, (a, b) in zip(bins, projected_box(cube, projection))]
     padded = np.zeros(tuple(b + 2 for b in bins))
@@ -408,6 +404,14 @@ def mc_histogram(
         _add_to_bins(padded, edges, pts @ lt, weights)
     hist = padded[(slice(1, -1),) * len(bins)] / samples
     return SignedHistogram(tuple(tuple(map(float, e)) for e in edges), hist, samples, seed)
+
+
+def _bin_counts(bins, rows: int) -> tuple[int, ...]:
+    """One positive bin count per target dimension, from a sequence or one int for all."""
+    bins = tuple(map(index, (bins,) * rows if isinstance(bins, int) else bins))
+    if len(bins) != rows or any(b <= 0 for b in bins):
+        raise ValueError("need one positive bin count per target dimension")
+    return bins
 
 
 def _add_to_bins(padded: np.ndarray, edges, points: np.ndarray, weights: np.ndarray) -> None:

@@ -19,11 +19,9 @@ from crystalcubes.crystal import (
     generate_crystal,
     graph_from_elements,
     highest_path,
-    highest_weight_decompose,
     path_e,
     path_f,
     phi,
-    tensor_product_elements,
     wt,
 )
 from crystalcubes.demazure import demazure_crystal, gen_demazure_crystal
@@ -36,6 +34,7 @@ from crystalcubes.twistedcube import (
     projection_map,
     render_histogram_svg,
 )
+from oracles import highest_weight_decompose, tensor_product_elements
 
 A1 = RootSystem.preset("A1")
 A2 = RootSystem.preset("A2")

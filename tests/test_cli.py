@@ -714,6 +714,57 @@ def test_non_integer_value_exit_2(tmp_path, capsys, command, params, top):
         assert error["message"].endswith("object cannot be interpreted as an integer")
 
 
+def test_histogram_cells_over_budget_exit_4(tmp_path, capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("np.zeros called before the cell count was checked")
+
+    monkeypatch.setattr(twistedcube.np, "zeros", no_allocation)
+    params = {**A2_FLAG, "weights": [[1, 1], [1, 0]], "bins": [3000] * 4}
+    config = {"root_system": "A2", "command": "cube-histogram", "params": params}
+    assert run_cli(tmp_path, config) == 4
+    cells = 3002**4
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"kind": "budget", "message": f"histogram of {cells} cells exceeds budget of 1000000 cells"}
+    }
+    # the outlier cells count: 8 bins on each of two axes fill 10 x 10 cells
+    config = {"root_system": "A2", "command": "cube-svg", "params": {**A2_CUBE, "bins": 8, "samples": 10}}
+    assert run_cli(tmp_path, {**config, "budget": 99}) == 4
+    assert "histogram of 100 cells" in json.loads(capsys.readouterr().err)["error"]["message"]
+    monkeypatch.undo()
+    assert run_cli(tmp_path, {**config, "budget": 100}) == 0
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    config = {"root_system": "A2", "command": "crystal", "params": {"weight": [1, 0]}}
+    config["output"] = {"path": "afile/x.json"}
+    assert run_cli(tmp_path, config) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "output" and "afile" in error["message"]
+    assert (tmp_path / "afile").read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "root_system,command,params",
+    [
+        ("A2", "crystal", {"weight": ["1", "1"]}),
+        ("A2", "crystal", {"weight": [1.0, 1]}),
+        ("A2", "tensor-decompose", {"weights": [[1, 1], [1, 1.0]]}),
+        ("A2", "gen-demazure", {"subsets": [[1, 2]], "weights": [["1", 1]]}),
+        ("A2", "multiplicity", {**A2_FLAG, "nu": ["2", 2]}),
+        ([[2, -1.0], [-1, 2]], "crystal", {"weight": [1, 0]}),
+        ([[2, -1], ["-1", 2]], "crystal", {"weight": [1, 0]}),
+    ],
+    ids=["weight-strings", "weight-float", "weights-float", "gen-demazure-weights-string", "nu-string",
+         "cartan-float", "cartan-string"],
+)
+def test_string_or_float_number_exit_2(tmp_path, capsys, root_system, command, params):
+    config = {"root_system": root_system, "command": command, "params": params}
+    assert run_cli(tmp_path, config) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "invalid"
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
 @pytest.mark.parametrize(
     "config,kind,message",
     [
@@ -745,10 +796,10 @@ def test_public_surface():
         "UnsupportedInputError", "Weight", "WordSequence", "bundle_report", "bundles", "component_count",
         "crystal", "degeneration_vectors", "demazure", "demazure_crystal", "epsilon", "fiber_string_points",
         "flag_bott_vectors", "gen_demazure_crystal", "gen_demazure_crystal_weights", "generate_crystal",
-        "hat_lattice_points", "highest_path", "highest_weight_decompose", "identity_projection",
-        "lattice_points", "mc_histogram", "mu_weight", "multiplicity", "path_e", "path_f", "phi",
-        "projected_box", "projection_map", "pullback_vector", "render_histogram_svg", "rootsys", "stringpoly",
-        "tensor", "tensor_decompose", "tensor_product_elements", "twistedcube", "wt",
+        "hat_lattice_points", "highest_path", "identity_projection", "lattice_points", "mc_histogram",
+        "mu_weight", "multiplicity", "path_e", "path_f", "phi", "projected_box", "projection_map",
+        "pullback_vector", "render_histogram_svg", "rootsys", "stringpoly", "tensor_decompose", "twistedcube",
+        "wt",
     ]
 
 

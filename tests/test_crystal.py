@@ -18,16 +18,14 @@ from crystalcubes.crystal import (
     generate_crystal,
     graph_from_elements,
     highest_path,
-    highest_weight_decompose,
     path_e,
     path_f,
     phi,
-    tensor,
-    tensor_product_elements,
     wt,
 )
 from crystalcubes.demazure import gen_demazure_crystal_weights
 from crystalcubes.rootsys import PRESETS, BudgetExceededError, RootSystem
+from oracles import highest_weight_decompose, tensor, tensor_product_elements
 from test_acceptance import canonical
 
 A2 = RootSystem.preset("A2")
@@ -228,6 +226,12 @@ class TestTensor:
         assert len(elems) == 9
         dec = highest_weight_decompose(A2, elems)
         assert dict(dec) == {(2, 0): 1, (0, 1): 1}
+
+    def test_product_over_budget_rejected(self):
+        lams = [A2.weight(1, 0), A2.weight(1, 0)]
+        assert len(tensor_product_elements(A2, lams, budget=9)) == 9
+        with pytest.raises(BudgetExceededError):
+            tensor_product_elements(A2, lams, budget=8)
 
 
 class TestDecompose:

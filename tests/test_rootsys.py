@@ -5,6 +5,7 @@ import weakref
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,12 @@ class TestCartanValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="must not be empty"):
             CartanMatrix([])
+
+    def test_entries_read_as_integers(self):
+        assert CartanMatrix([[np.int64(2), -1], [-1, 2]]).entries == ((2, -1), (-1, 2))
+        for bad in (-1.0, "-1", Fraction(-1)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                CartanMatrix([[2, bad], [-1, 2]])
 
 
 def simply_laced_cartan(n, edges):
@@ -400,6 +407,14 @@ class TestWeight:
 
     def test_integral_normalization(self):
         assert Weight((Fraction(4, 2),)).coords == (2,)
+
+    def test_only_rationals_read_as_coordinates(self):
+        w = Weight((np.int64(2), Fraction(1, 2)))
+        assert w.coords == (2, Fraction(1, 2)) and type(w.coords[0]) is int
+        assert RootSystem.preset("A1").weight(np.int64(1)).coords == (1,)
+        for bad in ("1", 1.0):
+            with pytest.raises(TypeError, match="integers or fractions"):
+                Weight((bad, 1))
 
 
 PRESET_SYSTEMS = [RootSystem.preset(name) for name in PRESETS]
