@@ -45,7 +45,6 @@ from .stringpoly import (
     tensor_decompose,
 )
 from .bundles import (
-    BottTowerData,
     PullbackVector,
     bundle_report,
     degeneration_vectors,

@@ -4,11 +4,17 @@ Pure exact arithmetic over fundamental-weight coordinates: the pullback
 line-bundle vector, the leftover shift weight, degeneration vectors, and the
 tower structure vectors for type-A Levi blocks.  No geometric objects are
 modeled; the integer vectors are the artifact.
+
+The pullback vector a and the shift weight μ split the pairings ⟨λ_j, α_s^∨⟩
+by one ownership rule: the pairing goes to the last occurrence of s in the
+latest block k ≤ j whose word holds s, or to μ_s when no block up to j holds
+s.  So for every letter s the entries of a at s plus μ_s sum to Σ_j ⟨λ_j, α_s^∨⟩.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .rootsys import RootSystem, Weight
 
@@ -24,111 +30,75 @@ class PullbackVector:
         return tuple(x for b in self.blocks for x in b)
 
 
-@dataclass(frozen=True)
-class BottTowerData:
-    """vectors[(k, j)][l-1] is the integer vector a^{(k,j)}_l of length m_j + 1, for j < k."""
-
-    vectors: dict
-
-    def __getitem__(self, key):
-        return self.vectors[key]
-
-    def to_json_dict(self) -> dict:
-        return {f"{k},{j}": [list(v) for v in vs] for (k, j), vs in sorted(self.vectors.items())}
+def _owned(rs: RootSystem, subsets, words, lams) -> tuple[PullbackVector, Weight]:
+    """(a, μ) from one pass over the blocks under the ownership rule of the module docstring."""
+    subsets, words = rs.blocks(subsets, words)
+    lams = rs.block_weights(subsets, lams)
+    rows = [[0] * len(block) for block in words.blocks]
+    mu = [0] * rs.n
+    owner: dict[int, tuple[list, int]] = {}  # letter → (row, position) of its latest last occurrence
+    for row, block, lam in zip(rows, words.blocks, lams):
+        owner.update((s, (row, l)) for l, s in enumerate(block))
+        for s, pairing in enumerate(lam.coords, 1):
+            if s in owner:
+                target, l = owner[s]
+                target[l] += pairing
+            else:
+                mu[s - 1] += pairing
+    return PullbackVector(tuple(map(tuple, rows))), Weight(mu)
 
 
 def pullback_vector(rs: RootSystem, subsets, words, lams) -> PullbackVector:
     """a_k(l) = ⟨λ_k, α_s^∨⟩ + Σ ⟨λ_j, α_s^∨⟩ over later blocks where s never reappears,
     placed at the last occurrence l of s within block k; zero elsewhere.
     words=None means the longest words."""
-    subsets, words = rs.blocks(subsets, words)
-    lams = rs.block_weights(subsets, lams)
-    blocks = words.blocks
-    r = len(blocks)
-    letters_of = [set(b) for b in blocks]
-    out = []
-    for k, block in enumerate(blocks):
-        row = [0] * len(block)
-        for l, s in enumerate(block):
-            if l != max(q for q, t in enumerate(block) if t == s):
-                continue
-            total = rs.pairing(lams[k], s)
-            for j in range(k + 1, r):
-                if any(s in letters_of[t] for t in range(k + 1, j + 1)):
-                    continue
-                total += rs.pairing(lams[j], s)
-            row[l] = int(total)
-        out.append(tuple(row))
-    return PullbackVector(tuple(out))
+    return _owned(rs, subsets, words, lams)[0]
 
 
 def mu_weight(rs: RootSystem, subsets, words, lams) -> Weight:
     """Shift weight: Σ_j Σ_{s not among the letters of blocks 1..j} d_{j,s} ϖ_s;
     words=None means the longest words."""
-    subsets, words = rs.blocks(subsets, words)
-    lams = rs.block_weights(subsets, lams)
-    coords = [0] * rs.n
-    seen: set[int] = set()
-    for block, lam in zip(words.blocks, lams):
-        seen.update(block)
-        for s in range(1, rs.n + 1):
-            if s not in seen:
-                coords[s - 1] += lam.coords[s - 1]
-    return Weight(coords)
+    return _owned(rs, subsets, words, lams)[1]
+
+
+def _tail_sums(xs) -> tuple:
+    """(x_1 + ... + x_m, x_2 + ... + x_m, ..., x_m, 0)."""
+    return tuple(accumulate(reversed(xs), initial=0))[::-1]
 
 
 def degeneration_vectors(rs: RootSystem, subsets, lams) -> list[tuple]:
     """a_k(l) = ⟨λ_k + ... + λ_r, α^∨_{u_{k,l}} + ... + α^∨_{u_{k,m_k}}⟩, padded with a zero."""
     subsets = rs.subsets(subsets)
     lams = rs.block_weights(subsets, lams)
+    enums = [rs.type_a_enumeration(s) for s in subsets.sets]  # in block order: the first bad block is named
+    tail = [0] * rs.n
     out = []
-    for k, subset in enumerate(subsets.sets):
-        enum = rs.type_a_enumeration(subset)
-        tail_weight = lams[k]
-        for lam in lams[k + 1 :]:
-            tail_weight = tail_weight + lam
-        vec = []
-        for l in range(len(enum)):
-            vec.append(int(sum(rs.pairing(tail_weight, u) for u in enum[l:])))
-        vec.append(0)
-        out.append(tuple(vec))
-    return out
+    for enum, lam in zip(reversed(enums), reversed(lams)):
+        tail = [t + c for t, c in zip(tail, lam.coords)]
+        out.append(_tail_sums([tail[u - 1] for u in enum]))
+    return out[::-1]
 
 
-def flag_bott_vectors(rs: RootSystem, subsets) -> BottTowerData:
-    """a^{(k,j)}_l(p) = ⟨α_{u_{k,l}} + ... + α_{u_{k,m_k}}, α^∨_{u_{j,p}} + ... + α^∨_{u_{j,m_j}}⟩,
+def flag_bott_vectors(rs: RootSystem, subsets) -> dict:
+    """{(k, j): rows} for j < k, where rows[l-1] is the vector a^{(k,j)}_l of length m_j + 1:
+    a^{(k,j)}_l(p) = ⟨α_{u_{k,l}} + ... + α_{u_{k,m_k}}, α^∨_{u_{j,p}} + ... + α^∨_{u_{j,m_j}}⟩,
     zero on the padded slots l = m_k + 1 and p = m_j + 1."""
     subsets = rs.subsets(subsets)
     enums = [rs.type_a_enumeration(s) for s in subsets.sets]
     c = rs.cartan.entries
-    vectors: dict = {}
+    vectors = {}
     for k in range(1, subsets.r):
-        mk = len(enums[k])
         for j in range(k):
-            mj = len(enums[j])
-            vecs = []
-            for l in range(mk + 1):
-                if l == mk:
-                    vecs.append((0,) * (mj + 1))
-                    continue
-                row = []
-                for p in range(mj):
-                    total = 0
-                    for s in enums[k][l:]:
-                        for t in enums[j][p:]:
-                            total += c[t - 1][s - 1]
-                    row.append(total)
-                row.append(0)
-                vecs.append(tuple(row))
-            vectors[(k + 1, j + 1)] = tuple(vecs)
-    return BottTowerData(vectors)
+            # row s holds the tail sums over p of ⟨α_s, α^∨_{u_{j,p}}⟩; tail-sum each column over s
+            rows = [_tail_sums([c[t - 1][s - 1] for t in enums[j]]) for s in enums[k]]
+            vectors[(k + 1, j + 1)] = tuple(zip(*map(_tail_sums, zip(*rows))))
+    return vectors
 
 
 def bundle_report(rs: RootSystem, subsets, lams, words=None) -> dict:
     """JSON-ready bundle of (a, μ, degeneration vectors, tower vectors) for one job."""
     subsets, words = rs.blocks(subsets, words)
-    a = pullback_vector(rs, subsets, words, lams)
-    mu = mu_weight(rs, subsets, words, lams)
+    a, mu = _owned(rs, subsets, words, lams)
     deg = degeneration_vectors(rs, subsets, lams)
     tower = flag_bott_vectors(rs, subsets)
     return {
@@ -136,5 +106,5 @@ def bundle_report(rs: RootSystem, subsets, lams, words=None) -> dict:
         "pullback_vector": [list(b) for b in a.blocks],
         "mu": list(mu.coords),
         "degeneration_vectors": [list(v) for v in deg],
-        "tower_vectors": tower.to_json_dict(),
+        "tower_vectors": {f"{k},{j}": [list(v) for v in vs] for (k, j), vs in sorted(tower.items())},
     }

@@ -27,7 +27,6 @@ from .rootsys import BudgetExceededError, InvariantError, RootSystem, Unsupporte
 
 TOP_KEYS = {"root_system", "command", "params", "output", "seed", "budget"}
 LIST_PARAMS = {"word", "a", "subsets", "weights", "words", "weight", "nu", "x"}
-TEXT_FORMATS = ("csv", "svg", "txt")
 
 
 class ConfigError(ValueError):
@@ -113,8 +112,8 @@ def _take(params: dict, allowed: dict) -> dict:
 
 
 # -- handlers: (root system, params, config) -> (artifact, text, summary) ----------
-# `text` is None or a function that builds the csv/svg/txt artifact; `_render` calls
-# it only when one of those formats is asked for.  Handlers call generate_crystal,
+# `text` is None or a function that builds the command's csv/svg/txt artifact; `_render`
+# calls it only when that format is asked for.  Handlers call generate_crystal,
 # graph_from_elements and the Demazure constructors through this module's globals,
 # looked up at call time, so a wrapper installed on the module sees every call.
 
@@ -225,7 +224,7 @@ def _cube_histogram(rs: RootSystem, q: dict, config: JobConfig):
 
 @dataclass(frozen=True)
 class Command:
-    """A command's param schema, handler and default output format.
+    """A command's param schema, handler and output formats, the default first.
 
     A schema maps each allowed param to whether it is required.  ``word_shape``,
     when set, is the schema used instead of ``params`` when a ``word`` is given.
@@ -235,7 +234,7 @@ class Command:
 
     handler: Callable
     params: dict
-    fmt: str = "json"
+    formats: tuple = ("json",)
     word_shape: dict | None = None
 
 
@@ -245,10 +244,10 @@ CUBE_WORD = {**WORD, "subsets": False}
 MC = {"bins": False, "samples": False, "shards": False}
 
 COMMANDS = {
-    "crystal": Command(_crystal, {"weight": True}),
-    "demazure": Command(_demazure, {"weight": True, "word": True}),
+    "crystal": Command(_crystal, {"weight": True}, ("json", "txt")),
+    "demazure": Command(_demazure, {"weight": True, "word": True}, ("json", "txt")),
     "gen-demazure": Command(_gen_demazure, WEIGHTS, word_shape=WORD),
-    "lattice-points": Command(_lattice_points, {**WORD, "level": False}, "csv"),
+    "lattice-points": Command(_lattice_points, {**WORD, "level": False}, ("csv", "json")),
     "multiplicity": Command(_multiplicity, {**WEIGHTS, "nu": True}),
     "tensor-decompose": Command(_tensor_decompose, {"weights": True}),
     "component-count": Command(_component_count, WEIGHTS),
@@ -256,8 +255,8 @@ COMMANDS = {
     "bundle-vectors": Command(_bundle_vectors, WEIGHTS),
     "cube-volume": Command(_cube_volume, WEIGHTS, word_shape=CUBE_WORD),
     "cube-moments": Command(_cube_moments, {**WEIGHTS, "degree": False}, word_shape={**CUBE_WORD, "degree": False}),
-    "cube-histogram": Command(_cube_histogram, {**WEIGHTS, **MC}, "csv", word_shape={**CUBE_WORD, **MC}),
-    "cube-svg": Command(_cube_histogram, {**WEIGHTS, **MC}, "svg", word_shape={**CUBE_WORD, **MC}),
+    "cube-histogram": Command(_cube_histogram, {**WEIGHTS, **MC}, ("csv", "json"), word_shape={**CUBE_WORD, **MC}),
+    "cube-svg": Command(_cube_histogram, {**WEIGHTS, **MC}, ("svg", "json"), word_shape={**CUBE_WORD, **MC}),
 }
 
 
@@ -266,6 +265,9 @@ def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_over
         raise ConfigError("budget must be at least 1")
     rs = _root_system(config.root_system)
     command = COMMANDS[config.command]
+    fmt = fmt_override or config.output.get("format", command.formats[0])
+    if fmt not in command.formats:
+        raise ConfigError(f"{config.command} has no {fmt!r} artifact; formats: {', '.join(command.formats)}")
     p = config.params
     schema = command.word_shape if command.word_shape and "word" in p else command.params
     q = _take(p, schema)
@@ -275,11 +277,10 @@ def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_over
     if "words" in schema and "words" not in p:
         artifact["words"] = [list(b) for b in q["words"].blocks]
 
-    fmt = fmt_override or config.output.get("format", command.fmt)
     path = config.output.get("path") or f"{config.command}.{fmt}"
     if not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    if fmt not in TEXT_FORMATS:
+    if fmt == "json":
         text = None  # frees what the builder holds, such as a whole crystal graph, before the dump
     _atomic_write(path, _render(artifact, text, fmt))
     if echo_word and "words" not in p and "words" in artifact:
@@ -290,11 +291,7 @@ def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_over
 def _render(artifact, text, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(artifact, sort_keys=True, separators=(",", ":")) + "\n"
-    if fmt in TEXT_FORMATS:
-        if text is None:
-            raise ConfigError(f"this command has no {fmt} artifact")
-        return text()
-    raise ConfigError(f"unknown format {fmt!r}")
+    return text()
 
 
 def _atomic_write(path: str, payload: str) -> None:
@@ -304,6 +301,9 @@ def _atomic_write(path: str, payload: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
+        umask = os.umask(0)  # mkstemp makes the file 0600; give it the mode open() would
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -318,7 +318,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--budget", type=int, default=None, help="override the element budget")
     parser.add_argument("--echo-word", action="store_true", help="echo auto-selected reduced words")
-    parser.add_argument("--format", choices=["json", "csv", "svg"], default=None, help="override output format")
+    formats = sorted({fmt for command in COMMANDS.values() for fmt in command.formats})
+    parser.add_argument("--format", choices=formats, default=None, help="override the output format")
     args = parser.parse_args(argv)
 
     def fail(code: int, kind: str, message: str) -> int:

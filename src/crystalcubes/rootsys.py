@@ -271,9 +271,7 @@ class RootSystem:
     def pairing(self, lam: Weight, i: int) -> int | Fraction:
         """⟨λ, α_i^∨⟩; a coordinate read-off in the ϖ-basis."""
         self._check_index(i)
-        if len(lam) != self.n:
-            raise ValueError("weight rank mismatch")
-        return lam.coords[i - 1]
+        return self.weight(lam).coords[i - 1]
 
     def simple_root_as_weight(self, i: int) -> Weight:
         self._check_index(i)
@@ -407,8 +405,7 @@ class RootSystem:
 
     def weyl_dimension(self, lam: Weight) -> int:
         """dim V(λ) = Π_{β>0} ⟨λ+ρ, β^∨⟩ / ⟨ρ, β^∨⟩, exact rationals throughout."""
-        if len(lam) != self.n:
-            raise ValueError("weight rank mismatch")
+        lam = self.weight(lam)
         if not lam.is_dominant() or not lam.is_integral():
             raise ValueError("weyl_dimension needs a dominant integral weight")
         result = Fraction(1)

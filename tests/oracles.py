@@ -1,9 +1,13 @@
-"""Brute-force crystal decomposition, kept as the oracle for the lattice-point route.
+"""Slow definitional routes, kept as oracles for the fast ones in `src/`.
 
 `tensor_decompose` reads tensor-product multiplicities off projected lattice points
-of string polytopes.  These helpers get them by definition instead: list all of
+of string polytopes.  The first helpers get them by definition instead: list all of
 B(λ_1) ⊗ ... ⊗ B(λ_r) and count its highest elements by weight (Kashiwara, Duke
 Math. J. 71, 1993).
+
+`bundles` computes the pullback vector and the shift weight in one ownership pass,
+and the degeneration and tower vectors as tail sums.  The last helpers evaluate each
+displayed formula term by term.
 """
 
 from collections import Counter
@@ -11,7 +15,7 @@ from itertools import product
 
 from crystalcubes.crystal import DEFAULT_BUDGET, TensorElement, _vertex_order, is_highest, path_e, wt
 from crystalcubes.demazure import demazure_crystal
-from crystalcubes.rootsys import BudgetExceededError, RootSystem
+from crystalcubes.rootsys import BudgetExceededError, RootSystem, Weight
 
 
 def tensor(b1, b2) -> TensorElement:
@@ -55,3 +59,88 @@ def highest_weight_decompose(rs: RootSystem, elements, check_closed: bool = True
         if is_highest(rs, b):
             out[wt(rs, b).coords] += 1
     return out
+
+
+def pullback_vector(rs: RootSystem, subsets, words, lams) -> tuple:
+    """a_k(l) = ⟨λ_k, α_s^∨⟩ + Σ ⟨λ_j, α_s^∨⟩ over later blocks j where s appears in none of
+    blocks k+1..j, placed at the last occurrence l of s within block k; zero elsewhere."""
+    subsets, words = rs.blocks(subsets, words)
+    lams = rs.block_weights(subsets, lams)
+    blocks = words.blocks
+    r = len(blocks)
+    letters_of = [set(b) for b in blocks]
+    out = []
+    for k, block in enumerate(blocks):
+        row = [0] * len(block)
+        for l, s in enumerate(block):
+            if l != max(q for q, t in enumerate(block) if t == s):
+                continue
+            total = rs.pairing(lams[k], s)
+            for j in range(k + 1, r):
+                if any(s in letters_of[t] for t in range(k + 1, j + 1)):
+                    continue
+                total += rs.pairing(lams[j], s)
+            row[l] = int(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def mu_weight(rs: RootSystem, subsets, words, lams) -> Weight:
+    """Σ_j Σ_{s not among the letters of blocks 1..j} ⟨λ_j, α_s^∨⟩ ϖ_s."""
+    subsets, words = rs.blocks(subsets, words)
+    lams = rs.block_weights(subsets, lams)
+    coords = [0] * rs.n
+    seen: set[int] = set()
+    for block, lam in zip(words.blocks, lams):
+        seen.update(block)
+        for s in range(1, rs.n + 1):
+            if s not in seen:
+                coords[s - 1] += lam.coords[s - 1]
+    return Weight(coords)
+
+
+def degeneration_vectors(rs: RootSystem, subsets, lams) -> list[tuple]:
+    """a_k(l) = ⟨λ_k + ... + λ_r, α^∨_{u_{k,l}} + ... + α^∨_{u_{k,m_k}}⟩, padded with a zero."""
+    subsets = rs.subsets(subsets)
+    lams = rs.block_weights(subsets, lams)
+    out = []
+    for k, subset in enumerate(subsets.sets):
+        enum = rs.type_a_enumeration(subset)
+        tail_weight = lams[k]
+        for lam in lams[k + 1 :]:
+            tail_weight = tail_weight + lam
+        vec = []
+        for l in range(len(enum)):
+            vec.append(int(sum(rs.pairing(tail_weight, u) for u in enum[l:])))
+        vec.append(0)
+        out.append(tuple(vec))
+    return out
+
+
+def flag_bott_vectors(rs: RootSystem, subsets) -> dict:
+    """a^{(k,j)}_l(p) = ⟨α_{u_{k,l}} + ... + α_{u_{k,m_k}}, α^∨_{u_{j,p}} + ... + α^∨_{u_{j,m_j}}⟩,
+    zero on the padded slots l = m_k + 1 and p = m_j + 1."""
+    subsets = rs.subsets(subsets)
+    enums = [rs.type_a_enumeration(s) for s in subsets.sets]
+    c = rs.cartan.entries
+    vectors: dict = {}
+    for k in range(1, subsets.r):
+        mk = len(enums[k])
+        for j in range(k):
+            mj = len(enums[j])
+            vecs = []
+            for l in range(mk + 1):
+                if l == mk:
+                    vecs.append((0,) * (mj + 1))
+                    continue
+                row = []
+                for p in range(mj):
+                    total = 0
+                    for s in enums[k][l:]:
+                        for t in enums[j][p:]:
+                            total += c[t - 1][s - 1]
+                    row.append(total)
+                row.append(0)
+                vecs.append(tuple(row))
+            vectors[(k + 1, j + 1)] = tuple(vecs)
+    return vectors

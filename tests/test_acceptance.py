@@ -7,9 +7,14 @@ additionally gated by the seeded Monte-Carlo 4-sigma check.
 """
 
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
+
+import pytest
 
 from crystalcubes.bundles import flag_bott_vectors, pullback_vector
 from crystalcubes.crystal import (
@@ -210,6 +215,24 @@ SL4_GOLDEN = {
     (0, 1, 0): Fraction(-288),
     (0, 0, 1): Fraction(-236, 3),
 }
+
+
+def test_golden_rationals_match_their_derivation():
+    """SL4_GOLDEN is what scripts/derive_cube_golden.py prints; its extra (2,0,0) moment
+    is checked against the exact engine."""
+    pytest.importorskip("sympy")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "derive_cube_golden.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True).stdout
+    derived = {}
+    for line in out.splitlines():
+        name, value = (part.strip() for part in line.split(":"))
+        m = (0, 0, 0) if name == "signed volume" else tuple(int(t) for t in name.split("(")[1].rstrip(")").split(","))
+        derived[m] = Fraction(value)
+    assert {m: derived[m] for m in SL4_GOLDEN} == SL4_GOLDEN
+    cube = TwistedCube(A3, (1, 2, 1, 3), (0, 4, 2, 2))
+    proj = projection_map(A3, SubsetSequence([(1, 2), (3,)]), WordSequence([(1, 2, 1), (3,)]))
+    for m in set(derived) - set(SL4_GOLDEN):
+        assert cube.pushforward_moments(proj, m) == derived[m]
 
 
 def test_criterion_09_exact_vs_monte_carlo_measure():

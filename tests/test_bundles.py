@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalcubes.bundles import (
     bundle_report,
@@ -13,6 +15,8 @@ from crystalcubes.bundles import (
 )
 from crystalcubes.demazure import gen_demazure_crystal, gen_demazure_crystal_weights
 from crystalcubes.rootsys import RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+
+import oracles
 
 A2 = RootSystem.preset("A2")
 A3 = RootSystem.preset("A3")
@@ -120,6 +124,9 @@ class TestDegenerationVectors:
     def test_non_type_a_rejected(self):
         with pytest.raises(UnsupportedInputError):
             degeneration_vectors(A3, SubsetSequence([(1, 3)]), [A3.weight(1, 1, 1)])
+        b3 = RootSystem.preset("B3")  # the first block not of type A is the one named
+        with pytest.raises(UnsupportedInputError, match=r"Levi on \(2, 3\) "):
+            degeneration_vectors(b3, [(1,), (2, 3), (1, 2, 3)], [b3.zero_weight()] * 3)
 
     def test_nonnegative_for_dominant(self):
         rng = random.Random(3)
@@ -143,11 +150,11 @@ class TestFlagBottVectors:
 
     def test_r1_empty(self):
         tower = flag_bott_vectors(A3, SubsetSequence([(1, 2, 3)]))
-        assert tower.vectors == {}
+        assert tower == {}
 
     def test_entry_bound(self):
         tower = flag_bott_vectors(A3, SubsetSequence([(1, 2, 3), (1, 2, 3)]))
-        for vecs in tower.vectors.values():
+        for vecs in tower.values():
             for vec in vecs:
                 assert all(abs(x) <= 2 * 3 for x in vec)
 
@@ -177,3 +184,52 @@ class TestCrystalConsistency:
         assert report["pullback_vector"] == [[0, 4, 2], [2]]
         assert report["mu"] == [0, 0, 0]
         assert set(report) == {"words", "pullback_vector", "mu", "degeneration_vectors", "tower_vectors"}
+
+
+BUNDLE_SYSTEMS = [RootSystem.preset(name) for name in ("A2", "A3", "A4", "B3", "C3", "G2", "D4", "F4")]
+
+
+@st.composite
+def bundle_shapes(draw):
+    """A preset, 1-4 random subsets, a random reduced word of the longest element of each
+    W_I (a maximal descent walk from Σ_{i∈I} ϖ_i) or None for the default words, and
+    weights with coordinates in -3..3."""
+    rs = draw(st.sampled_from(BUNDLE_SYSTEMS))
+    subsets, words = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        subset = tuple(sorted(draw(st.sets(st.integers(1, rs.n), min_size=1))))
+        v = tuple(int(k + 1 in subset) for k in range(rs.n))
+        word = []
+        while descents := [i for i in subset if v[i - 1] > 0]:
+            word.append(draw(st.sampled_from(descents)))
+            v = rs.reflect(v, word[-1])
+        assert rs.is_reduced_word_for_longest(word, subset)
+        subsets.append(subset)
+        words.append(tuple(word))
+    coords = st.lists(st.integers(-3, 3), min_size=rs.n, max_size=rs.n)
+    lams = [rs.weight(draw(coords)) for _ in subsets]
+    return rs, subsets, words if draw(st.booleans()) else None, lams
+
+
+def outcome(f, *args):
+    """f's value, or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=bundle_shapes())
+def test_bundle_vectors_match_formula_oracles(drawn):
+    rs, subsets, words, lams = drawn
+    a = pullback_vector(rs, subsets, words, lams)
+    mu = mu_weight(rs, subsets, words, lams)
+    assert a.blocks == oracles.pullback_vector(rs, subsets, words, lams)
+    assert mu == oracles.mu_weight(rs, subsets, words, lams)
+    flat_word = rs.blocks(subsets, words)[1].flat
+    for s in range(1, rs.n + 1):
+        owned = sum(x for x, t in zip(a.flat, flat_word) if t == s)
+        assert owned + mu.coords[s - 1] == sum(rs.pairing(lam, s) for lam in lams)
+    assert outcome(degeneration_vectors, rs, subsets, lams) == outcome(oracles.degeneration_vectors, rs, subsets, lams)
+    assert outcome(flag_bott_vectors, rs, subsets) == outcome(oracles.flag_bott_vectors, rs, subsets)

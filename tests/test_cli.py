@@ -1,7 +1,10 @@
 """Batch CLI: artifacts, summaries, exit codes, reproducibility."""
 
+import dataclasses
 import gc
 import json
+import os
+import stat
 import warnings
 import weakref
 from pathlib import Path
@@ -167,6 +170,48 @@ def test_text_built_only_for_text_formats(tmp_path, monkeypatch, command, params
     config["output"] = {"path": f"out.{fmt}", "format": fmt}
     assert run_cli(tmp_path, config) == 0
     assert built == [1]
+
+
+@pytest.mark.parametrize("command,params,fmt,by_flag", [
+    ("crystal", {"weight": [1, 1]}, "csv", False),
+    ("crystal", {"weight": [1, 1]}, "svg", True),
+    ("cube-histogram", {"word": [1, 2], "a": [1, 1], "samples": 1000}, "svg", False),
+    ("cube-svg", {"word": [1, 2], "a": [1, 1], "samples": 1000}, "csv", True),
+    ("lattice-points", {"word": [1], "a": [2]}, "txt", False),
+    ("bundle-vectors", {"subsets": [[1, 2]], "weights": [[1, 0]]}, "txt", True),
+    ("gen-demazure", {"word": [1], "a": [1]}, "pdf", False),
+])
+def test_unlisted_format_exit_2(tmp_path, capsys, monkeypatch, command, params, fmt, by_flag):
+    """A format the command does not list exits 2 before its handler runs, and writes no file."""
+    def handler(*args):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setitem(cli.COMMANDS, command, dataclasses.replace(cli.COMMANDS[command], handler=handler))
+    config = {"root_system": "A2", "command": command, "params": params, "output": {"path": "out.x"}}
+    if not by_flag:
+        config["output"]["format"] = fmt
+    assert run_cli(tmp_path, config, *(["--format", fmt] if by_flag else [])) == 2
+    formats = ", ".join(cli.COMMANDS[command].formats)
+    message = f"{command} has no {fmt!r} artifact; formats: {formats}"
+    assert json.loads(capsys.readouterr().err) == {"error": {"kind": "invalid", "message": message}}
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
+def test_format_flag_takes_txt(tmp_path):
+    config = {"root_system": "A2", "command": "demazure", "params": {"weight": [1, 1], "word": [1, 2]}}
+    assert run_cli(tmp_path, config, "--format", "txt") == 0
+    assert (tmp_path / "demazure.txt").read_text().count("->") == 4
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifact_mode_follows_umask(tmp_path, umask, mode):
+    config = {"root_system": "A2", "command": "crystal", "params": {"weight": [1, 0]}, "output": {"path": "g.json"}}
+    old = os.umask(umask)
+    try:
+        assert run_cli(tmp_path, config) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "g.json").stat().st_mode) == mode
 
 
 def test_json_dump_holds_no_graph(tmp_path, monkeypatch):
@@ -790,7 +835,7 @@ def test_readme_lists_every_command():
 def test_public_surface():
     # every name the package exports, pinned so that growing or shrinking the API is a visible change
     assert sorted(crystalcubes.__all__) == [
-        "BottTowerData", "BudgetExceededError", "CartanMatrix", "CrystalGraph", "GenDemazureCrystal",
+        "BudgetExceededError", "CartanMatrix", "CrystalGraph", "GenDemazureCrystal",
         "InvariantError", "LatticePointSet", "MVPolynomial", "MultiplicityTable", "PathElement", "ProjectionMap",
         "PullbackVector", "RootSystem", "SignedHistogram", "SubsetSequence", "TensorElement", "TwistedCube",
         "UnsupportedInputError", "Weight", "WordSequence", "bundle_report", "bundles", "component_count",

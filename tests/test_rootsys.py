@@ -135,6 +135,12 @@ class TestPairing:
         with pytest.raises(ValueError):
             A2.pairing(Weight((1, 0, 0)), 1)
 
+    def test_plain_sequence(self):
+        # read through RootSystem.weight, as every other method reads a weight
+        assert A2.pairing([1, 0], 1) == 1
+        with pytest.raises(ValueError, match="weight needs 2 coordinates"):
+            A2.pairing([1, 0, 0], 1)
+
 
 class TestSimpleRoots:
     def test_a2(self):
@@ -295,6 +301,12 @@ class TestWeylDimension:
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
             A2.weyl_dimension(A2.weight(-1, 0))
+
+    def test_plain_sequence(self):
+        assert A2.weyl_dimension([1, 0]) == 3
+        assert A2.weyl_dimension((1, 1)) == 8
+        with pytest.raises(ValueError, match="weight needs 2 coordinates"):
+            A2.weyl_dimension([1, 0, 0])
 
     def test_multiplicative_over_components(self):
         a1xa1 = RootSystem([[2, 0], [0, 2]])
