@@ -16,7 +16,7 @@ import os
 import sys
 
 from crystalcubes.bundles import pullback_vector
-from crystalcubes.rootsys import RootSystem, SubsetSequence, WordSequence
+from crystalcubes.rootsys import RootSystem
 from crystalcubes.twistedcube import TwistedCube, mc_histogram, projection_map
 
 PAIRS = [
@@ -34,8 +34,7 @@ def main():
     outdir = sys.argv[1] if len(sys.argv) > 1 else "cube_projections"
     os.makedirs(outdir, exist_ok=True)
     rs = RootSystem.preset("A3")
-    subsets = SubsetSequence([(1, 2), (3,)])
-    words = WordSequence.for_subsets(rs, subsets)
+    subsets, words = rs.blocks([(1, 2), (3,)])
     proj = projection_map(rs, subsets, words)
 
     misses = 0
@@ -65,8 +64,7 @@ def main():
             handle.write("\n".join(hist.to_csv_lines()) + "\n")
         print(f"  histogram -> {path}")
     g2 = RootSystem.preset("G2")
-    flag = SubsetSequence([(1, 2)])
-    g2_words = WordSequence.for_subsets(g2, flag)
+    flag, g2_words = g2.blocks([(1, 2)])
     cube = TwistedCube(g2, g2_words.flat, pullback_vector(g2, flag, g2_words, [g2.weight(1, 1)]).flat)
     vol = cube.signed_volume()
     est, err = cube.mc_volume(SAMPLES, seed=SEED)

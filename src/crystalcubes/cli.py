@@ -1,9 +1,9 @@
 """Batch front-end: one JSON job per invocation, artifacts written atomically.
 
 Exit codes: 0 success, 2 malformed config, computation error or unwritable
-output, 3 unsupported input (e.g. a Levi block not of type A), 4 element or
-histogram-cell budget exceeded, 5 an internal consistency check failed (a defect
-of the program, not of the input).
+output, 3 unsupported input (e.g. a Levi block not of type A), 4 element,
+moment-count or histogram-cell budget exceeded, 5 an internal consistency check
+failed (a defect of the program, not of the input).
 Errors go to stderr as a one-line JSON object.
 """
 
@@ -16,7 +16,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from math import prod
+from math import comb, prod
 from operator import index
 from typing import Callable
 
@@ -195,6 +195,9 @@ def _cube_moments(rs: RootSystem, q: dict, config: JobConfig):
     degree = index(q.get("degree", 1))
     if degree < 0:
         raise ConfigError("degree must be nonnegative")
+    count = comb(proj.rows + degree, degree)  # checked before any moment is computed
+    if count > config.budget:
+        raise BudgetExceededError(f"{count} moments up to degree {degree} exceed budget of {config.budget} moments")
     # |m| <= degree: a multiset of `degree` target coordinates, with slot `rows` as the slack
     slots = combinations_with_replacement(range(proj.rows + 1), degree)
     moments = {}

@@ -291,7 +291,7 @@ def is_highest(rs: RootSystem, b) -> bool:
 
 def phi(rs: RootSystem, b, i: int) -> int:
     """φ_i(b) = ε_i(b) + ⟨wt(b), α_i^∨⟩."""
-    return epsilon(rs, b, i) + int(wt(rs, b).coords[i - 1])
+    return epsilon(rs, b, i) + wt(rs, b).coords[i - 1]
 
 
 _MISSING = object()
@@ -341,19 +341,13 @@ def path_e(rs: RootSystem, b, i: int):
     return _apply(rs, b, i, _e_path_cached, strict=False)
 
 
-def highest_path(rs: RootSystem, lam: Weight) -> PathElement:
-    """The straight-line path b_λ for dominant integral λ."""
-    coords = lam.coords if isinstance(lam, Weight) else tuple(lam)
-    cached = rs._paths.get(("top", coords))
-    if cached is not None:
-        return cached
-    lam = rs.weight(coords)
-    if not lam.is_dominant() or not lam.is_integral():
+def highest_path(rs: RootSystem, lam) -> PathElement:
+    """The straight-line path b_λ for dominant λ, interned in rs._paths."""
+    lam = rs.weight(lam)
+    if not lam.is_dominant():
         raise ValueError("highest path needs a dominant integral weight")
     path = PathElement.straight(lam.coords)
-    path = rs._paths.setdefault(path, path)
-    rs._paths[("top", coords)] = path
-    return path
+    return rs._paths.setdefault(path, path)
 
 
 # -- crystal graphs -----------------------------------------------------------
@@ -373,7 +367,7 @@ class CrystalGraph:
         return len(self.vertices)
 
     def to_json_dict(self) -> dict:
-        verts = [{"index": k, "weight": [_coord_json(c) for c in w.coords]} for k, w in enumerate(self.weights)]
+        verts = [{"index": k, "weight": list(w.coords)} for k, w in enumerate(self.weights)]
         return {
             "vertex_count": self.vertex_count,
             "highest": self.highest,
@@ -384,10 +378,6 @@ class CrystalGraph:
     def to_edge_lines(self) -> str:
         lines = [f"{u} -> {v} [label={i}]" for (u, i, v) in self.edges]
         return "\n".join(lines) + "\n"
-
-
-def _coord_json(c):
-    return c if isinstance(c, int) else str(Fraction(c))
 
 
 def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:

@@ -6,7 +6,8 @@ roots, deterministic reduced words for longest elements of parabolic Weyl
 subgroups, and type-A enumerations of subsets.
 
 Weights are always stored in fundamental-weight coordinates, so the pairing
-with a simple coroot is a coordinate read-off.
+with a simple coroot is a coordinate read-off; `Weight` reads each one as an int,
+so every weight is integral.  `RootSystem.blocks` alone checks (subsets, words).
 """
 
 from __future__ import annotations
@@ -30,22 +31,21 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed on valid input: a defect of the program."""
 
 
-Coords = tuple[Fraction, ...]
-
-
-def _num(x) -> int | Fraction:
-    """An int or Fraction coordinate; strings and floats are not read as numbers."""
+def _num(x) -> int:
+    """An integer coordinate, from an int, a NumPy int or an integral Fraction; strings and
+    floats are not read as numbers, and a Fraction such as 1/2 is not an integer."""
     if type(x) is int:
         return x
     if not isinstance(x, Rational):
-        raise TypeError(f"weight coordinates must be integers or fractions, not {type(x).__name__}")
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
+        raise TypeError(f"weight coordinates must be integers, not {type(x).__name__}")
+    if x.denominator != 1:
+        raise ValueError(f"weight coordinates must be integers, not {x}")
+    return int(x)
 
 
 @dataclass(frozen=True)
 class Weight:
-    """Coordinate vector in the fundamental-weight basis ϖ1..ϖn."""
+    """Integer coordinate vector in the fundamental-weight basis ϖ1..ϖn."""
 
     coords: tuple
 
@@ -66,9 +66,6 @@ class Weight:
 
     def __rmul__(self, k) -> "Weight":
         return Weight(k * c for c in self.coords)
-
-    def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coords)  # _num stores integral values as int
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
@@ -212,7 +209,7 @@ class RootSystem:
         self._paths: dict = {}
         # checked subset → its longest word; tuples only, so no cycle holds the root system
         self._longest_words: dict = {}
-        # (subset, word) pairs that WordSequence.validate has verified; tuples only, too
+        # (subset, word) pairs that blocks has verified; tuples only, too
         self._verified_words: set = set()
         # s_i on path directions, one memo per i: directions lie in the Weyl orbits of the tops
         self._reflections = tuple(_ReflectionMemo(idx, col) for idx, col in enumerate(self._alpha_cols))
@@ -233,28 +230,36 @@ class RootSystem:
         return w
 
     def subsets(self, subsets) -> "SubsetSequence":
-        """A validated SubsetSequence, from one or from a sequence of index sequences."""
+        """A checked SubsetSequence, from one or from a sequence of index sequences."""
         subsets = subsets if isinstance(subsets, SubsetSequence) else SubsetSequence(subsets)
-        return subsets.validate(self)
+        for s in subsets.sets:
+            self._check_subset(s)
+        return subsets
 
     def blocks(self, subsets, words=None) -> tuple["SubsetSequence", "WordSequence"]:
-        """Validated subsets I_1..I_r with their words; words=None means the longest word of each W_{I_k}."""
+        """Checked subsets I_1..I_r with their words; words=None means the longest word of each W_{I_k}.
+        Block k must be a reduced word for that longest element.  A (subset, block) pair
+        that passes is remembered; a pair that fails raises on every call."""
         subsets = self.subsets(subsets)
         if words is None:
-            return subsets, WordSequence.for_subsets(self, subsets)
+            return subsets, WordSequence(self.longest_word(s) for s in subsets.sets)
         words = words if isinstance(words, WordSequence) else WordSequence(words)
-        return subsets, words.validate(self, subsets)
+        if len(words.blocks) != subsets.r:
+            raise ValueError("word sequence and subset sequence lengths differ")
+        for subset, block in zip(subsets.sets, words.blocks):
+            if (subset, block) not in self._verified_words:
+                if not self.is_reduced_word_for_longest(block, subset):
+                    raise ValueError(f"block {block} is not a reduced word for the longest element of W_{subset}")
+                self._verified_words.add((subset, block))
+        return subsets, words
 
     def block_weights(self, subsets: "SubsetSequence", lams, dominant: bool = False) -> list[Weight]:
-        """One integral weight per subset, each dominant too when `dominant`."""
+        """One weight per subset, each dominant too when `dominant`."""
         lams = [self.weight(lam) for lam in lams]
         if len(lams) != subsets.r:
             raise ValueError("need one weight per subset")
-        for lam in lams:
-            if dominant and not (lam.is_dominant() and lam.is_integral()):
-                raise ValueError("weights must be dominant integral")
-            if not lam.is_integral():
-                raise ValueError("weights must be integral (ϖ-coordinates)")
+        if dominant and not all(lam.is_dominant() for lam in lams):
+            raise ValueError("weights must be dominant integral")
         return lams
 
     def zero_weight(self) -> Weight:
@@ -268,7 +273,7 @@ class RootSystem:
         if not 1 <= i <= self.n:
             raise IndexError(f"simple-root index {i} out of range 1..{self.n}")
 
-    def pairing(self, lam: Weight, i: int) -> int | Fraction:
+    def pairing(self, lam: Weight, i: int) -> int:
         """⟨λ, α_i^∨⟩; a coordinate read-off in the ϖ-basis."""
         self._check_index(i)
         return self.weight(lam).coords[i - 1]
@@ -277,7 +282,7 @@ class RootSystem:
         self._check_index(i)
         return Weight(self._alpha_cols[i - 1])
 
-    def reflect(self, coords: Coords, i: int) -> tuple:
+    def reflect(self, coords: tuple, i: int) -> tuple:
         """s_i acting on ϖ-coordinates: v - ⟨v, α_i^∨⟩ α_i."""
         return _reflect(coords, i - 1, self._alpha_cols[i - 1])
 
@@ -406,7 +411,7 @@ class RootSystem:
     def weyl_dimension(self, lam: Weight) -> int:
         """dim V(λ) = Π_{β>0} ⟨λ+ρ, β^∨⟩ / ⟨ρ, β^∨⟩, exact rationals throughout."""
         lam = self.weight(lam)
-        if not lam.is_dominant() or not lam.is_integral():
+        if not lam.is_dominant():
             raise ValueError("weyl_dimension needs a dominant integral weight")
         result = Fraction(1)
         for beta in self.positive_roots():
@@ -420,7 +425,7 @@ class RootSystem:
 
 @dataclass(frozen=True)
 class SubsetSequence:
-    """Ordered sequence (I_1,...,I_r) of sorted nonempty subsets of [n]."""
+    """Ordered sequence (I_1,...,I_r) of subsets of [n]; `RootSystem.subsets` checks them."""
 
     sets: tuple[tuple[int, ...], ...]
 
@@ -433,15 +438,10 @@ class SubsetSequence:
     def r(self) -> int:
         return len(self.sets)
 
-    def validate(self, rs: RootSystem) -> "SubsetSequence":
-        for s in self.sets:
-            rs._check_subset(s)
-        return self
-
 
 @dataclass(frozen=True)
 class WordSequence:
-    """Per-block words; block k must be a reduced word for the longest element of W_{I_k}."""
+    """Per-block words; `RootSystem.blocks` checks each against its subset."""
 
     blocks: tuple[tuple[int, ...], ...]
 
@@ -455,21 +455,3 @@ class WordSequence:
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
-
-    def validate(self, rs: RootSystem, subsets: SubsetSequence) -> "WordSequence":
-        """Check each block against its subset.  A pair that passes is remembered by rs, so
-        checking it again is one set lookup; a pair that fails raises on every call."""
-        if len(self.blocks) != subsets.r:
-            raise ValueError("word sequence and subset sequence lengths differ")
-        for pair in zip(subsets.sets, self.blocks):
-            if pair in rs._verified_words:
-                continue
-            subset, block = pair
-            if not rs.is_reduced_word_for_longest(block, subset):
-                raise ValueError(f"block {block} is not a reduced word for the longest element of W_{subset}")
-            rs._verified_words.add(pair)
-        return self
-
-    @classmethod
-    def for_subsets(cls, rs: RootSystem, subsets: SubsetSequence) -> "WordSequence":
-        return cls(rs.longest_word(s) for s in subsets.sets)

@@ -408,7 +408,7 @@ def mc_histogram(
 
 def _bin_counts(bins, rows: int) -> tuple[int, ...]:
     """One positive bin count per target dimension, from a sequence or one int for all."""
-    bins = tuple(map(index, (bins,) * rows if isinstance(bins, int) else bins))
+    bins = (index(bins),) * rows if hasattr(bins, "__index__") else tuple(map(index, bins))
     if len(bins) != rows or any(b <= 0 for b in bins):
         raise ValueError("need one positive bin count per target dimension")
     return bins

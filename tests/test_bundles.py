@@ -55,8 +55,7 @@ class TestPullbackVector:
     def test_support_at_last_occurrences_only(self):
         rng = random.Random(7)
         for _ in range(20):
-            subsets = SubsetSequence([(1, 2), (1, 2, 3)])
-            words = WordSequence.for_subsets(A3, subsets)
+            subsets, words = A3.blocks([(1, 2), (1, 2, 3)])
             lams = [random_dominant(A3, rng), random_dominant(A3, rng)]
             vec = pullback_vector(A3, subsets, words, lams)
             for block, row in zip(words.blocks, vec.blocks):
@@ -88,8 +87,7 @@ class TestMuWeight:
         assert mu.coords == (0, 0, 5)  # only s=3 at j=1 escapes {1,2}
 
     def test_full_cover_gives_zero(self):
-        subsets = SubsetSequence([(1, 2, 3)])
-        words = WordSequence.for_subsets(A3, subsets)
+        subsets, words = A3.blocks([(1, 2, 3)])
         mu = mu_weight(A3, subsets, words, [A3.weight(4, 5, 6)])
         assert mu.coords == (0, 0, 0)
 
@@ -173,7 +171,7 @@ class TestCrystalConsistency:
             (A3, SubsetSequence([(1, 2, 3), (2, 3)]), [A3.weight(1, 0, 0), A3.weight(0, 0, 1)]),
         ]
         for rs, subsets, lams in cases:
-            words = WordSequence.for_subsets(rs, subsets)
+            subsets, words = rs.blocks(subsets)
             a = pullback_vector(rs, subsets, words, lams).flat
             flat = gen_demazure_crystal(rs, words.flat, a)
             blocked = gen_demazure_crystal_weights(rs, subsets, lams, words)

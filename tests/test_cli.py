@@ -779,6 +779,26 @@ def test_histogram_cells_over_budget_exit_4(tmp_path, capsys, monkeypatch):
     assert run_cli(tmp_path, {**config, "budget": 100}) == 0
 
 
+def test_moment_count_over_budget_exit_4(tmp_path, capsys, monkeypatch):
+    def no_moments(*args, **kwargs):
+        raise AssertionError("a moment was computed before the moment count was checked")
+
+    monkeypatch.setattr(twistedcube.TwistedCube, "pushforward_moments", no_moments)
+    # the flag projection of A2_CUBE has 2 rows, so |m| <= 12 takes C(14, 12) = 91 multi-indices
+    config = {"root_system": "A2", "command": "cube-moments", "params": {**A2_CUBE, "degree": 12}, "budget": 10}
+    assert run_cli(tmp_path, config) == 4
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"kind": "budget", "message": "91 moments up to degree 12 exceed budget of 10 moments"}
+    }
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+    assert run_cli(tmp_path, {**config, "params": {**A2_CUBE, "degree": 40}, "budget": 860}) == 4
+    assert "861 moments up to degree 40" in json.loads(capsys.readouterr().err)["error"]["message"]
+    monkeypatch.undo()
+    # a count equal to the budget passes: |m| <= 1 over 2 rows takes 3 moments
+    assert run_cli(tmp_path, {**config, "params": {**A2_CUBE, "degree": 1}, "budget": 3}) == 0
+    assert json.loads((tmp_path / "cube-moments.json").read_text())["moments"].keys() == {"0,0", "0,1", "1,0"}
+
+
 def test_unwritable_output_exit_2(tmp_path, capsys):
     (tmp_path / "afile").write_text("")
     config = {"root_system": "A2", "command": "crystal", "params": {"weight": [1, 0]}}

@@ -218,8 +218,7 @@ class TestOmega:
     def test_blocked_matches_flat_on_a3_mixed(self):
         from crystalcubes.bundles import pullback_vector
 
-        subsets = SubsetSequence([(1, 2, 3), (2,)])
-        words = WordSequence.for_subsets(A3, subsets)
+        subsets, words = A3.blocks([(1, 2, 3), (2,)])
         lams = [A3.weight(1, 0, 0), A3.weight(0, 1, 0)]
         a = pullback_vector(A3, subsets, words, lams).flat
         flat = gen_demazure_crystal(A3, words.flat, a)

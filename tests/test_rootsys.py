@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalcubes.crystal import generate_crystal
+from crystalcubes.crystal import generate_crystal, highest_path
 from crystalcubes.rootsys import (
     PRESETS,
     CartanMatrix,
@@ -20,6 +20,7 @@ from crystalcubes.rootsys import (
     Weight,
     WordSequence,
 )
+from crystalcubes.stringpoly import multiplicity
 
 
 A1 = RootSystem.preset("A1")
@@ -321,23 +322,24 @@ class TestWeylDimension:
 
 class TestSequences:
     def test_subset_validation(self):
-        seq = SubsetSequence([(1, 2), (3,)])
-        assert seq.validate(A3).r == 2
-        with pytest.raises(ValueError):
-            SubsetSequence([(2, 1)]).validate(A3)
-        with pytest.raises(ValueError):
-            SubsetSequence([(0,)]).validate(A3)
+        assert A3.subsets([(1, 2), (3,)]).r == 2
+        assert A3.blocks([(1, 2), (3,)])[0].r == 2
+        for bad in ([(2, 1)], [(0,)]):
+            with pytest.raises(ValueError):
+                A3.subsets(bad)
+            with pytest.raises(ValueError):
+                A3.blocks(bad)
         with pytest.raises(ValueError):
             SubsetSequence([])
 
     def test_word_sequence_validation(self):
         subs = SubsetSequence([(1, 2), (3,)])
-        WordSequence([(1, 2, 1), (3,)]).validate(A3, subs)
-        WordSequence([(2, 1, 2), (3,)]).validate(A3, subs)
+        A3.blocks(subs, [(1, 2, 1), (3,)])
+        A3.blocks(subs, WordSequence([(2, 1, 2), (3,)]))
         with pytest.raises(ValueError):
-            WordSequence([(1, 2), (3,)]).validate(A3, subs)
+            A3.blocks(subs, [(1, 2), (3,)])
         with pytest.raises(ValueError):
-            WordSequence([(1, 2, 1), (1,)]).validate(A3, subs)
+            A3.blocks(subs, [(1, 2, 1), (1,)])
 
     def test_word_pair_verified_once(self, monkeypatch):
         rs = RootSystem.preset("A3")
@@ -348,12 +350,12 @@ class TestSequences:
         )
         subs = SubsetSequence([(1, 2), (3,)])
         for _ in range(2):
-            WordSequence([(2, 1, 2), (3,)]).validate(rs, subs)
+            rs.blocks(subs, [(2, 1, 2), (3,)])
         assert checks == [((1, 2), (2, 1, 2)), ((3,), (3,))]
         # a failing pair is never remembered: every call checks it again and raises the same error
         for attempt in range(1, 3):
             with pytest.raises(ValueError, match=r"block \(1, 2\) is not a reduced word for the longest element of W_\(1, 2\)"):
-                WordSequence([(2, 1, 2), (1, 2)]).validate(rs, SubsetSequence([(1, 2), (1, 2)]))
+                rs.blocks([(1, 2), (1, 2)], [(2, 1, 2), (1, 2)])
             assert checks[2:] == [((1, 2), (1, 2))] * attempt
 
     def test_non_integer_entries_rejected(self):
@@ -367,7 +369,7 @@ class TestSequences:
     def test_blocks_resolver(self):
         subsets, words = A3.blocks([[1, 2], [3]])
         assert subsets == SubsetSequence([(1, 2), (3,)])
-        assert words == WordSequence.for_subsets(A3, subsets)
+        assert words == WordSequence([(1, 2, 1), (3,)])
         assert A3.blocks(subsets, [[2, 1, 2], [3]]) == (subsets, WordSequence([(2, 1, 2), (3,)]))
         assert A3.blocks(subsets, words) == (subsets, words)
         assert A3.subsets([[1, 2], [3]]) == subsets
@@ -384,15 +386,11 @@ class TestSequences:
         assert A3.block_weights(subsets, [[1, 0, 0], [0, 1, 2]], dominant=True)[1] == Weight((0, 1, 2))
         with pytest.raises(ValueError, match="need one weight per subset"):
             A3.block_weights(subsets, [[1, 0, 0]])
-        with pytest.raises(ValueError, match=r"weights must be integral \(ϖ-coordinates\)"):
-            A3.block_weights(subsets, [[1, 0, 0], [Fraction(1, 2), 0, 0]])
-        for lam in ([0, -1, 2], [Fraction(1, 2), 0, 0]):
-            with pytest.raises(ValueError, match="weights must be dominant integral"):
-                A3.block_weights(subsets, [[1, 0, 0], lam], dominant=True)
+        with pytest.raises(ValueError, match="weights must be dominant integral"):
+            A3.block_weights(subsets, [[1, 0, 0], [0, -1, 2]], dominant=True)
 
     def test_auto_words(self):
-        subs = SubsetSequence([(1, 2), (3,)])
-        words = WordSequence.for_subsets(A3, subs)
+        words = A3.blocks([(1, 2), (3,)])[1]
         assert words.blocks == ((1, 2, 1), (3,))
         assert words.flat == (1, 2, 1, 3)
         assert words.block_sizes == (3, 1)
@@ -405,11 +403,6 @@ class TestWeight:
         assert (2 * Weight((1, 0))).coords == (2, 0)
         assert (Weight((1, 1)) - Weight((2, 0))).coords == (-1, 1)
 
-    def test_rational_coords(self):
-        w = Weight((Fraction(1, 2), 1))
-        assert not w.is_integral()
-        assert w.is_dominant()
-
     def test_root_system_weight_accepts_weight(self):
         w = Weight((1, 0, 2))
         assert A3.weight(w) is w
@@ -420,13 +413,38 @@ class TestWeight:
     def test_integral_normalization(self):
         assert Weight((Fraction(4, 2),)).coords == (2,)
 
-    def test_only_rationals_read_as_coordinates(self):
-        w = Weight((np.int64(2), Fraction(1, 2)))
-        assert w.coords == (2, Fraction(1, 2)) and type(w.coords[0]) is int
+    def test_only_integers_read_as_coordinates(self):
         assert RootSystem.preset("A1").weight(np.int64(1)).coords == (1,)
         for bad in ("1", 1.0):
-            with pytest.raises(TypeError, match="integers or fractions"):
+            with pytest.raises(TypeError, match=f"weight coordinates must be integers, not {type(bad).__name__}"):
                 Weight((bad, 1))
+
+
+# each reads a weight of A1 (as ν for multiplicity) through Weight, the one place that checks integrality
+WEIGHT_READERS = {
+    "Weight": lambda x: Weight((x,)).coords,
+    "rs.weight": lambda x: A1.weight(x).coords,
+    "block_weights": lambda x: A1.block_weights(A1.subsets([(1,)]), [[x]])[0].coords,
+    "highest_path": lambda x: highest_path(A1, [x]).endpoint(),
+    "weyl_dimension": lambda x: A1.weyl_dimension([x]),
+    "pairing": lambda x: A1.pairing([x], 1),
+    "generate_crystal": lambda x: generate_crystal(A1, [x]).vertex_count,
+    "multiplicity": lambda x: multiplicity(A1, [(1,)], [[2]], [x]),
+}
+WANT_AT_2 = {"Weight": (2,), "rs.weight": (2,), "block_weights": (2,), "highest_path": (2,), "weyl_dimension": 3,
+             "pairing": 2, "generate_crystal": 3, "multiplicity": 1}
+
+
+@pytest.mark.parametrize("reader", sorted(WEIGHT_READERS))
+def test_weights_are_integral(reader):
+    """Fraction(1, 2) is rejected wherever a weight is read; Fraction(4, 2) and np.int64(2) read as the int 2."""
+    read = WEIGHT_READERS[reader]
+    with pytest.raises(ValueError, match="weight coordinates must be integers, not 1/2"):
+        read(Fraction(1, 2))
+    for two in (Fraction(4, 2), np.int64(2), 2):
+        value = read(two)
+        assert value == WANT_AT_2[reader]
+        assert all(type(c) is int for c in (value if isinstance(value, tuple) else (value,)))
 
 
 PRESET_SYSTEMS = [RootSystem.preset(name) for name in PRESETS]

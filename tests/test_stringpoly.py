@@ -338,7 +338,7 @@ def test_highest_weight_route_matches_full_saturation(data):
     if data.draw(st.booleans(), label="explicit words"):
         words = [data.draw(reduced_longest_words(rs, s)) for s in subsets]
     else:
-        words = list(WordSequence.for_subsets(rs, SubsetSequence(subsets)).blocks)
+        words = list(rs.blocks(subsets)[1].blocks)
 
     crystal, hat, fibers = full_saturation_route(rs, subsets, lams, words)
     assert hat_lattice_points(rs, subsets, lams, words) == hat

@@ -265,6 +265,9 @@ class TestMonteCarloHistogram:
         h1 = mc_histogram(cube, proj, 10, 20_000, seed=42, shards=4)
         h2 = mc_histogram(cube, proj, 10, 20_000, seed=42, shards=4)
         assert (h1.values == h2.values).all()
+        # a NumPy int reads as a plain one, for a lone bin count as for samples and shards
+        h3 = mc_histogram(cube, proj, np.int64(10), np.int64(20_000), seed=42, shards=np.int64(4))
+        assert h3.values.tobytes() == h1.values.tobytes() and h3.edges == h1.edges
 
     def test_zero_samples_rejected(self):
         cube = TwistedCube(A1, (1,), (2,))
