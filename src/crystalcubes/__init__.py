@@ -57,7 +57,6 @@ from .twistedcube import (
     ProjectionMap,
     SignedHistogram,
     TwistedCube,
-    identity_projection,
     mc_histogram,
     projected_box,
     projection_map,

@@ -172,16 +172,16 @@ def _bundle_vectors(rs: RootSystem, q: dict, config: JobConfig):
 
 
 def _twisted_cube(rs: RootSystem, q: dict):
-    """The cube and its projection; with subsets, the word shape must use their longest words."""
+    """The cube and its projection.  The word shape's subsets default to the singleton
+    blocks {i_k}, and the word must be the longest words of its subsets."""
     if "word" not in q:
         a = bundles.pullback_vector(rs, q["subsets"], q["words"], q["weights"]).flat
         return twistedcube.TwistedCube(rs, q["words"].flat, a), twistedcube.projection_map(rs, q["subsets"], q["words"])
-    if "subsets" not in q:
-        return twistedcube.TwistedCube(rs, q["word"], q["a"]), twistedcube.identity_projection(len(q["word"]))
-    subsets, words = rs.blocks(q["subsets"])
-    if words.flat != tuple(q["word"]):
+    cube = twistedcube.TwistedCube(rs, q["word"], q["a"])
+    subsets, words = rs.blocks(q.get("subsets", [(i,) for i in cube.word]))
+    if words.flat != cube.word:
         raise ConfigError("word does not match the longest words of the subsets")
-    return twistedcube.TwistedCube(rs, q["word"], q["a"]), twistedcube.projection_map(rs, subsets, words)
+    return cube, twistedcube.projection_map(rs, subsets, words)
 
 
 def _cube_volume(rs: RootSystem, q: dict, config: JobConfig):
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
             with open(args.config) as handle:
                 raw = handle.read()
         config = JobConfig.from_dict(json.loads(raw))
-    except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigError, ValueError, RecursionError) as exc:  # JSON nested too deep
         return fail(2, "config", str(exc))
 
     if args.seed is not None:

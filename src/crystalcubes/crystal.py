@@ -422,5 +422,5 @@ def _close(rs: RootSystem, elements, word, budget: int):
 def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> CrystalGraph:
     """The crystal graph of B(λ) = B_{w_0}(λ): {b_λ} closed along a reduced word of w_0;
     |B(λ)| = weyl_dimension(λ)."""
-    start = highest_path(rs, rs.weight(lam))
+    start = highest_path(rs, lam)
     return graph_from_elements(rs, _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget))

@@ -179,6 +179,12 @@ class GenDemazureCrystal:
         }
 
 
+def _build(rs: RootSystem, lams, words: WordSequence, shape: dict, budget: int) -> GenDemazureCrystal:
+    """The crystal saturated from the tops b_{λ_k} along the checked block words."""
+    tops = tuple(highest_path(rs, lam) for lam in lams)
+    return GenDemazureCrystal(rs, _saturate(rs, tops, words.blocks, budget), words, shape, tops)
+
+
 def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) -> GenDemazureCrystal:
     """B_{i,a}: nested saturation of f_{i_1}^{x_1}(b_{a_1 ϖ_{i_1}} ⊗ f_{i_2}^{x_2}(...)).
 
@@ -192,17 +198,8 @@ def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) 
         raise ValueError("word and exponent vector lengths differ")
     if any(x < 0 for x in a):
         raise ValueError("exponent vector entries must be nonnegative")
-    for i in word:
-        rs._check_index(i)
-    tops = tuple(highest_path(rs, a_k * rs.fundamental_weight(i)) for i, a_k in zip(word, a))
-    blocks = tuple((i,) for i in word)
-    return GenDemazureCrystal(
-        rs=rs,
-        elements=_saturate(rs, tops, blocks, budget),
-        words=WordSequence(blocks),
-        shape={"kind": "word", "a": list(a)},
-        tops=tops,
-    )
+    lams = [a_k * rs.fundamental_weight(i) for i, a_k in zip(word, a)]
+    return _build(rs, lams, WordSequence((i,) for i in word), {"kind": "word", "a": list(a)}, budget)
 
 
 def gen_demazure_crystal_weights(
@@ -215,16 +212,10 @@ def gen_demazure_crystal_weights(
     """B_{I,λ_1..λ_r}: per-block saturation of b_{λ_1} ⊗ (... ⊗ saturation of b_{λ_r})."""
     subsets, words = rs.blocks(subsets, words)
     lams = rs.block_weights(subsets, lams, dominant=True)
-    tops = tuple(highest_path(rs, lam) for lam in lams)
-    return GenDemazureCrystal(
-        rs=rs,
-        elements=_saturate(rs, tops, words.blocks, budget),
-        words=words,
-        shape={
-            "kind": "weights",
-            "subsets": [list(s) for s in subsets.sets],
-            "weights": [list(lam.coords) for lam in lams],
-            "words": [list(b) for b in words.blocks],
-        },
-        tops=tops,
-    )
+    shape = {
+        "kind": "weights",
+        "subsets": [list(s) for s in subsets.sets],
+        "weights": [list(lam.coords) for lam in lams],
+        "words": [list(b) for b in words.blocks],
+    }
+    return _build(rs, lams, words, shape, budget)

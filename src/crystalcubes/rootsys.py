@@ -383,26 +383,15 @@ class RootSystem:
         """
         subset = self._check_subset(subset)
         c = self.cartan.entries
-        if len(subset) == 1:
-            return subset
-        adj: dict[int, list[int]] = {i: [] for i in subset}
-        for i in subset:
-            for j in subset:
-                if i < j and c[i - 1][j - 1] != 0:
-                    if c[i - 1][j - 1] != -1 or c[j - 1][i - 1] != -1:
-                        raise UnsupportedInputError(f"Levi on {subset} is not of type A")
-                    adj[i].append(j)
-                    adj[j].append(i)
-        ends = sorted(i for i in subset if len(adj[i]) <= 1)
-        if any(len(adj[i]) > 2 for i in subset) or len(ends) != 2:
+        if any(c[i - 1][j - 1] not in (0, -1) for i in subset for j in subset if i != j):
             raise UnsupportedInputError(f"Levi on {subset} is not of type A")
-        order = [ends[0]]
-        prev = None
+        adj = {i: [j for j in subset if j != i and c[i - 1][j - 1]] for i in subset}
+        # a finite-type Dynkin diagram is a forest, so some vertex of I has at most one neighbour in I
+        order = [next(i for i in subset if len(adj[i]) <= 1)]
         while len(order) < len(subset):
-            nxt = [j for j in adj[order[-1]] if j != prev]
-            if not nxt:
+            nxt = [j for j in adj[order[-1]] if j not in order]
+            if len(nxt) != 1:
                 raise UnsupportedInputError(f"Levi on {subset} is not of type A")
-            prev = order[-1]
             order.append(nxt[0])
         return tuple(order)
 

@@ -167,12 +167,6 @@ def projection_map(rs: RootSystem, subsets, words=None) -> ProjectionMap:
     return ProjectionMap(tuple(tuple(int(r == c) for c in cols) for r in rows))
 
 
-def identity_projection(n: int) -> ProjectionMap:
-    """Each letter its own block: the projection degenerates to the identity."""
-    matrix = tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n))
-    return ProjectionMap(matrix)
-
-
 class TwistedCube:
     """Pair (i, a) with its derived affine bound forms; a may have negative entries."""
 
@@ -336,7 +330,7 @@ class TwistedCube:
 
     def mc_volume(self, samples: int, seed: int, shards: int = 1):
         """(estimate, standard error) for the signed volume: the zero moment."""
-        return self.mc_moment(identity_projection(self.dim), (0,) * self.dim, samples, seed, shards)
+        return self.mc_moment(projection_map(self.rs, [(i,) for i in self.word]), (0,) * self.dim, samples, seed, shards)
 
     def mc_moment(self, projection: ProjectionMap, multi_index, samples: int, seed: int, shards: int = 1):
         """(estimate, standard error) for a pushforward moment: the mean of

@@ -6,16 +6,19 @@ B(λ_1) ⊗ ... ⊗ B(λ_r) and count its highest elements by weight (Kashiwara,
 Math. J. 71, 1993).
 
 `bundles` computes the pullback vector and the shift weight in one ownership pass,
-and the degeneration and tower vectors as tail sums.  The last helpers evaluate each
+and the degeneration and tower vectors as tail sums.  The next helpers evaluate each
 displayed formula term by term.
+
+`RootSystem.type_a_enumeration` walks the Dynkin diagram of I from an endpoint; the
+last helper searches the orderings of I for a type-A path instead.
 """
 
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 from crystalcubes.crystal import DEFAULT_BUDGET, TensorElement, _vertex_order, is_highest, path_e, wt
 from crystalcubes.demazure import demazure_crystal
-from crystalcubes.rootsys import BudgetExceededError, RootSystem, Weight
+from crystalcubes.rootsys import BudgetExceededError, RootSystem, UnsupportedInputError, Weight
 
 
 def tensor(b1, b2) -> TensorElement:
@@ -144,3 +147,18 @@ def flag_bott_vectors(rs: RootSystem, subsets) -> dict:
                 vecs.append(tuple(row))
             vectors[(k + 1, j + 1)] = tuple(vecs)
     return vectors
+
+
+def type_a_enumeration(rs: RootSystem, subset) -> tuple:
+    """The first ordering u_1..u_m of I, in lexicographic order, with the pairings of
+    a type-A path: ⟨α_{u_s}, α_{u_t}^∨⟩ = -1 when |s - t| = 1 and 0 for |s - t| > 1."""
+    c = rs.cartan.entries
+    for order in permutations(sorted(subset)):
+        if all(
+            c[v - 1][u - 1] == (-1 if abs(s - t) == 1 else 0)
+            for s, u in enumerate(order)
+            for t, v in enumerate(order)
+            if s != t
+        ):
+            return order
+    raise UnsupportedInputError(f"Levi on {tuple(subset)} is not of type A")

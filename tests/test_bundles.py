@@ -14,7 +14,7 @@ from crystalcubes.bundles import (
     pullback_vector,
 )
 from crystalcubes.demazure import gen_demazure_crystal, gen_demazure_crystal_weights
-from crystalcubes.rootsys import RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from crystalcubes.rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
 import oracles
 
@@ -161,21 +161,34 @@ class TestFlagBottVectors:
             flag_bott_vectors(A3, SubsetSequence([(1, 3), (2,)]))
 
 
+OMEGA_SYSTEMS = [RootSystem.preset(name) for name in ("A2", "A3", "B2", "C2", "G2", "B3")]
+
+
+@st.composite
+def block_shapes(draw):
+    """A preset, 1-3 random subsets with their default words, and dominant weights with
+    coordinates in 0..2."""
+    rs = draw(st.sampled_from(OMEGA_SYSTEMS))
+    subsets = [tuple(sorted(draw(st.sets(st.integers(1, rs.n), min_size=1)))) for _ in range(draw(st.integers(1, 3)))]
+    lams = [rs.weight(draw(st.lists(st.integers(0, 2), min_size=rs.n, max_size=rs.n))) for _ in subsets]
+    return rs, subsets, lams
+
+
 class TestCrystalConsistency:
-    def test_omega_image_matches_weights_construction(self):
-        # with I1 = [n], the crystal from (i, pullback vector) carries the same
-        # Ω-image as the subset/weight construction
-        cases = [
-            (A2, SubsetSequence([(1, 2), (1, 2)]), [A2.weight(1, 1), A2.weight(1, 0)]),
-            (A2, SubsetSequence([(1, 2), (1,)]), [A2.weight(1, 0), A2.weight(2, 0)]),
-            (A3, SubsetSequence([(1, 2, 3), (2, 3)]), [A3.weight(1, 0, 0), A3.weight(0, 0, 1)]),
-        ]
-        for rs, subsets, lams in cases:
-            subsets, words = rs.blocks(subsets)
-            a = pullback_vector(rs, subsets, words, lams).flat
-            flat = gen_demazure_crystal(rs, words.flat, a)
-            blocked = gen_demazure_crystal_weights(rs, subsets, lams, words)
-            assert set(flat.omega_vectors()) == set(blocked.omega_vectors())
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=block_shapes())
+    def test_omega_image_matches_weights_construction(self, drawn):
+        """Ω(B_{I,λ}) = Ω(B_{i,a}) for i the flat words and a the pullback vector; a case
+        whose crystal outgrows the budget is skipped."""
+        rs, subsets, lams = drawn
+        subsets, words = rs.blocks(subsets)
+        a = pullback_vector(rs, subsets, words, lams).flat
+        try:
+            flat = gen_demazure_crystal(rs, words.flat, a, budget=20_000)
+            blocked = gen_demazure_crystal_weights(rs, subsets, lams, words, budget=20_000)
+        except BudgetExceededError:
+            return
+        assert flat.omega_vectors() == blocked.omega_vectors()
 
     def test_bundle_report_shape(self):
         report = bundle_report(A3, I_A3, [A3.weight(2, 4, 0), A3.weight(0, 0, 2)], W_A3)

@@ -103,6 +103,17 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert json.loads(err)["error"]["kind"] == "config"
 
 
+@pytest.mark.parametrize("where", ["top", "params"])
+def test_deeply_nested_config_exit_2(tmp_path, capsys, where):
+    """A list nested deeper than the JSON parser recurses is a malformed config, not a traceback."""
+    deep = "[" * 200_000 + "]" * 200_000
+    text = deep if where == "top" else '{"root_system": "A2", "command": "crystal", "params": {"weight": %s}}' % deep
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+
 def test_unknown_key_exit_2(tmp_path):
     config = {"root_system": "A2", "command": "crystal", "params": {"weight": [1, 0]}, "bogus": 1}
     assert run_cli(tmp_path, config) == 2
@@ -289,6 +300,21 @@ def test_cube_jobs_from_subsets(tmp_path, capsys):
     }
     assert run_cli(tmp_path, svg) == 0
     assert (tmp_path / "cube.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [("cube-volume", {}), ("cube-moments", {"degree": 2}), ("cube-histogram", {"samples": 500, "bins": 3})],
+)
+def test_word_shape_subsets_default_to_singletons(tmp_path, command, extra):
+    """A word-shape cube job with the singleton blocks {i_k} as explicit subsets writes the same bytes."""
+    params = {"word": [1, 2, 2, 1], "a": [1, -1, 2, 1], **extra}
+    blobs = []
+    for p in (params, {**params, "subsets": [[i] for i in params["word"]]}):
+        config = {"root_system": "B2", "command": command, "params": p, "output": {"path": "out"}, "seed": 4}
+        assert run_cli(tmp_path, config) == 0
+        blobs.append((tmp_path / "out").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_g2_flag_histogram_total_is_not_a_confident_zero(tmp_path):
@@ -861,7 +887,7 @@ def test_public_surface():
         "UnsupportedInputError", "Weight", "WordSequence", "bundle_report", "bundles", "component_count",
         "crystal", "degeneration_vectors", "demazure", "demazure_crystal", "epsilon", "fiber_string_points",
         "flag_bott_vectors", "gen_demazure_crystal", "gen_demazure_crystal_weights", "generate_crystal",
-        "hat_lattice_points", "highest_path", "identity_projection", "lattice_points", "mc_histogram",
+        "hat_lattice_points", "highest_path", "lattice_points", "mc_histogram",
         "mu_weight", "multiplicity", "path_e", "path_f", "phi", "projected_box", "projection_map",
         "pullback_vector", "render_histogram_svg", "rootsys", "stringpoly", "tensor_decompose", "twistedcube",
         "wt",

@@ -22,6 +22,8 @@ from crystalcubes.rootsys import (
 )
 from crystalcubes.stringpoly import multiplicity
 
+import oracles
+
 
 A1 = RootSystem.preset("A1")
 A2 = RootSystem.preset("A2")
@@ -286,6 +288,29 @@ class TestTypeAEnumeration:
             for t, v in enumerate(enum):
                 expected = 2 if s == t else (-1 if abs(s - t) == 1 else 0)
                 assert c[v - 1][u - 1] == expected
+
+
+REDUCIBLE_GRIDS = {
+    "A1xA1": [[2, 0], [0, 2]],
+    "A2xA1": [[2, -1, 0], [-1, 2, 0], [0, 0, 2]],
+    "B2xA2": [[2, -1, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+}
+
+
+@pytest.mark.parametrize("grid", [*PRESETS.values(), *REDUCIBLE_GRIDS.values()], ids=[*PRESETS, *REDUCIBLE_GRIDS])
+def test_type_a_enumeration_matches_permutation_search(grid):
+    """On every subset I: the same order as the brute-force search, or the same error."""
+    rs = RootSystem(grid)
+    for mask in range(1, 2**rs.n):
+        subset = tuple(i for i in range(1, rs.n + 1) if mask >> (i - 1) & 1)
+        try:
+            want = oracles.type_a_enumeration(rs, subset)
+        except UnsupportedInputError as exc:
+            with pytest.raises(UnsupportedInputError) as got:
+                rs.type_a_enumeration(subset)
+            assert str(got.value) == str(exc)
+        else:
+            assert rs.type_a_enumeration(subset) == want
 
 
 class TestWeylDimension:

@@ -21,7 +21,6 @@ from crystalcubes.twistedcube import (
     MVPolynomial,
     ProjectionMap,
     TwistedCube,
-    identity_projection,
     mc_histogram,
     projected_box,
     projection_map,
@@ -39,6 +38,11 @@ G2 = RootSystem([[2, -1], [-3, 2]])
 
 SL4_CUBE = TwistedCube(A3, (1, 2, 1, 3), (0, 4, 2, 2))
 SL4_PROJ = projection_map(A3, SubsetSequence([(1, 2), (3,)]), WordSequence([(1, 2, 1), (3,)]))
+
+
+def identity_projection(n):
+    """The n x n identity: `projection_map` on the singleton blocks of any word of length n."""
+    return ProjectionMap(tuple(tuple(int(c == r) for c in range(n)) for r in range(n)))
 
 
 def bound_value(cube, l, x):
@@ -147,12 +151,13 @@ class TestSignedLatticeCount:
         assert TwistedCube(A1, (1,), (-2,)).signed_lattice_count() == -1
 
     def test_matches_crystal_cardinality(self):
-        words = [(1,), (2, 1), (1, 2, 1), (1, 1, 2)]
-        for word in words:
-            for a in product(range(3), repeat=len(word)):
-                cube = TwistedCube(A2, word, a)
-                crystal = gen_demazure_crystal(A2, word, a)
-                assert cube.signed_lattice_count() == crystal.element_count, (word, a)
+        """Every word over {1, 2} of length at most 3 with a in {0, 1, 2}^len, on A2, B2, C2 and G2."""
+        for rs in (A2, B2, C2, G2):
+            for word in (w for n in (1, 2, 3) for w in product((1, 2), repeat=n)):
+                for a in product(range(3), repeat=len(word)):
+                    cube = TwistedCube(rs, word, a)
+                    crystal = gen_demazure_crystal(rs, word, a)
+                    assert cube.signed_lattice_count() == crystal.element_count, (rs.cartan.entries, word, a)
 
     def test_sl4_example(self):
         assert SL4_CUBE.signed_lattice_count() == gen_demazure_crystal(A3, (1, 2, 1, 3), (0, 4, 2, 2)).element_count
@@ -187,6 +192,8 @@ class TestProjectionMap:
 
     def test_identity_helper(self):
         assert identity_projection(3).matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for rs, word in [(A2, (1, 2, 1)), (B2, (2, 2, 1)), (G2, (1,))]:
+            assert projection_map(rs, [(i,) for i in word]) == identity_projection(len(word))
 
     def test_column_structure(self):
         proj = projection_map(A3, SubsetSequence([(1, 2, 3), (1, 3)]))
