@@ -7,12 +7,19 @@ the path where t ↦ ⟨π(t), α_i^∨⟩ attains its minimum and reflect the m
 stretch; tensor elements carry the Kashiwara rule, with the first factor
 receiving f_i whenever φ_i(b1) > ε_i(b2).
 
-An operator splices its result: the segments outside the reflected stretch are
-copied, only the pieces inside are reflected, through a per-root-system memo of
-s_i on directions, and only the two seams can merge.  It carries state to the
-child instead of summing segments again: the endpoint moves by ∓α_i, and the
-(ε_i, φ_i) that the height profile gave for the parent, stored in its `_ef`,
-moves by (±1, ∓1), so ε, φ, `is_highest` and the signature rule read them there.
+Each operator is one pass over the segments.  f_i walks them forward, keeping
+the last breakpoint where den · h is lowest and the first segment after it
+along which h has risen by one; e_i makes the same walk from the end, on
+h(t) − h(1).  The pass also gives (ε_i, φ_i) and rejects a path whose lowest
+or final height is not an integer.  Both operators then call one splice,
+`_splice`: the segments outside the reflected stretch are copied, the pieces
+inside are reflected through a per-root-system memo of s_i on directions, and
+only the two seams can merge.  An operator carries state to the child instead
+of summing segments again: the endpoint moves by ∓α_i, and the parent's
+(ε_i, φ_i), stored in its `_ef`, moves by (±1, ∓1), so ε, φ, `is_highest` and
+the signature rule read them there.  `graph_from_elements` sorts vertices on
+flat integer keys, finds each f-edge with one index lookup, and reads each
+weight from the endpoint, whose heights the operators have already checked.
 
 One closure builds every crystal here and in `demazure`: `_close` saturates a
 set under f_{i_1}^* ... f_{i_N}^* along a word.  B(λ) is the Demazure crystal
@@ -25,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from operator import add, sub
 
@@ -117,99 +123,103 @@ def _vertex_order(elements) -> list:
     """Elements sorted by their segments, the durations n_j / den compared as rationals.
 
     Scaled to the lcm L of every denominator in the set, n_j · (L // den)
-    compares as n_j / den does, so the keys are integer tuples.
+    compares as n_j / den does.  Every factor's scaled durations sum to L, so no
+    factor's segments are a proper prefix of another's, and the (direction...,
+    duration) records of all factors flatten into one integer key in the same order.
     """
     elements = list(elements)
     scale = lcm(*{f.den for b in elements for f in _factors(b)})
 
-    def segs_key(f):
-        k = scale // f.den
-        return tuple((v, n * k) for v, n in f.segs)
-
     def key(b):
-        return tuple(map(segs_key, b.factors)) if isinstance(b, TensorElement) else segs_key(b)
+        flat = []
+        for f in _factors(b):
+            k = scale // f.den
+            for v, n in f.segs:
+                flat += v
+                flat.append(n * k)
+        return flat
 
     return sorted(elements, key=key)
 
 
-def _heights(p: PathElement, idx: int) -> list:
-    """Breakpoint values of den · h(t), h(t) = ⟨π(t), α_i^∨⟩ (coordinate idx of the path),
-    after storing (ε_i, φ_i) = (−min h, h(1) − min h) in p._ef."""
-    hs = list(accumulate((v[idx] * n for v, n in p.segs), initial=0))
-    m = min(hs)
-    eps, rest = divmod(-m, p.den)
-    if rest:
-        raise ValueError("non-integral path minimum; element is outside the integral path class")
-    p._ef[idx] = (eps, (hs[-1] - m) // p.den)
-    return hs
+def _integral(low: int, high: int, den: int) -> tuple:
+    """(ε_i, φ_i) = (−low / den, high / den) for the lowest and final values of den · h."""
+    eps, rest = divmod(-low, den)
+    phi, rest_end = divmod(high, den)
+    if rest or rest_end:
+        raise ValueError("non-integral path height; element is outside the integral path class")
+    return eps, phi
 
 
 def _eps_phi_path(p: PathElement, idx: int):
-    cached = p._ef.get(idx)
-    if cached is None:
-        _heights(p, idx)
-        cached = p._ef[idx]
-    return cached
-
-
-def _scaled(segs, s: int):
-    return segs if s == 1 else [(v, n * s) for v, n in segs]
+    ef = p._ef.get(idx)
+    if ef is None:
+        h = low = 0
+        for v, n in p.segs:
+            h += v[idx] * n
+            if h < low:
+                low = h
+        ef = p._ef[idx] = _integral(low, h - low, p.den)
+    return ef
 
 
 def _f_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
-    """Reflect [t0, t1]: t0 the last time h is minimal (breakpoint j0), t1 the first time after
-    it that h is one higher, inside segment j; the pieces after t1 are the tail."""
+    """Reflect [t0, t1]: t0 the last time h = ⟨π(t), α_i^∨⟩ is minimal (breakpoint `start`), t1
+    the first time after it that h is one higher, inside segment `cross`.
+
+    One pass from the start: a new or repeated minimum moves t0 and forgets the crossing."""
     idx = i - 1
-    if p._ef.get(idx, (0, 1))[1] == 0:  # φ_i = 0 known
+    ef = p._ef.get(idx)
+    if ef is not None and ef[1] == 0:
         return None
-    hs = _heights(p, idx)
-    eps, phi = p._ef[idx]
+    segs, den = p.segs, p.den
+    h = low = start = 0
+    cross = -1
+    for k, (v, n) in enumerate(segs):
+        nxt = h + v[idx] * n
+        if nxt <= low:
+            low, start, cross = nxt, k + 1, -1
+        elif cross < 0 and nxt >= low + den:
+            cross, rise = k, low + den - h
+        h = nxt
+    eps, phi = p._ef[idx] = _integral(low, h - low, den)
     if phi == 0:
         return None
-    segs, m = p.segs, -eps * p.den
-    target = m + p.den
-    j0 = len(hs) - 1 - hs[::-1].index(m)
-    j = j0
-    while hs[j + 1] < target:
-        j += 1
-    (v, n), reflect = segs[j], rs._reflections[idx]
-    s, cut = _crossing(v[idx], target - hs[j])
-    mid = [(reflect[w], d * s) for w, d in segs[j0:j]]
-    mid.append((reflect[v], cut))
-    tail = _scaled(segs[j + 1 :], s)
-    if cut < n * s:
-        tail = [(v, n * s - cut), *tail]
+    s, cut = _crossing(segs[cross][0][idx], rise)
     end = tuple(map(sub, p.endpoint(), rs._alpha_cols[idx]))
-    child = _splice(_scaled(segs[:j0], s), mid, tail, p.den * s, end)
+    child = _splice(rs._reflections[idx], segs, den, s, start, 0, cross, cut, end)
     child._ef[idx] = (eps + 1, phi - 1)
     return child
 
 
 def _e_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
-    """Reflect [t0, t1]: t1 the first time h is minimal (breakpoint j1), t0 the last time before
-    it that h is one higher, inside segment j; the pieces before t0 are the head."""
+    """Reflect [t0, t1]: t1 the first time h is minimal (breakpoint `start`), t0 the last time
+    before it that h is one higher, inside segment `cross`.
+
+    The pass of f_i read from the end: den · (h(t) − h(1)) at each breakpoint, walking back."""
     idx = i - 1
-    if p._ef.get(idx, (1, 0))[0] == 0:  # ε_i = 0 known
+    ef = p._ef.get(idx)
+    if ef is not None and ef[0] == 0:
         return None
-    hs = _heights(p, idx)
-    eps, phi = p._ef[idx]
+    segs, den = p.segs, p.den
+    h = low = 0
+    start = len(segs)
+    cross = -1
+    for k in range(start - 1, -1, -1):
+        v, n = segs[k]
+        nxt = h - v[idx] * n
+        if nxt <= low:
+            low, start, cross = nxt, k, -1
+        elif cross < 0 and nxt >= low + den:
+            cross, rise = k, low + den - h
+        h = nxt
+    eps, phi = p._ef[idx] = _integral(low - h, -low, den)  # h is now den · (h(0) − h(1))
     if eps == 0:
         return None
-    segs, m = p.segs, -eps * p.den
-    target = m + p.den
-    j1 = hs.index(m)
-    j = j1 - 1
-    while hs[j] < target:
-        j -= 1
-    (v, n), reflect = segs[j], rs._reflections[idx]
-    s, cut = _crossing(v[idx], target - hs[j])
-    head = _scaled(segs[:j], s)
-    if cut:
-        head = [*head, (v, cut)]
-    mid = [(reflect[v], n * s - cut)]
-    mid += [(reflect[w], d * s) for w, d in segs[j + 1 : j1]]
+    v, n = segs[cross]
+    s, cut = _crossing(-v[idx], rise)  # cut: den·s-units from the end of segment `cross`
     end = tuple(map(add, p.endpoint(), rs._alpha_cols[idx]))
-    child = _splice(head, mid, _scaled(segs[j1:], s), p.den * s, end)
+    child = _splice(rs._reflections[idx], segs, den, s, cross, n * s - cut, start, 0, end)
     child._ef[idx] = (eps - 1, phi + 1)
     return child
 
@@ -217,47 +227,67 @@ def _e_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
 def _crossing(c: int, rise: int) -> tuple:
     """(s, cut): den · h, of slope c along a segment, rises by `rise` after cut / s of its
     den-units, and s is the least scale making cut whole (the denominator of rise / c divides c)."""
-    s = abs(c) // gcd(rise, c)
+    s = c // gcd(rise, c)
     return s, rise * s // c
 
 
-def _splice(head, mid, tail, den: int, end) -> PathElement:
-    """The path head + mid + tail, durations over den, merged at the two seams only.
+def _splice(reflect, segs, den: int, s: int, k0: int, c0: int, k1: int, c1: int, end) -> PathElement:
+    """The path of segs, over den · s, with the stretch from c0 units into segment k0 to c1
+    units into segment k1 reflected through `reflect`; pieces merged at the two seams only.
 
-    Adjacent pieces inside each part come from adjacent segments (mid reflected by
-    s_i, a bijection) or from the two sides of a cut where the slope is not 0, so
-    they differ.  Scaling by s and cutting once keeps gcd(durations) = 1, so only a
-    merge at a seam can leave a common factor to divide out.
+    Adjacent pieces inside the head, the reflected middle and the tail come from adjacent
+    segments (the middle reflected by s_i, a bijection) or from the two sides of a cut
+    where the slope is not 0, so they differ.  Scaling by s and cutting once keeps
+    gcd(durations) = 1, so only a merge at a seam can leave a common factor to divide out.
     """
-    segs = list(head)
+    if s != 1:
+        segs = tuple((v, n * s) for v, n in segs)
+    out = list(segs[:k0])
+    v, n = segs[k0]
+    if c0:
+        out.append((v, c0))
+    head = len(out)
+    if k0 == k1:
+        out.append((reflect[v], c1 - c0))
+    else:
+        out.append((reflect[v], n - c0))
+        for w, d in segs[k0 + 1 : k1]:
+            out.append((reflect[w], d))
+        if c1:
+            out.append((reflect[segs[k1][0]], c1))
+    tail = len(out)
+    if k1 < len(segs):
+        v, n = segs[k1]
+        if n > c1:
+            out.append((v, n - c1))
+        out += segs[k1 + 1 :]
     merged = False
-    for part in (mid, tail):
-        if segs and part and segs[-1][0] == part[0][0]:
-            segs[-1] = (segs[-1][0], segs[-1][1] + part[0][1])
-            segs += part[1:]
+    for seam in (tail, head):  # the later seam first, so the earlier one keeps its index
+        if 0 < seam < len(out) and out[seam - 1][0] == out[seam][0]:
+            out[seam - 1 : seam + 1] = [(out[seam][0], out[seam - 1][1] + out[seam][1])]
             merged = True
-        else:
-            segs += part
+    den *= s
     if merged:
-        g = gcd(*(n for _, n in segs))
+        g = gcd(*(n for _, n in out))
         if g > 1:
-            segs = [(v, n // g) for v, n in segs]
+            out = [(v, n // g) for v, n in out]
             den //= g
-    return PathElement(tuple(segs), den, end)
+    return PathElement(tuple(out), den, end)
 
 
 # -- public crystal operations ------------------------------------------------
 
 
+def _endpoint(b) -> tuple:
+    """The endpoint of a path, or the coordinate sums of a tensor's factors' endpoints."""
+    if isinstance(b, TensorElement):
+        return tuple(map(sum, zip(*[f.endpoint() for f in b.factors])))
+    return b.endpoint()
+
+
 def wt(rs: RootSystem, b) -> Weight:
     """Endpoint weight of a path, or the coordinate sum over tensor factors."""
-    if isinstance(b, TensorElement):
-        total = [0] * rs.n
-        for f in b.factors:
-            for k, x in enumerate(f.endpoint()):
-                total[k] += x
-        return Weight(total)
-    return Weight(b.endpoint())
+    return Weight(_endpoint(b))
 
 
 def _signature(factors, idx: int, strict: bool = True) -> tuple:
@@ -298,13 +328,16 @@ _MISSING = object()
 
 
 def _cached(op, cache_name: str):
-    """op memoized per root system in rs.<cache_name>, with results interned in rs._paths."""
+    """op memoized per root system in rs.<cache_name>, with results interned in rs._paths.
+
+    The index is checked on a miss only: a (b, i) in the cache has a valid i."""
 
     def cached(rs: RootSystem, b: PathElement, i: int):
         cache = getattr(rs, cache_name)
         key = (b, i)
         res = cache.get(key, _MISSING)
         if res is _MISSING:
+            rs._check_index(i)
             res = op(rs, b, i)
             if res is not None:
                 res = rs._paths.setdefault(res, res)
@@ -318,11 +351,9 @@ _f_path_cached = _cached(_f_path, "_f_cache")
 _e_path_cached = _cached(_e_path, "_e_cache")
 
 
-def _apply(rs: RootSystem, b, i: int, op, strict: bool):
-    """op on a path; on a tensor, op on the factor the signature rule picks."""
+def _apply(rs: RootSystem, b: TensorElement, i: int, op, strict: bool):
+    """op on the factor of a tensor that the signature rule picks."""
     rs._check_index(i)
-    if not isinstance(b, TensorElement):
-        return op(rs, b, i)
     factors = b.factors
     k = _signature(factors, i - 1, strict)[1]
     child = op(rs, factors[k], i)
@@ -333,12 +364,16 @@ def _apply(rs: RootSystem, b, i: int, op, strict: bool):
 
 def path_f(rs: RootSystem, b, i: int):
     """Kashiwara lowering operator; None exactly when φ_i(b) = 0."""
-    return _apply(rs, b, i, _f_path_cached, strict=True)
+    if isinstance(b, TensorElement):
+        return _apply(rs, b, i, _f_path_cached, strict=True)
+    return _f_path_cached(rs, b, i)
 
 
 def path_e(rs: RootSystem, b, i: int):
     """Kashiwara raising operator; None exactly when ε_i(b) = 0."""
-    return _apply(rs, b, i, _e_path_cached, strict=False)
+    if isinstance(b, TensorElement):
+        return _apply(rs, b, i, _e_path_cached, strict=False)
+    return _e_path_cached(rs, b, i)
 
 
 def highest_path(rs: RootSystem, lam) -> PathElement:
@@ -382,19 +417,23 @@ class CrystalGraph:
 
 def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     """Crystal graph on an explicit element set; edges are f-edges staying in the set."""
-    elems = set(elements)
-    verts = _vertex_order(elems)
+    verts = _vertex_order(set(elements))
     index = {b: k for k, b in enumerate(verts)}
-    edges = []
+    edges = []  # appended in (source, label) order, which is their sorted order
     highest = None
-    for b in verts:
+    labels = range(1, rs.n + 1)
+    for k, b in enumerate(verts):
+        for i in labels:
+            c = index.get(path_f(rs, b, i))
+            if c is not None:
+                edges.append((k, i, c))
         if highest is None and is_highest(rs, b):
-            highest = index[b]
-        for i in range(1, rs.n + 1):
-            c = path_f(rs, b, i)
-            if c is not None and c in elems:
-                edges.append((index[b], i, index[c]))
-    return CrystalGraph(tuple(verts), tuple(wt(rs, b) for b in verts), tuple(sorted(edges)), highest)
+            highest = k
+    # f_i has read (ε_i, φ_i) of every vertex, or of each factor of a tensor, for every i,
+    # and a non-integral height raises; so ⟨wt(b), α_i^∨⟩ = φ_i − ε_i is an integer for
+    # every i, the endpoint is a tuple of ints, and it is not checked again
+    weights = tuple(Weight._of_ints(_endpoint(b)) for b in verts)
+    return CrystalGraph(tuple(verts), weights, tuple(edges), highest)
 
 
 def _f_power_closure(rs: RootSystem, elements, i: int, budget: int):
@@ -420,7 +459,12 @@ def _close(rs: RootSystem, elements, word, budget: int):
 
 
 def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> CrystalGraph:
-    """The crystal graph of B(λ) = B_{w_0}(λ): {b_λ} closed along a reduced word of w_0;
-    |B(λ)| = weyl_dimension(λ)."""
+    """The crystal graph of B(λ) = B_{w_0}(λ): {b_λ} closed along a reduced word of w_0.
+
+    |B(λ)| = weyl_dimension(λ) is compared with the budget before any element is built;
+    the closure's running count stays as the backstop."""
     start = highest_path(rs, lam)
+    size = rs.weyl_dimension(start.endpoint())
+    if size > budget:
+        raise BudgetExceededError(f"crystal of {size} elements exceeds budget of {budget} elements")
     return graph_from_elements(rs, _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget))

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystalcubes.cli import main
 from crystalcubes.crystal import (
+    CrystalGraph,
     PathElement,
     TensorElement,
     epsilon,
@@ -24,7 +26,7 @@ from crystalcubes.crystal import (
     wt,
 )
 from crystalcubes.demazure import gen_demazure_crystal_weights
-from crystalcubes.rootsys import PRESETS, BudgetExceededError, RootSystem
+from crystalcubes.rootsys import PRESETS, BudgetExceededError, RootSystem, Weight
 from oracles import highest_weight_decompose, tensor, tensor_product_elements
 from test_acceptance import canonical
 
@@ -178,6 +180,13 @@ class TestGeneration:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             generate_crystal(A2, A2.weight(3, 3), budget=10)
+
+    def test_size_checked_before_building(self):
+        """|B(3,3,3,3)| = 1,048,576 for A4 is over the budget before any operator runs."""
+        rs = RootSystem.preset("A4")
+        with pytest.raises(BudgetExceededError, match="crystal of 1048576 elements exceeds budget of 200000 elements"):
+            generate_crystal(rs, rs.weight(3, 3, 3, 3), budget=200_000)
+        assert not rs._f_cache
 
     @pytest.mark.parametrize("rs,coords", [(A2, (2, 1)), (A3, (1, 0, 1)), (B2, (1, 1)), (G2, (1, 0))])
     def test_budget_is_exact(self, rs, coords):
@@ -541,7 +550,8 @@ def test_carried_state_matches_segments(drawn):
             assert ef == oracle_eps_phi_path(p, idx + 1)
 
 
-# -- B(λ) by breadth-first search under every f_i, kept as the oracle for the closure along w_0
+# -- B(λ) by breadth-first search under every f_i, kept as the oracle for the closure along w_0;
+# its graph is assembled here, apart from graph_from_elements
 
 
 def bfs_crystal(rs, lam):
@@ -555,7 +565,15 @@ def bfs_crystal(rs, lam):
             if c is not None and c not in seen:
                 seen.add(c)
                 queue.append(c)
-    return graph_from_elements(rs, seen)
+    labels = range(1, rs.n + 1)
+    verts = tuple(sorted(seen, key=fraction_key))
+    index = {b: k for k, b in enumerate(verts)}
+    edges = sorted((index[b], i, index[c]) for b in verts for i in labels if (c := path_f(rs, b, i)) in index)
+    highest = next(
+        k for k, b in enumerate(verts) if all(oracle_epsilon(TensorElement([b]), i) == 0 for i in labels)
+    )
+    weights = tuple(Weight(sum(v[k] * d for v, d in fraction_segs(b)) for k in range(rs.n)) for b in verts)
+    return CrystalGraph(verts, weights, tuple(edges), highest)
 
 
 @st.composite
@@ -612,3 +630,43 @@ def test_fundamental_crystals_of_d4_and_f4(name):
         assert graph.vertex_count == rs.weyl_dimension(lam) == want
         artifacts.update((json.dumps(graph.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n").encode())
     assert artifacts.hexdigest() == digest
+
+
+# sha256 of CLI artifacts whose paths have denominators above 1 (up to 60 for G2), each in
+# the command's default format, captured before the root operators became one pass each
+# and graph assembly read flat sort keys: vertex order, edges, weights and Ω stay byte for byte
+DENOMINATOR_ARTIFACTS = [
+    ("B2", "crystal", {"weight": [2, 1]}, "384ecefd8ab944d50cb94460d024eca7ffa03d5e8f37845542ad9de7094dc108"),
+    ("B2", "demazure", {"weight": [2, 1], "word": [2, 1, 2]}, "7c2bec230ca94f1e0596d6ee4464f9beda7ef562eee42bc32560c8a0921fc51c"),
+    ("B2", "gen-demazure", {"subsets": [[1, 2], [1]], "weights": [[2, 1], [2, 0]]},
+     "2da20c0910d75b0eec257465cdf5233335b8b38db5cf3a6e6b417241fe8129de"),
+    ("B2", "lattice-points", {"word": [1, 2, 1, 2], "a": [2, 1, 0, 2]},
+     "69f80b7fb557ee36a1f5af2accda509036d595729262699b167df9180cc301c2"),
+    ("C3", "crystal", {"weight": [1, 0, 1]}, "898abea7c1a0f21602df99db9efefff56b450226dd9a182caa0b1f3cd5eb6b55"),
+    ("C3", "demazure", {"weight": [1, 0, 1], "word": [2, 1, 3, 2, 1, 3]},
+     "45571a154ed0102c95474c35360473c51a0d8e0b9475d0621b0e23ab83981c5a"),
+    ("C3", "gen-demazure", {"subsets": [[2, 3], [1, 2, 3]], "weights": [[0, 0, 1], [1, 0, 1]]},
+     "cbfb8a84179ec0b393f9a1212837dd6724315a061948bd7e8dbb7465d15f1b0b"),
+    ("C3", "lattice-points", {"word": [1, 2, 1, 3, 2], "a": [1, 0, 2, 1, 2]},
+     "b35f5b5be50298c60f80b2b31c64e1fed986b5ed463136cd294294a181a9a479"),
+    ("G2", "crystal", {"weight": [1, 1]}, "92be86e6c6020c5f961f811562876ffa2e9c998d1dffd8d0aef6d67d145127d1"),
+    ("G2", "demazure", {"weight": [1, 1], "word": [2, 1, 2, 1]}, "36821838d5374bf6053b9fe33df88888942fd1878f82541cba85b3c1573ebcad"),
+    ("G2", "gen-demazure", {"subsets": [[1, 2], [2]], "weights": [[1, 1], [0, 1]]},
+     "edfa328fc0ef9917a10ba20f81227317a9d262e82a99ab81ad1cf8d9cbb90683"),
+    ("G2", "lattice-points", {"word": [2, 1, 2, 1], "a": [1, 1, 2, 0]},
+     "a2eec67c0f0893b8b3f2035ad95a1dff72ec53775a52fb073698bfc4c1a9647c"),
+    # B(ρ) of A4: 1,024 vertices and 2,304 edges
+    ("A4", "crystal", {"weight": [1, 1, 1, 1]}, "685162384b1eb2e27143955d1d47b141cb1776e6ebc402c6ecda03b3c2423bea"),
+]
+
+
+@pytest.mark.parametrize(
+    "root_system,command,params,digest",
+    DENOMINATOR_ARTIFACTS,
+    ids=[f"{rs}-{cmd}" for rs, cmd, _, _ in DENOMINATOR_ARTIFACTS],
+)
+def test_artifacts_with_denominators(tmp_path, root_system, command, params, digest):
+    config = {"root_system": root_system, "command": command, "params": params, "output": {"path": "out"}}
+    (tmp_path / "job.json").write_text(json.dumps(config))
+    assert main(["--config", str(tmp_path / "job.json"), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
