@@ -18,10 +18,16 @@ blocks, so both shapes share one saturation and one peeling loop.  At the
 other end, flag varieties G/B are the case of one block [n]: B(λ) = B_{w_0}(λ).
 Every saturation here, and `crystal.generate_crystal` for B(λ), is the one
 f-string closure `crystal._close` along a word.
+
+B_{I,λ} is a disjoint union of Demazure crystals (Joseph, J. Algebra 265, 2003;
+Lakshmibai-Littelmann-Magyar, Compositio Math. 130, 2002), so it is closed under
+every e_i, and `GenDemazureCrystal.components` names each connected piece by its
+one highest element, reached by raising, without building the crystal graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, field
 from operator import index
@@ -30,11 +36,10 @@ from .crystal import (
     DEFAULT_BUDGET,
     TensorElement,
     _close,
-    graph_from_elements,  # noqa: F401  (cli imports it from here)
+    graph_from_elements,  # noqa: F401  (cli imports it from here; perfbench/tracing.py patches it here)
     highest_path,
-    is_highest,
     path_e,
-    path_f,
+    path_f,  # noqa: F401  (perfbench/tracing.py patches demazure.path_f)
     wt,
 )
 from .rootsys import InvariantError, RootSystem, WordSequence
@@ -139,31 +144,27 @@ class GenDemazureCrystal:
         return sorted(self.omega_map().values())
 
     def components(self) -> list[dict]:
-        """Connected pieces of the in-set crystal graph with their highest weights."""
-        rs = self.rs
-        parent = {b: b for b in self.elements}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for b in self.elements:
-            for i in range(1, rs.n + 1):
-                c = path_f(rs, b, i)
-                if c in parent:
-                    parent[find(b)] = find(c)
-        groups: dict = {}
-        for b in self.elements:
-            groups.setdefault(find(b), []).append(b)
-        out = [
-            {
-                "size": len(members),
-                "highest_weights": sorted(wt(rs, b).coords for b in members if is_highest(rs, b)),
-            }
-            for members in groups.values()
-        ]
+        """Connected pieces, each named by its one highest element, as B_{I,λ} is a disjoint union
+        of Demazure crystals (Joseph 2003; Lakshmibai-Littelmann-Magyar 2002).  Each element is
+        raised by some e_i until none applies; every element on the walk records the highest
+        element reached, so a later walk stops at the first one already seen."""
+        rs, elements = self.rs, self.elements
+        highest: dict = {}  # element -> the highest element of its piece
+        for b in elements:
+            walk = []
+            while b not in highest:
+                walk.append(b)
+                for i in range(1, rs.n + 1):
+                    if (c := path_e(rs, b, i)) is not None:
+                        break
+                else:
+                    highest[b] = b
+                    break
+                if c not in elements:
+                    raise InvariantError(f"e_{i} leaves the generalized Demazure crystal")
+                b = c
+            highest.update(dict.fromkeys(walk, highest[b]))
+        out = [{"size": size, "highest_weights": [wt(rs, h).coords]} for h, size in Counter(highest.values()).items()]
         out.sort(key=lambda c: (-c["size"], c["highest_weights"]))
         return out
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from operator import index
 from typing import Iterable, Sequence
@@ -208,7 +209,8 @@ class RootSystem:
         self._alpha_cols: tuple[tuple[int, ...], ...] = tuple(
             tuple(c[j][i] for j in range(self.n)) for i in range(self.n)
         )
-        self._d = _symmetrizer(c)
+        d = _symmetrizer(c)  # weyl_dimension reads only the ratios of d, so they are kept as ints
+        self._d = tuple(int(x * lcm(*(y.denominator for y in d))) for x in d)
         self._positive_roots: tuple[tuple[int, ...], ...] | None = None
         # operator caches; also intern paths so per-element caches stay warm
         self._f_cache: dict = {}
@@ -405,15 +407,15 @@ class RootSystem:
     # -- Weyl dimension ------------------------------------------------------
 
     def weyl_dimension(self, lam: Weight) -> int:
-        """dim V(λ) = Π_{β>0} ⟨λ+ρ, β^∨⟩ / ⟨ρ, β^∨⟩, exact rationals throughout."""
+        """dim V(λ) = Π_{β>0} ⟨λ+ρ, β^∨⟩ / ⟨ρ, β^∨⟩, as integer products with one exact division."""
         lam = self.weight(lam)
         if not lam.is_dominant():
             raise ValueError("weyl_dimension needs a dominant integral weight")
-        result = Fraction(1)
+        num = den = 1
         for beta in self.positive_roots():
-            num = sum(m * d * (x + 1) for m, d, x in zip(beta, self._d, lam.coords))
-            den = sum(m * d for m, d in zip(beta, self._d))
-            result *= Fraction(num, 1) / den
+            num *= sum(m * d * (x + 1) for m, d, x in zip(beta, self._d, lam.coords))
+            den *= sum(m * d for m, d in zip(beta, self._d))
+        result = Fraction(num, den)
         if result.denominator != 1:
             raise InvariantError(f"Weyl dimension of {lam.coords} is not an integer: {result}")
         return int(result)

@@ -21,7 +21,7 @@ from operator import index
 
 from .crystal import DEFAULT_BUDGET, TensorElement, _close, highest_path, is_highest, wt
 from .demazure import _peeler, gen_demazure_crystal, gen_demazure_crystal_weights
-from .rootsys import InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from .rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,6 @@ class LatticePointSet:
     block_sizes: tuple[int, ...]
     points: tuple[tuple[int, ...], ...]
     level: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be a positive integer")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("lattice points must be pairwise distinct")
 
     def __len__(self):
         return len(self.points)
@@ -147,12 +141,15 @@ def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: in
     """First-block coordinates of the Ω-points over a projected lattice point x.
 
     These are the Ω-heads of the component B(ν) generated from b_{λ_1} ⊗ x;
-    ``budget`` caps |X| (as in ``hat_lattice_points``) and |B(ν)|.
+    ``budget`` caps |X| (as in ``hat_lattice_points``) and |B(ν)|, checked first by Weyl dimension.
     """
     x = tuple(map(index, x))
     words, tops, highest = _projected(rs, subsets, lams, words, budget)
     if x not in highest:
         raise ValueError(f"projected point {x} is not attained")
+    size = rs.weyl_dimension(wt(rs, highest[x]))
+    if size > budget:
+        raise BudgetExceededError(f"component of {size} elements exceeds budget of {budget} elements")
     peel = _peeler(rs, tops, words.blocks)
     head = len(words.blocks[0])
     strings = [peel(b) for b in _close(rs, {highest[x]}, words.blocks[0], budget)]

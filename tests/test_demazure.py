@@ -1,5 +1,7 @@
 """Demazure and generalized Demazure crystals, string parametrizations."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,8 @@ A3 = RootSystem.preset("A3")
 B2 = RootSystem([[2, -1], [-2, 2]])
 C2 = RootSystem([[2, -2], [-1, 2]])
 G2 = RootSystem([[2, -1], [-3, 2]])
+B3 = RootSystem.preset("B3")
+C3 = RootSystem.preset("C3")
 
 SL3_SUBSETS = SubsetSequence([(1, 2), (1, 2)])
 SL3_WORDS = WordSequence([(1, 2, 1), (1, 2, 1)])
@@ -343,7 +347,8 @@ def test_string_word_rejected():
 
 def graph_components(crystal):
     """Components read off the sorted in-set crystal graph, kept as the oracle for
-    `GenDemazureCrystal.components`, which unions f-edges over the element set."""
+    `GenDemazureCrystal.components`, which raises each element to its piece's one
+    highest element and never builds the graph."""
     g = graph_from_elements(crystal.rs, crystal.elements)
     parent = list(range(g.vertex_count))
 
@@ -369,12 +374,13 @@ def graph_components(crystal):
 
 @st.composite
 def small_block_crystals(draw):
-    """A random B_{I,λ_1..λ_r} over A2, A3, B2, C2, G2: 1-3 blocks, each a random subset
-    with a dominant weight, the weight coordinates summing to at most 3 (2 for G2)."""
-    rs = draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
+    """A random B_{I,λ_1..λ_r} over A2, A3, B2, C2, G2, B3, C3: 1-3 blocks, each a random
+    subset with a dominant weight, the weight coordinates summing to at most 3 (2 for G2,
+    B3 and C3)."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2, B3, C3]), label="root system")
     r = draw(st.integers(1, 3), label="blocks")
     subsets = [sorted(draw(st.sets(st.integers(1, rs.n), min_size=1), label="subset")) for _ in range(r)]
-    left, coords = (2 if rs is G2 else 3), []
+    left, coords = (2 if rs in (G2, B3, C3) else 3), []
     for _ in range(r * rs.n):
         coords.append(draw(st.integers(0, min(2, left)), label="weight coordinate"))
         left -= coords[-1]
@@ -385,7 +391,24 @@ def small_block_crystals(draw):
 @settings(max_examples=60, deadline=None)
 @given(crystal=small_block_crystals())
 def test_components_match_graph_oracle(crystal):
+    """The set is closed under every e_i, which `components` relies on, and its
+    pieces are those of the crystal graph."""
+    for b in crystal.elements:
+        for i in range(1, crystal.rs.n + 1):
+            c = path_e(crystal.rs, b, i)
+            assert c is None or c in crystal.elements
     assert crystal.components() == graph_components(crystal)
+
+
+def test_components_reject_a_set_not_closed_under_e():
+    """Without the highest element b_{λ_1} ⊗ b_{λ_2}, raising leaves the set: a program defect."""
+    lam = A2.weight(1, 1)
+    crystal = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS)
+    top = TensorElement(crystal.tops)
+    assert top in crystal.elements
+    broken = replace(crystal, elements=crystal.elements - {top})
+    with pytest.raises(InvariantError, match="leaves the generalized Demazure crystal"):
+        broken.components()
 
 
 # -- Ω peeled element by element, kept as the oracle for the peeler memoized on (element, position),

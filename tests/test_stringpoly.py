@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crystalcubes.demazure import gen_demazure_crystal_weights
-from crystalcubes.rootsys import RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from crystalcubes.rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 from crystalcubes.stringpoly import (
     component_count,
     fiber_string_points,
@@ -264,6 +264,18 @@ class TestFiberStringPoints:
         lam = A2.weight(1, 1)
         with pytest.raises(ValueError):
             fiber_string_points(A2, SL3_SUBSETS, [lam, lam], (5, 5, 5), SL3_WORDS)
+
+    def test_component_size_checked_before_building(self, monkeypatch):
+        """B(2,2) over x = (0,0,0) has 27 elements; a budget of 10 fails before the closure runs."""
+        from crystalcubes import stringpoly
+
+        def no_closure(*args):
+            raise AssertionError("the component was built")
+
+        monkeypatch.setattr(stringpoly, "_close", no_closure)
+        lams = [A2.weight(2, 2), A2.weight(0, 0)]
+        with pytest.raises(BudgetExceededError, match="component of 27 elements exceeds budget of 10 elements"):
+            fiber_string_points(A2, [[1, 2], [1, 2]], lams, (0, 0, 0), budget=10)
 
     def test_fiber_partition(self):
         lam, mu = A2.weight(1, 1), A2.weight(1, 0)
