@@ -17,9 +17,12 @@ inside are reflected through a per-root-system memo of s_i on directions, and
 only the two seams can merge.  An operator carries state to the child instead
 of summing segments again: the endpoint moves by ∓α_i, and the parent's
 (ε_i, φ_i), stored in its `_ef`, moves by (±1, ∓1), so ε, φ, `is_highest` and
-the signature rule read them there.  `graph_from_elements` sorts vertices on
-flat integer keys, finds each f-edge with one index lookup, and reads each
-weight from the endpoint, whose heights the operators have already checked.
+the signature rule read them there.  An operator on a one-factor tensor goes
+straight to its path's operator, as the signature rule can pick no other factor.
+`graph_from_elements` sorts vertices on flat integer keys, finds each f-edge
+with one index lookup, tests only the vertices no f-edge enters for the highest
+one, and reads each weight from the endpoint, whose heights the operators have
+already checked.
 
 One closure builds every crystal here and in `demazure`: `_close` saturates a
 set under f_{i_1}^* ... f_{i_N}^* along a word.  B(λ) is the Demazure crystal
@@ -352,9 +355,14 @@ _e_path_cached = _cached(_e_path, "_e_cache")
 
 
 def _apply(rs: RootSystem, b: TensorElement, i: int, op, strict: bool):
-    """op on the factor of a tensor that the signature rule picks."""
-    rs._check_index(i)
+    """op on the factor of a tensor that the signature rule picks.
+
+    On one factor the rule always picks it, so op, which checks i on a cache miss, runs at once."""
     factors = b.factors
+    if len(factors) == 1:
+        child = op(rs, factors[0], i)
+        return None if child is None else TensorElement._of_valid((child,))
+    rs._check_index(i)
     k = _signature(factors, i - 1, strict)[1]
     child = op(rs, factors[k], i)
     if child is None:
@@ -420,15 +428,15 @@ def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     verts = _vertex_order(set(elements))
     index = {b: k for k, b in enumerate(verts)}
     edges = []  # appended in (source, label) order, which is their sorted order
-    highest = None
     labels = range(1, rs.n + 1)
     for k, b in enumerate(verts):
         for i in labels:
             c = index.get(path_f(rs, b, i))
             if c is not None:
                 edges.append((k, i, c))
-        if highest is None and is_highest(rs, b):
-            highest = k
+    # f_i(u) = v gives e_i(v) = u, so no f-edge of the set enters a highest vertex
+    entered = {c for _, _, c in edges}
+    highest = next((k for k, b in enumerate(verts) if k not in entered and is_highest(rs, b)), None)
     # f_i has read (ε_i, φ_i) of every vertex, or of each factor of a tensor, for every i,
     # and a non-integral height raises; so ⟨wt(b), α_i^∨⟩ = φ_i − ε_i is an integer for
     # every i, the endpoint is a tuple of ints, and it is not checked again

@@ -2,10 +2,12 @@
 
 A generalized Demazure crystal B_{I,λ_1..λ_r} lives inside
 B(λ_1) ⊗ ... ⊗ B(λ_r) and is saturated innermost-first: b_{λ_r} is closed
-under f_i for the letters of block r's word, right to left, then b_{λ_{r-1}}
-is tensored on the left and the set is closed under block r-1's letters, and
-so on outward.  The parametrization Ω peels the same way from the outside:
-raise maximally along block k's letters, then drop the exposed b_{λ_k}.
+under f_i for the letters of block r's word, right to left, into the Demazure
+crystal B_{w_r}(λ_r) of bare paths, as `demazure_crystal` builds it; then
+b_{λ_{r-1}} is tensored on the left and the set is closed under block r-1's
+letters, and so on outward.  The elements are tensors, of one factor when
+there is one block.  The parametrization Ω peels the same way from the
+outside: raise maximally along block k's letters, then drop the exposed b_{λ_k}.
 An Ω value is a plain tuple of ints in flat-letter order (the block sizes are
 `words.block_sizes`), read through `GenDemazureCrystal.omega_map()`.
 `_peeler` peels a whole element set with one memo on (element, flat letter
@@ -46,12 +48,16 @@ from .rootsys import InvariantError, RootSystem, WordSequence
 
 
 def _saturate(rs: RootSystem, tops, blocks, budget: int) -> frozenset:
-    """b_{λ_1} ⊗ (... ⊗ b_{λ_r}), closed under each block's letters, innermost block first."""
-    tails = [()]
-    for top, block in zip(reversed(tops), reversed(blocks)):
+    """b_{λ_1} ⊗ (... ⊗ b_{λ_r}), closed under each block's letters, innermost block first.
+
+    The innermost block closes bare paths into the Demazure crystal B_{w_r}(λ_r); each
+    of its paths becomes a one-factor tail when the next block tensors its top on the left."""
+    current = _close(rs, {tops[-1]}, blocks[-1], budget)
+    tails = [(p,) for p in current]
+    for top, block in zip(reversed(tops[:-1]), reversed(blocks[:-1])):
         current = _close(rs, {TensorElement._of_valid((top,) + tail) for tail in tails}, block, budget)
         tails = [b.factors for b in current]
-    return frozenset(current)
+    return frozenset(current) if len(tops) > 1 else frozenset(map(TensorElement._of_valid, tails))
 
 
 def _peeler(rs: RootSystem, tops, blocks):

@@ -7,8 +7,10 @@ Littelmann's path-model Littlewood-Richardson rule (Invent. Math. 116, 1994):
 raising maximally along a reduced word of w0 ends at the highest-weight element
 b_{λ_1} ⊗ x of a component, with x in X = B_{I_2..I_r, λ_2..λ_r}, so the
 projected points are the Ω_X(x) with ε_i(b_{λ_1} ⊗ x) = 0 for all i, and only
-X is built.  That component is B(ν) with ν = wt(b_{λ_1} ⊗ x), and the fiber over
-the point is its Ω-image.
+X is built.  By Kashiwara's signature rule (Duke Math. J. 71, 1993) on the
+straight path b_{λ_1}, that holds exactly when ε_i(x) ≤ ⟨λ_1, α_i^∨⟩ for all i,
+so b_{λ_1} ⊗ x is built only for the x that pass.  That component is B(ν) with
+ν = wt(b_{λ_1} ⊗ x), and the fiber over the point is its Ω-image.
 Exported points use the positive string orientation, i.e. they are the
 negatives of Newton-Okounkov valuation vectors.
 """
@@ -19,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import index
 
-from .crystal import DEFAULT_BUDGET, TensorElement, _close, highest_path, is_highest, wt
+from .crystal import DEFAULT_BUDGET, TensorElement, _close, _signature, highest_path, wt
 from .demazure import _peeler, gen_demazure_crystal, gen_demazure_crystal_weights
 from .rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
@@ -90,15 +92,16 @@ def _projected(rs: RootSystem, subsets, lams, words, budget: int) -> tuple:
     tail_subsets, tail_words = SubsetSequence(subsets.sets[1:]), WordSequence(words.blocks[1:])
     rest = gen_demazure_crystal_weights(rs, tail_subsets, lams[1:], tail_words, budget)
     peel = _peeler(rs, rest.tops, rest.words.blocks)
+    bounds = tuple(enumerate(lams[0].coords))
     highest: dict = {}
     for x in rest.elements:
-        b = TensorElement._of_valid(tops + x.factors)
-        if not is_highest(rs, b):
+        # ε_i(b_{λ_1} ⊗ x) = max(0, ε_i(x) − ⟨λ_1, α_i^∨⟩), as ε_i(b_{λ_1}) = 0
+        if any(_signature(x.factors, idx)[0] > bound for idx, bound in bounds):
             continue
         tail = peel(x)
         if tail in highest:
             raise InvariantError("string parametrization failed to separate elements")
-        highest[tail] = b
+        highest[tail] = TensorElement._of_valid(tops + x.factors)
     return words, tops + rest.tops, highest
 
 

@@ -10,13 +10,17 @@ and the degeneration and tower vectors as tail sums.  The next helpers evaluate 
 displayed formula term by term.
 
 `RootSystem.type_a_enumeration` walks the Dynkin diagram of I from an endpoint; the
-last helper searches the orderings of I for a type-A path instead.
+next helper searches the orderings of I for a type-A path instead.
+
+`demazure._saturate` closes the innermost block on bare paths, and
+`graph_from_elements` tests only the vertices no f-edge enters for the highest one.
+The last helpers keep tensors throughout and scan every vertex in order.
 """
 
 from collections import Counter
 from itertools import permutations, product
 
-from crystalcubes.crystal import DEFAULT_BUDGET, TensorElement, _vertex_order, is_highest, path_e, wt
+from crystalcubes.crystal import DEFAULT_BUDGET, TensorElement, _close, _vertex_order, is_highest, path_e, wt
 from crystalcubes.demazure import demazure_crystal
 from crystalcubes.rootsys import BudgetExceededError, RootSystem, UnsupportedInputError, Weight
 
@@ -162,3 +166,18 @@ def type_a_enumeration(rs: RootSystem, subset) -> tuple:
         ):
             return order
     raise UnsupportedInputError(f"Levi on {tuple(subset)} is not of type A")
+
+
+def saturate_all_tensor(rs: RootSystem, tops, blocks, budget: int = DEFAULT_BUDGET) -> frozenset:
+    """b_{λ_1} ⊗ (... ⊗ b_{λ_r}) closed under each block's letters, innermost block first,
+    every element a tensor from the start (b_{λ_r} as the one-factor tensor)."""
+    tails = [()]
+    for top, block in zip(reversed(tops), reversed(blocks)):
+        current = _close(rs, {TensorElement((top,) + tail) for tail in tails}, block, budget)
+        tails = [b.factors for b in current]
+    return frozenset(current)
+
+
+def first_highest_vertex(rs: RootSystem, graph):
+    """The index of the first vertex, in vertex order, with ε_i = 0 for every i, or None."""
+    return next((k for k, b in enumerate(graph.vertices) if is_highest(rs, b)), None)

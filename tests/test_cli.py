@@ -145,6 +145,16 @@ def test_budget_exit_4(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "budget"
 
 
+def test_one_block_gen_demazure_budget_exit_4(tmp_path, capsys):
+    """A one-block crystal is closed on bare paths; the closure's running count still ends it."""
+    params = {"subsets": [[1, 2]], "weights": [[1, 1]]}
+    config = {"root_system": "A2", "command": "gen-demazure", "params": params, "budget": 7}
+    assert run_cli(tmp_path, config) == 4
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"kind": "budget", "message": "saturation exceeded budget of 7 elements"}
+    assert run_cli(tmp_path, {**config, "budget": 8}) == 0
+
+
 def test_crystal_json_and_edges(tmp_path):
     config = {
         "root_system": "A2",

@@ -27,7 +27,7 @@ from crystalcubes.crystal import (
 )
 from crystalcubes.demazure import gen_demazure_crystal_weights
 from crystalcubes.rootsys import PRESETS, BudgetExceededError, RootSystem, Weight
-from oracles import highest_weight_decompose, tensor, tensor_product_elements
+from oracles import first_highest_vertex, highest_weight_decompose, tensor, tensor_product_elements
 from test_acceptance import canonical
 
 A2 = RootSystem.preset("A2")
@@ -670,3 +670,47 @@ def test_artifacts_with_denominators(tmp_path, root_system, command, params, dig
     (tmp_path / "job.json").write_text(json.dumps(config))
     assert main(["--config", str(tmp_path / "job.json"), "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
+
+
+# -- one-factor tensors and the highest vertex of a set that is not closed under e_i
+
+
+@pytest.mark.parametrize("name, coords", [("A2", (1, 1)), ("B2", (1, 1)), ("C2", (1, 1)), ("G2", (1, 1)), ("B3", (1, 0, 1))])
+def test_one_factor_tensor_operators_match_the_path(name, coords):
+    """On one factor the signature rule picks that factor: f_i and e_i of (p,) are (op(p),) or
+    None; an index out of range raises with the operator caches cold and warm, and is never cached."""
+    rs = RootSystem.preset(name)
+    lam = rs.weight(*coords)
+    top = TensorElement((highest_path(rs, lam),))
+
+    def index_checked():
+        for i in (0, rs.n + 1):
+            for op in (path_f, path_e):
+                with pytest.raises(IndexError):
+                    op(rs, top, i)
+        assert all(1 <= i <= rs.n for _, i in [*rs._f_cache, *rs._e_cache])
+
+    index_checked()
+    assert not rs._f_cache and not rs._e_cache
+    paths = generate_crystal(rs, lam).vertices
+    assert len(paths) == rs.weyl_dimension(lam)
+    for p in paths:
+        for i in range(1, rs.n + 1):
+            for op in (path_f, path_e):
+                via_tensor = op(rs, TensorElement((p,)), i)
+                child = op(rs, p, i)
+                assert via_tensor == (None if child is None else TensorElement((child,)))
+    index_checked()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_highest_vertex_of_a_set_not_closed_under_e(data):
+    """A random part of B(λ) ⊗ B(μ): the highest vertex is the first one in vertex order with
+    ε_i = 0 for every i, as a scan of every vertex finds it."""
+    rs = data.draw(st.sampled_from([A2, B2, C2, G2]), label="root system")
+    lams = [rs.weight(*data.draw(st.tuples(*[st.integers(0, 1)] * rs.n), label="weight")) for _ in range(2)]
+    elements = tensor_product_elements(rs, lams)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(elements), max_size=len(elements)), label="kept")
+    graph = graph_from_elements(rs, [b for b, k in zip(elements, keep) if k])
+    assert graph.highest == first_highest_vertex(rs, graph)

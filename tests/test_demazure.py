@@ -23,6 +23,8 @@ from crystalcubes.demazure import (
     gen_demazure_crystal_weights,
 )
 from crystalcubes.rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, WordSequence
+from oracles import saturate_all_tensor
+from test_stringpoly import reduced_longest_words
 
 A2 = RootSystem.preset("A2")
 A3 = RootSystem.preset("A3")
@@ -175,6 +177,15 @@ class TestGenDemazureWeights:
         for b in padded.elements:
             assert len(b.factors) == 2
             assert b.factors[0] == highest_path(A2, A2.zero_weight())
+
+    def test_one_block_over_budget_raises_from_the_closure(self):
+        """One block closes bare paths; the running count still stops it, with the same message."""
+        subsets, lams = [(1, 2)], [A2.weight(1, 1)]
+        with pytest.raises(BudgetExceededError, match=r"^saturation exceeded budget of 7 elements$"):
+            gen_demazure_crystal_weights(A2, subsets, lams, budget=7)
+        crystal = gen_demazure_crystal_weights(A2, subsets, lams, budget=8)
+        assert crystal.element_count == 8
+        assert all(type(b) is TensorElement and len(b.factors) == 1 for b in crystal.elements)
 
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
@@ -474,3 +485,24 @@ def test_peeler_rejects_foreign_element_after_peeling_the_crystal():
         peel_oracle(A2, crystal.tops, SL3_WORDS.blocks, foreign)
     with pytest.raises(InvariantError, match="peeling failed"):
         _peeler(A2, crystal.tops, SL3_WORDS.blocks)(foreign)
+
+
+# -- the innermost block closed on bare paths, against the all-tensor closure
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bare_innermost_closure_matches_all_tensor_closure(data):
+    name = data.draw(st.sampled_from(["A2", "A3", "B2", "B3", "C2", "C3", "G2"]), label="preset")
+    rs = RootSystem.preset(name)
+    r = data.draw(st.integers(1, 3), label="blocks")
+    subsets = [sorted(data.draw(st.sets(st.integers(1, rs.n), min_size=1), label="subset")) for _ in range(r)]
+    words = [data.draw(reduced_longest_words(rs, s), label="word") for s in subsets]
+    left, coords = (3 if name in ("A2", "A3", "B2", "C2") else 2), []
+    for _ in range(r * rs.n):
+        coords.append(data.draw(st.integers(0, min(2, left)), label="weight coordinate"))
+        left -= coords[-1]
+    lams = [rs.weight(coords[k * rs.n:(k + 1) * rs.n]) for k in range(r)]
+    crystal = gen_demazure_crystal_weights(rs, subsets, lams, words)
+    assert crystal.elements == saturate_all_tensor(rs, crystal.tops, crystal.words.blocks)
+    assert all(type(b) is TensorElement and len(b.factors) == r for b in crystal.elements)

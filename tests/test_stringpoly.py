@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crystalcubes.crystal import TensorElement, epsilon, highest_path, is_highest
 from crystalcubes.demazure import gen_demazure_crystal_weights
 from crystalcubes.rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 from crystalcubes.stringpoly import (
@@ -27,6 +28,7 @@ A3 = RootSystem.preset("A3")
 B2 = RootSystem([[2, -1], [-2, 2]])
 C2 = RootSystem([[2, -2], [-1, 2]])
 G2 = RootSystem([[2, -1], [-3, 2]])
+B3 = RootSystem.preset("B3")
 
 SL3_SUBSETS = [(1, 2), (1, 2)]
 SL3_WORDS = [(1, 2, 1), (1, 2, 1)]
@@ -366,3 +368,27 @@ def test_highest_weight_route_matches_full_saturation(data):
     table = tensor_decompose(rs, lams).as_dict()
     assert table == decomposition_from_points(rs, lams, full_words, full_hat)
     assert table == dict(highest_weight_decompose(rs, tensor_product_elements(rs, lams)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_epsilon_bound_matches_highest_test_element_by_element(data):
+    """b_{λ_1} ⊗ x is highest weight exactly when ε_i(x) ≤ ⟨λ_1, α_i^∨⟩ for every i, and the
+    projected points are the Ω_X(x) of the x that pass."""
+    rs = data.draw(st.sampled_from([A2, A3, B2, C2, G2, B3]), label="root system")
+    full = tuple(range(1, rs.n + 1))
+    later = st.sampled_from([s for k in range(1, rs.n + 1) for s in combinations(full, k)])
+    subsets = data.draw(st.lists(later, min_size=1, max_size=2), label="later blocks")
+    words = [data.draw(reduced_longest_words(rs, s)) for s in subsets]
+    lam1 = rs.weight(*data.draw(st.tuples(*[st.integers(0, 2)] * rs.n), label="λ_1"))
+    lams = [rs.weight(*data.draw(st.tuples(*[st.integers(0, 1)] * rs.n))) for _ in subsets]
+    assume(prod(rs.weyl_dimension(lam) for lam in lams) <= 400)
+
+    top = highest_path(rs, lam1)
+    passing = 0
+    for x in gen_demazure_crystal_weights(rs, subsets, lams, words).elements:
+        bound = all(epsilon(rs, x, i) <= lam1.coords[i - 1] for i in full)
+        assert bound == is_highest(rs, TensorElement((top,) + x.factors))
+        passing += bound
+    hat = hat_lattice_points(rs, [full] + subsets, [lam1] + lams, [rs.longest_word(full)] + words)
+    assert len(hat) == passing
