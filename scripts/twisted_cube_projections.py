@@ -4,20 +4,21 @@
 For I = ({1,2},{3}) with word (1,2,1,3), builds the twisted cube of each
 weight pair, prints its exact signed volume and first moments, checks them
 against seeded Monte Carlo, and writes a 3-D histogram CSV per pair for
-external rendering.  Then checks the volume of the G2 flag cube (λ = ρ, word
-121212), a non-simply-laced cube of dimension 6 and volume 1.  Exits 1 if any
+external rendering, through a `cube-histogram` CLI job with 24 bins a side.
+Then checks the volume of the G2 flag cube (λ = ρ, word 121212), a
+non-simply-laced cube of dimension 6 and volume 1.  Exits 1 if any
 Monte Carlo estimate lies 4 standard errors or more from the exact value,
 which includes a zero estimate with a zero standard error.
 
 Run:  python scripts/twisted_cube_projections.py [outdir]
 """
 
-import os
 import sys
 
+from crystalcubes import cli
 from crystalcubes.bundles import pullback_vector
 from crystalcubes.rootsys import RootSystem
-from crystalcubes.twistedcube import TwistedCube, mc_histogram, projection_map
+from crystalcubes.twistedcube import TwistedCube, projection_map
 
 PAIRS = [
     ((2, 4, 0), (0, 0, 2)),
@@ -32,9 +33,9 @@ SEED = 2026
 
 def main():
     outdir = sys.argv[1] if len(sys.argv) > 1 else "cube_projections"
-    os.makedirs(outdir, exist_ok=True)
     rs = RootSystem.preset("A3")
-    subsets, words = rs.blocks([(1, 2), (3,)])
+    blocks = [[1, 2], [3]]
+    subsets, words = rs.blocks(blocks)
     proj = projection_map(rs, subsets, words)
 
     misses = 0
@@ -58,10 +59,9 @@ def main():
             exact = cube.pushforward_moments(proj, m)
             mc, mc_err = cube.mc_moment(proj, m, SAMPLES, seed=SEED)
             print(f"  moment {m}: {exact} (MC {mc:.2f} ± {mc_err:.2f}){gate(exact, mc, mc_err)}")
-        hist = mc_histogram(cube, proj, bins=24, samples=SAMPLES, seed=SEED)
-        path = os.path.join(outdir, f"projection_{idx}.csv")
-        with open(path, "w") as handle:
-            handle.write("\n".join(hist.to_csv_lines()) + "\n")
+        params = {"subsets": blocks, "weights": [list(c1), list(c2)], "bins": 24, "samples": SAMPLES}
+        output = {"path": f"projection_{idx}.csv", "format": "csv"}
+        _, path = cli.run(cli.JobConfig("A3", "cube-histogram", params, output, seed=SEED), outdir)
         print(f"  histogram -> {path}")
     g2 = RootSystem.preset("G2")
     flag, g2_words = g2.blocks([(1, 2)])

@@ -35,7 +35,6 @@ from .demazure import (
     gen_demazure_crystal_weights,
 )
 from .stringpoly import (
-    LatticePointSet,
     MultiplicityTable,
     component_count,
     fiber_string_points,
@@ -60,7 +59,6 @@ from .twistedcube import (
     mc_histogram,
     projected_box,
     projection_map,
-    render_histogram_svg,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,5 +1,8 @@
 """Batch front-end: one JSON job per invocation, artifacts written atomically.
 
+The library returns values only; this module alone turns them into artifact
+bytes (JSON, CSV, edge-list text and SVG) and writes them.
+
 Exit codes: 0 success, 2 malformed config, computation error or unwritable
 output, 3 unsupported input (e.g. a Levi block not of type A), 4 element,
 moment-count or histogram-cell budget exceeded, 5 an internal consistency check
@@ -15,7 +18,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, prod
 from operator import index
 from typing import Callable
@@ -27,6 +30,7 @@ from .rootsys import BudgetExceededError, InvariantError, RootSystem, Unsupporte
 
 TOP_KEYS = {"root_system", "command", "params", "output", "seed", "budget"}
 LIST_PARAMS = {"word", "a", "subsets", "weights", "words", "weight", "nu", "x"}
+_SVG_CELL = 24  # side of one histogram cell in the SVG, in pixels
 
 
 class ConfigError(ValueError):
@@ -111,6 +115,67 @@ def _take(params: dict, allowed: dict) -> dict:
     return out
 
 
+# -- renderers: library values -> artifact JSON objects and csv/svg/txt text ---------
+
+
+def _graph_json(graph) -> dict:
+    verts = [{"index": k, "weight": list(w.coords)} for k, w in enumerate(graph.weights)]
+    return {
+        "vertex_count": graph.vertex_count,
+        "highest": graph.highest,
+        "vertices": verts,
+        "edges": [list(e) for e in graph.edges],
+    }
+
+
+def _edge_lines(graph) -> str:
+    return "\n".join(f"{u} -> {v} [label={i}]" for (u, i, v) in graph.edges) + "\n"
+
+
+def _table_json(table: stringpoly.MultiplicityTable) -> dict:
+    """ν → multiplicity, each ν written as its comma-joined ϖ-coordinates."""
+    return {",".join(str(x) for x in nu): c for nu, c in table.entries}
+
+
+def _points_csv(points) -> str:
+    """Lattice points of a word shape, one column x{k}_1 per letter k; the set is never empty."""
+    lines = [",".join(f"x{k}_1" for k in range(1, len(points[0]) + 1))]
+    lines.extend(",".join(str(x) for x in p) for p in points)
+    return "\n".join(lines) + "\n"
+
+
+def _histogram_csv(hist: twistedcube.SignedHistogram) -> str:
+    """One row per bin, C order: the bin center on every axis, then the bin value."""
+    centers = [[(e[k] + e[k + 1]) / 2 for k in range(len(e) - 1)] for e in hist.edges]
+    lines = [",".join([f"center_{t + 1}" for t in range(len(centers))] + ["value"])]
+    for idx in product(*(range(len(c)) for c in centers)):
+        row = [repr(float(centers[t][k])) for t, k in enumerate(idx)] + [repr(float(hist.values[idx]))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _histogram_svg(hist: twistedcube.SignedHistogram) -> str:
+    """A 2-D signed histogram as an SVG grid with a diverging color scale."""
+    nx, ny = hist.values.shape
+    vmax = float(abs(hist.values).max()) or 1.0
+    width, height = nx * _SVG_CELL, ny * _SVG_CELL
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    ]
+    for ix in range(nx):
+        for iy in range(ny):
+            v = float(hist.values[ix, iy])
+            frac = min(abs(v) / vmax, 1.0)
+            shade = int(round(255 * (1 - frac)))
+            color = f"rgb(255,{shade},{shade})" if v > 0 else f"rgb({shade},{shade},255)" if v < 0 else "rgb(255,255,255)"
+            x = ix * _SVG_CELL
+            y = (ny - 1 - iy) * _SVG_CELL
+            parts.append(f'<rect x="{x}" y="{y}" width="{_SVG_CELL}" height="{_SVG_CELL}" fill="{color}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 # -- handlers: (root system, params, config) -> (artifact, text, summary) ----------
 # `text` is None or a function that builds the command's csv/svg/txt artifact; `_render`
 # calls it only when that format is asked for.  Handlers call generate_crystal,
@@ -121,28 +186,43 @@ def _take(params: dict, allowed: dict) -> dict:
 def _crystal(rs: RootSystem, q: dict, config: JobConfig):
     graph = generate_crystal(rs, q["weight"], config.budget)
     summary = f"crystal with {graph.vertex_count} vertices, {len(graph.edges)} edges"
-    return graph.to_json_dict(), graph.to_edge_lines, summary
+    return _graph_json(graph), lambda: _edge_lines(graph), summary
 
 
 def _demazure(rs: RootSystem, q: dict, config: JobConfig):
     elements = demazure_crystal(rs, q["weight"], q["word"], config.budget)
     graph = graph_from_elements(rs, elements)
-    return graph.to_json_dict(), graph.to_edge_lines, f"Demazure crystal with {len(elements)} elements"
+    return _graph_json(graph), lambda: _edge_lines(graph), f"Demazure crystal with {len(elements)} elements"
 
 
 def _gen_demazure(rs: RootSystem, q: dict, config: JobConfig):
     if "word" in q:
         crystal = gen_demazure_crystal(rs, q["word"], q["a"], config.budget)
+        shape = {"kind": "word", "a": q["a"]}
     else:
         crystal = gen_demazure_crystal_weights(rs, q["subsets"], q["weights"], q["words"], config.budget)
-    return crystal.to_json_dict(), None, f"generalized Demazure crystal with {crystal.element_count} elements"
+        shape = {
+            "kind": "weights",
+            "subsets": [list(s) for s in q["subsets"].sets],
+            "weights": [list(rs.weight(lam).coords) for lam in q["weights"]],
+            "words": [list(b) for b in q["words"].blocks],
+        }
+    artifact = {
+        "shape": shape,
+        "word": list(crystal.words.flat),
+        "block_sizes": list(crystal.words.block_sizes),
+        "element_count": crystal.element_count,
+        "omega_vectors": [list(v) for v in crystal.omega_vectors()],
+        "components": crystal.components(),
+    }
+    return artifact, None, f"generalized Demazure crystal with {crystal.element_count} elements"
 
 
 def _lattice_points(rs: RootSystem, q: dict, config: JobConfig):
-    pts = stringpoly.lattice_points(rs, q["word"], q["a"], q.get("level", 1), config.budget)
-    points = [list(x) for x in pts.points]
-    artifact = {"word": q["word"], "a": q["a"], "level": pts.level, "count": len(pts), "points": points}
-    return artifact, lambda: "\n".join(pts.to_csv_lines()) + "\n", f"{len(pts)} lattice points"
+    level = q.get("level", 1)
+    pts = stringpoly.lattice_points(rs, q["word"], q["a"], level, config.budget)
+    artifact = {"word": q["word"], "a": q["a"], "level": level, "count": len(pts), "points": [list(x) for x in pts]}
+    return artifact, lambda: _points_csv(pts), f"{len(pts)} lattice points"
 
 
 def _multiplicity(rs: RootSystem, q: dict, config: JobConfig):
@@ -154,7 +234,7 @@ def _tensor_decompose(rs: RootSystem, q: dict, config: JobConfig):
     table = stringpoly.tensor_decompose(rs, q["weights"], config.budget)
     words = [list(rs.longest_word(range(1, rs.n + 1)))] * len(q["weights"])
     summary = f"{table.total()} components over {len(table.entries)} highest weights"
-    return {"multiplicities": table.to_json_dict(), "words": words}, None, summary
+    return {"multiplicities": _table_json(table), "words": words}, None, summary
 
 
 def _component_count(rs: RootSystem, q: dict, config: JobConfig):
@@ -220,9 +300,9 @@ def _cube_histogram(rs: RootSystem, q: dict, config: JobConfig):
     hist = twistedcube.mc_histogram(cube, proj, bins, samples, config.seed, q.get("shards", 1))
     artifact = {"word": list(cube.word), "a": list(cube.a), "samples": samples}
     if svg:
-        return artifact, lambda: twistedcube.render_histogram_svg(hist), "SVG rendered"
+        return artifact, lambda: _histogram_svg(hist), "SVG rendered"
     artifact["total"] = hist.total()
-    return artifact, lambda: "\n".join(hist.to_csv_lines()) + "\n", f"histogram total {hist.total():.6g}"
+    return artifact, lambda: _histogram_csv(hist), f"histogram total {hist.total():.6g}"
 
 
 @dataclass(frozen=True)

@@ -409,19 +409,6 @@ class CrystalGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def to_json_dict(self) -> dict:
-        verts = [{"index": k, "weight": list(w.coords)} for k, w in enumerate(self.weights)]
-        return {
-            "vertex_count": self.vertex_count,
-            "highest": self.highest,
-            "vertices": verts,
-            "edges": [list(e) for e in self.edges],
-        }
-
-    def to_edge_lines(self) -> str:
-        lines = [f"{u} -> {v} [label={i}]" for (u, i, v) in self.edges]
-        return "\n".join(lines) + "\n"
-
 
 def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     """Crystal graph on an explicit element set; edges are f-edges staying in the set."""

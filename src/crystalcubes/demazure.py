@@ -10,6 +10,8 @@ there is one block.  The parametrization Ω peels the same way from the
 outside: raise maximally along block k's letters, then drop the exposed b_{λ_k}.
 An Ω value is a plain tuple of ints in flat-letter order (the block sizes are
 `words.block_sizes`), read through `GenDemazureCrystal.omega_map()`.
+A `GenDemazureCrystal` holds values only: its elements, block words, tops, Ω
+and components.  The input shape and the artifact bytes belong to `cli`.
 `_peeler` peels a whole element set with one memo on (element, flat letter
 position): each e-string is walked once, and every element on it is recorded
 at that position, so elements that share a raised state share the rest of Ω.
@@ -30,7 +32,6 @@ one highest element, reached by raising, without building the crystal graph.
 from __future__ import annotations
 
 from collections import Counter
-from copy import deepcopy
 from dataclasses import dataclass, field
 from operator import index
 
@@ -121,14 +122,12 @@ def demazure_crystal(rs: RootSystem, lam, word, budget: int = DEFAULT_BUDGET) ->
 class GenDemazureCrystal:
     """Generated element set with its parametrization words and cached Ω-vectors.
 
-    ``tops`` and ``words`` are the b_{λ_k} and block words it was saturated
-    from; ``shape`` is the input shape in its exported JSON form.
+    ``tops`` and ``words`` are the b_{λ_k} and block words it was saturated from.
     """
 
     rs: RootSystem
     elements: frozenset
     words: WordSequence
-    shape: dict
     tops: tuple
     _omega: dict | None = field(default=None, repr=False)
 
@@ -174,22 +173,11 @@ class GenDemazureCrystal:
         out.sort(key=lambda c: (-c["size"], c["highest_weights"]))
         return out
 
-    def to_json_dict(self) -> dict:
-        omega_sorted = self.omega_vectors()
-        return {
-            "shape": deepcopy(self.shape),
-            "word": list(self.words.flat),
-            "block_sizes": list(self.words.block_sizes),
-            "element_count": self.element_count,
-            "omega_vectors": [list(v) for v in omega_sorted],
-            "components": self.components(),
-        }
 
-
-def _build(rs: RootSystem, lams, words: WordSequence, shape: dict, budget: int) -> GenDemazureCrystal:
+def _build(rs: RootSystem, lams, words: WordSequence, budget: int) -> GenDemazureCrystal:
     """The crystal saturated from the tops b_{λ_k} along the checked block words."""
     tops = tuple(highest_path(rs, lam) for lam in lams)
-    return GenDemazureCrystal(rs, _saturate(rs, tops, words.blocks, budget), words, shape, tops)
+    return GenDemazureCrystal(rs, _saturate(rs, tops, words.blocks, budget), words, tops)
 
 
 def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) -> GenDemazureCrystal:
@@ -206,7 +194,7 @@ def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) 
     if any(x < 0 for x in a):
         raise ValueError("exponent vector entries must be nonnegative")
     lams = [a_k * rs.fundamental_weight(i) for i, a_k in zip(word, a)]
-    return _build(rs, lams, WordSequence((i,) for i in word), {"kind": "word", "a": list(a)}, budget)
+    return _build(rs, lams, WordSequence((i,) for i in word), budget)
 
 
 def gen_demazure_crystal_weights(
@@ -218,11 +206,4 @@ def gen_demazure_crystal_weights(
 ) -> GenDemazureCrystal:
     """B_{I,λ_1..λ_r}: per-block saturation of b_{λ_1} ⊗ (... ⊗ saturation of b_{λ_r})."""
     subsets, words = rs.blocks(subsets, words)
-    lams = rs.block_weights(subsets, lams, dominant=True)
-    shape = {
-        "kind": "weights",
-        "subsets": [list(s) for s in subsets.sets],
-        "weights": [list(lam.coords) for lam in lams],
-        "words": [list(b) for b in words.blocks],
-    }
-    return _build(rs, lams, words, shape, budget)
+    return _build(rs, rs.block_weights(subsets, lams, dominant=True), words, budget)

@@ -172,8 +172,6 @@ PRESETS = {
 def _reflect(coords, idx: int, col) -> tuple:
     """s_i on ϖ-coordinates, v - ⟨v, α_i^∨⟩ α_i, for idx = i - 1 and col = α_i."""
     k = coords[idx]
-    if k == 0:
-        return tuple(coords)
     return tuple(v - k * a for v, a in zip(coords, col))
 
 

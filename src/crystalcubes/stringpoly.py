@@ -11,8 +11,9 @@ X is built.  By Kashiwara's signature rule (Duke Math. J. 71, 1993) on the
 straight path b_{λ_1}, that holds exactly when ε_i(x) ≤ ⟨λ_1, α_i^∨⟩ for all i,
 so b_{λ_1} ⊗ x is built only for the x that pass.  That component is B(ν) with
 ν = wt(b_{λ_1} ⊗ x), and the fiber over the point is its Ω-image.
-Exported points use the positive string orientation, i.e. they are the
-negatives of Newton-Okounkov valuation vectors.
+`lattice_points` and `hat_lattice_points` return sorted tuples of points,
+which `cli` writes as JSON or CSV.  Points use the positive string
+orientation, i.e. they are the negatives of Newton-Okounkov valuation vectors.
 """
 
 from __future__ import annotations
@@ -24,26 +25,6 @@ from operator import index
 from .crystal import DEFAULT_BUDGET, TensorElement, _close, _signature, highest_path, wt
 from .demazure import _peeler, gen_demazure_crystal, gen_demazure_crystal_weights
 from .rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
-
-
-@dataclass(frozen=True)
-class LatticePointSet:
-    """Sorted distinct nonnegative integer vectors, with the word and scaling level."""
-
-    block_sizes: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
-    level: int
-
-    def __len__(self):
-        return len(self.points)
-
-    def to_csv_lines(self) -> list[str]:
-        header = []
-        for k, size in enumerate(self.block_sizes, start=1):
-            header.extend(f"x{k}_{l}" for l in range(1, size + 1))
-        lines = [",".join(header)]
-        lines.extend(",".join(str(x) for x in p) for p in self.points)
-        return lines
 
 
 @dataclass(frozen=True)
@@ -59,21 +40,17 @@ class MultiplicityTable:
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.entries)
 
-    def to_json_dict(self) -> dict[str, int]:
-        return {",".join(str(x) for x in nu): c for nu, c in self.entries}
-
     def total(self) -> int:
         return sum(c for _, c in self.entries)
 
 
-def lattice_points(rs: RootSystem, word, a, level: int = 1, budget: int = DEFAULT_BUDGET) -> LatticePointSet:
-    """Ω-image of B_{i, level·a}; at level 1 this is exactly Δ_{i,a} ∩ Z^N."""
+def lattice_points(rs: RootSystem, word, a, level: int = 1, budget: int = DEFAULT_BUDGET):
+    """Ω-image of B_{i, level·a}, sorted; at level 1 this is exactly Δ_{i,a} ∩ Z^N."""
     a = tuple(map(index, a))
     level = index(level)
     if level < 1:
         raise ValueError("level must be a positive integer")
-    crystal = gen_demazure_crystal(rs, word, tuple(level * x for x in a), budget)
-    return LatticePointSet(block_sizes=crystal.words.block_sizes, points=tuple(crystal.omega_vectors()), level=level)
+    return tuple(gen_demazure_crystal(rs, word, tuple(level * x for x in a), budget).omega_vectors())
 
 
 def _projected(rs: RootSystem, subsets, lams, words, budget: int) -> tuple:

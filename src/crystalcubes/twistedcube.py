@@ -62,12 +62,11 @@ from operator import index
 
 import numpy as np
 
-from .rootsys import InvariantError, RootSystem, UnsupportedInputError
+from .rootsys import InvariantError, RootSystem
 
 # rows per Monte Carlo chunk, small enough that a chunk's temporaries stay in cache; it
 # bounds memory and never changes a histogram byte, but moments round per chunk
 _CHUNK = 1 << 14
-_SVG_CELL = 24  # side of one histogram cell in the SVG, in pixels
 
 
 class MVPolynomial:
@@ -359,25 +358,8 @@ class SignedHistogram:
     samples: int
     seed: int
 
-    @property
-    def dim(self) -> int:
-        return len(self.edges)
-
-    def bin_centers(self, axis: int):
-        e = self.edges[axis]
-        return [(e[k] + e[k + 1]) / 2 for k in range(len(e) - 1)]
-
     def total(self) -> float:
         return float(self.values.sum())
-
-    def to_csv_lines(self) -> list[str]:
-        header = [f"center_{t+1}" for t in range(self.dim)] + ["value"]
-        lines = [",".join(header)]
-        centers = [self.bin_centers(t) for t in range(self.dim)]
-        for idx in np.ndindex(self.values.shape):
-            row = [repr(float(centers[t][k])) for t, k in enumerate(idx)] + [repr(float(self.values[idx]))]
-            lines.append(",".join(row))
-        return lines
 
 
 def mc_histogram(
@@ -449,26 +431,3 @@ def projected_box(cube: TwistedCube, projection: ProjectionMap) -> tuple[tuple[i
         out.append((lo, hi))
     return tuple(out)
 
-
-def render_histogram_svg(hist: SignedHistogram) -> str:
-    """Two-dimensional signed histogram as an SVG grid with a diverging color scale."""
-    if hist.dim != 2:
-        raise UnsupportedInputError("SVG rendering targets 2-D histograms only")
-    nx, ny = hist.values.shape
-    vmax = float(np.max(np.abs(hist.values))) or 1.0
-    width, height = nx * _SVG_CELL, ny * _SVG_CELL
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    ]
-    for ix in range(nx):
-        for iy in range(ny):
-            v = float(hist.values[ix, iy])
-            frac = min(abs(v) / vmax, 1.0)
-            shade = int(round(255 * (1 - frac)))
-            color = f"rgb(255,{shade},{shade})" if v > 0 else f"rgb({shade},{shade},255)" if v < 0 else "rgb(255,255,255)"
-            x = ix * _SVG_CELL
-            y = (ny - 1 - iy) * _SVG_CELL
-            parts.append(f'<rect x="{x}" y="{y}" width="{_SVG_CELL}" height="{_SVG_CELL}" fill="{color}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

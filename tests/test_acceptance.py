@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from crystalcubes.bundles import flag_bott_vectors, pullback_vector
+from crystalcubes.cli import _histogram_svg
 from crystalcubes.crystal import (
     TensorElement,
     _f_power_closure,
@@ -37,7 +38,6 @@ from crystalcubes.twistedcube import (
     mc_histogram,
     projected_box,
     projection_map,
-    render_histogram_svg,
 )
 from oracles import highest_weight_decompose, tensor_product_elements
 
@@ -104,7 +104,7 @@ def full_inequality_fixture(l1, l2, m1, m2):
 def test_criterion_03_generalized_string_polytope_cross_check():
     lam = A2.weight(1, 1)
     a = pullback_vector(A2, SL3_SUBSETS, SL3_WORDS, [lam, lam]).flat
-    computed = set(lattice_points(A2, SL3_WORD, a, level=1).points)
+    computed = set(lattice_points(A2, SL3_WORD, a, level=1))
     fixture = full_inequality_fixture(1, 1, 1, 1)
     assert computed <= fixture and fixture <= computed
     report(3, f"all {len(computed)} level-1 string points match the six-line system, both ways")
@@ -331,6 +331,6 @@ def test_svg_smoke_support_in_exact_box():
             for axis, k in enumerate(idx):
                 lo, hi = hist.edges[axis][k], hist.edges[axis][k + 1]
                 assert float(box[axis][0]) <= lo and hi <= float(box[axis][1])
-    svg = render_histogram_svg(hist)
+    svg = _histogram_svg(hist)
     assert svg.startswith("<svg") and "<rect" in svg
     report("SVG", "rendered support lies inside the exact bounding box")

@@ -2,9 +2,11 @@
 
 import dataclasses
 import gc
+import io
 import json
 import os
 import stat
+import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -12,9 +14,12 @@ from pathlib import Path
 import pytest
 
 import crystalcubes
-from crystalcubes import cli, crystal, stringpoly, twistedcube
+from crystalcubes import cli, twistedcube
 from crystalcubes.cli import main
 from crystalcubes.rootsys import RootSystem
+
+
+CRYSTAL_A2 = {"root_system": "A2", "command": "crystal", "params": {"weight": [1, 0]}}
 
 
 def run_cli(tmp_path, config, *args):
@@ -172,18 +177,18 @@ def test_crystal_json_and_edges(tmp_path):
     assert text.count("->") == 8 and "[label=1]" in text
 
 
-@pytest.mark.parametrize("command,params,owner,builder", [
-    ("crystal", {"weight": [1, 1]}, crystal.CrystalGraph, "to_edge_lines"),
-    ("demazure", {"weight": [1, 1], "word": [1, 2]}, crystal.CrystalGraph, "to_edge_lines"),
-    ("lattice-points", {"word": [1, 2, 1], "a": [1, 0, 1]}, stringpoly.LatticePointSet, "to_csv_lines"),
-    ("cube-histogram", {"word": [1, 2], "a": [1, 1], "samples": 1000}, twistedcube.SignedHistogram, "to_csv_lines"),
-    ("cube-svg", {"word": [1, 2], "a": [1, 1], "samples": 1000}, twistedcube, "render_histogram_svg"),
+@pytest.mark.parametrize("command,params,builder", [
+    ("crystal", {"weight": [1, 1]}, "_edge_lines"),
+    ("demazure", {"weight": [1, 1], "word": [1, 2]}, "_edge_lines"),
+    ("lattice-points", {"word": [1, 2, 1], "a": [1, 0, 1]}, "_points_csv"),
+    ("cube-histogram", {"word": [1, 2], "a": [1, 1], "samples": 1000}, "_histogram_csv"),
+    ("cube-svg", {"word": [1, 2], "a": [1, 1], "samples": 1000}, "_histogram_svg"),
 ])
-def test_text_built_only_for_text_formats(tmp_path, monkeypatch, command, params, owner, builder):
+def test_text_built_only_for_text_formats(tmp_path, monkeypatch, command, params, builder):
     """A JSON artifact never builds the csv/svg/txt text; a text format builds it once."""
     built = []
-    original = getattr(owner, builder)
-    monkeypatch.setattr(owner, builder, lambda *args: built.append(1) or original(*args))
+    original = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder, lambda *args: built.append(1) or original(*args))
     config = {"root_system": "A2", "command": command, "params": params, "output": {"path": "out.json", "format": "json"}}
     assert run_cli(tmp_path, config) == 0
     assert built == []
@@ -702,6 +707,8 @@ CUBE_PARAMS = {"word": [1, 2], "a": [1, 1]}
             {"word": [1, 2, 1], "a": [1, 1, 1], "subsets": [[1, 2]], "words": [[2, 1, 2]]},
             "unknown params: ['words']",
         ),
+        ("cube-volume", {"word": [1, 2], "a": [1, 1], "subsets": [[1, 2]]},
+         "word does not match the longest words of the subsets"),
     ],
     ids=[
         "volume-unknown",
@@ -714,6 +721,7 @@ CUBE_PARAMS = {"word": [1, 2], "a": [1, 1]}
         "weights-shape-with-a",
         "word-shape-with-words",
         "word-shape-subsets-with-words",
+        "word-not-longest-of-subsets",
     ],
 )
 def test_cube_params_rejected_exit_2(tmp_path, capsys, command, params, message):
@@ -871,14 +879,61 @@ def test_string_or_float_number_exit_2(tmp_path, capsys, root_system, command, p
     [
         ({"root_system": [], "command": "crystal", "params": {"weight": []}}, "invalid", "Cartan matrix must not be empty"),
         ({"root_system": "A2", "command": ["crystal"]}, "config", None),
+        ([{"root_system": "A2"}], "config", "config must be a JSON object"),
+        ({"command": "crystal", "params": {"weight": [1, 0]}}, "config", "missing config key 'root_system'"),
+        ({"root_system": "A2", "params": {"weight": [1, 0]}}, "config", "missing config key 'command'"),
+        ({"root_system": "A2", "command": "crystal", "params": [[1, 0]]}, "config", "params must be an object"),
+        ({**CRYSTAL_A2, "output": ["x.json"]}, "config", "output must be an object with keys path/format"),
+        ({**CRYSTAL_A2, "output": {"path": "x.json", "mode": 420}}, "config",
+         "output must be an object with keys path/format"),
+        ({**CRYSTAL_A2, "root_system": "E9"}, "invalid", None),
+        ({**CRYSTAL_A2, "root_system": 2}, "invalid", "root_system must be a preset name or a Cartan matrix grid"),
     ],
-    ids=["empty-cartan", "command-list"],
+    ids=["empty-cartan", "command-list", "not-an-object", "no-root-system", "no-command", "params-list",
+         "output-list", "output-extra-key", "unknown-preset", "root-system-number"],
 )
 def test_malformed_top_level_exit_2(tmp_path, capsys, config, kind, message):
     assert run_cli(tmp_path, config) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == kind
     assert message is None or error["message"] == message
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
+def test_seed_flag_overrides_config_seed(tmp_path):
+    config = {"root_system": "A2", "command": "cube-histogram", "params": {"word": [1, 2], "a": [1, 1], "samples": 1000}}
+    written = {}
+    for name, seed, flags in [("config", 5, ()), ("flag", 0, ("--seed", "5")), ("other", 0, ())]:
+        config.update(seed=seed, output={"path": f"{name}.csv"})
+        assert run_cli(tmp_path, config, *flags) == 0
+        written[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert written["flag"] == written["config"] != written["other"]
+
+
+def test_config_from_stdin(tmp_path, capsys, monkeypatch):
+    """The README example: `--config -` reads the job from stdin."""
+    config = {
+        "root_system": "A2",
+        "command": "tensor-decompose",
+        "params": {"weights": [[1, 1], [1, 1]]},
+        "output": {"path": "decomposition.json"},
+    }
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+    assert main(["--config", "-", "--out", str(tmp_path / "results"), "--echo-word"]) == 0
+    doc = json.loads((tmp_path / "results" / "decomposition.json").read_text())
+    assert doc["multiplicities"] == {"0,0": 1, "0,3": 1, "1,1": 2, "2,2": 1, "3,0": 1}
+    assert "[words [[1, 2, 1], [1, 2, 1]]]" in capsys.readouterr().out
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    def no_space(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", no_space)
+    assert run_cli(tmp_path, CRYSTAL_A2) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "output" and "No space left" in error["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
 
 
 def test_readme_lists_every_command():
@@ -892,14 +947,14 @@ def test_public_surface():
     # every name the package exports, pinned so that growing or shrinking the API is a visible change
     assert sorted(crystalcubes.__all__) == [
         "BudgetExceededError", "CartanMatrix", "CrystalGraph", "GenDemazureCrystal",
-        "InvariantError", "LatticePointSet", "MVPolynomial", "MultiplicityTable", "PathElement", "ProjectionMap",
+        "InvariantError", "MVPolynomial", "MultiplicityTable", "PathElement", "ProjectionMap",
         "PullbackVector", "RootSystem", "SignedHistogram", "SubsetSequence", "TensorElement", "TwistedCube",
         "UnsupportedInputError", "Weight", "WordSequence", "bundle_report", "bundles", "component_count",
         "crystal", "degeneration_vectors", "demazure", "demazure_crystal", "epsilon", "fiber_string_points",
         "flag_bott_vectors", "gen_demazure_crystal", "gen_demazure_crystal_weights", "generate_crystal",
         "hat_lattice_points", "highest_path", "lattice_points", "mc_histogram",
         "mu_weight", "multiplicity", "path_e", "path_f", "phi", "projected_box", "projection_map",
-        "pullback_vector", "render_histogram_svg", "rootsys", "stringpoly", "tensor_decompose", "twistedcube",
+        "pullback_vector", "rootsys", "stringpoly", "tensor_decompose", "twistedcube",
         "wt",
     ]
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalcubes.cli import main
+from crystalcubes.cli import _graph_json, main
 from crystalcubes.crystal import (
     CrystalGraph,
     PathElement,
@@ -628,7 +628,7 @@ def test_fundamental_crystals_of_d4_and_f4(name):
         lam = rs.fundamental_weight(i)
         graph = generate_crystal(rs, lam)
         assert graph.vertex_count == rs.weyl_dimension(lam) == want
-        artifacts.update((json.dumps(graph.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n").encode())
+        artifacts.update((json.dumps(_graph_json(graph), sort_keys=True, separators=(",", ":")) + "\n").encode())
     assert artifacts.hexdigest() == digest
 
 
@@ -714,3 +714,29 @@ def test_highest_vertex_of_a_set_not_closed_under_e(data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(elements), max_size=len(elements)), label="kept")
     graph = graph_from_elements(rs, [b for b, k in zip(elements, keep) if k])
     assert graph.highest == first_highest_vertex(rs, graph)
+
+
+# -- input checks of hand-built elements
+
+
+def test_tensor_of_no_factors_rejected():
+    with pytest.raises(ValueError, match="at least one factor"):
+        TensorElement(())
+
+
+def test_non_integral_lowest_height_rejected():
+    """An A1 path that dips to height -1/2 and returns: ε_1 would be 1/2."""
+    a1 = RootSystem.preset("A1")
+    p = PathElement((((-1,), 1), ((1,), 1)), 2)
+    for op in (epsilon, path_f, path_e):
+        with pytest.raises(ValueError, match="non-integral path height"):
+            op(a1, p, 1)
+
+
+def test_lazy_endpoint_matches_carried_endpoint():
+    """A path built without `end` sums its segments on the first endpoint() call."""
+    assert PathElement((((1, 0), 1), ((-1, 1), 1)), 2).endpoint() == (0, Fraction(1, 2))
+    for b in generate_crystal(B2, (1, 1)).vertices:
+        bare = PathElement(b.segs, b.den)
+        assert bare._end is None
+        assert bare.endpoint() == b.endpoint()

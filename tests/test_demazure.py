@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystalcubes import cli
 from crystalcubes.crystal import (
     TensorElement,
     epsilon,
@@ -278,17 +279,23 @@ class TestOmega:
             gen_demazure_crystal_weights(A2, [[1, 2], [1, 2]], lams, words)
 
 
+def gen_demazure_artifact(rs, **params):
+    """The gen-demazure artifact object that the CLI handler builds, its subsets and words checked first."""
+    if "subsets" in params:
+        params["subsets"], params["words"] = rs.blocks(params["subsets"], params.get("words"))
+    return cli._gen_demazure(rs, params, cli.JobConfig(rs, "gen-demazure", params))[0]
+
+
 class TestExport:
     def test_json_dict(self):
-        crystal = gen_demazure_crystal(A2, (1, 2), (1, 1))
-        doc = crystal.to_json_dict()
+        doc = gen_demazure_artifact(A2, word=[1, 2], a=[1, 1])
         assert doc["element_count"] == 5
         assert doc["omega_vectors"] == sorted(doc["omega_vectors"])
         assert doc["shape"] == {"kind": "word", "a": [1, 1]}
 
     def test_weights_json_shape(self):
         lam = A2.weight(1, 1)
-        doc = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS).to_json_dict()
+        doc = gen_demazure_artifact(A2, subsets=SL3_SUBSETS, weights=[lam, lam], words=SL3_WORDS)
         assert doc["shape"]["kind"] == "weights"
         assert doc["block_sizes"] == [3, 3]
 
@@ -339,7 +346,8 @@ def test_word_shape_is_singleton_block_case(data):
     via_blocks = gen_demazure_crystal_weights(rs, subsets, lams, WordSequence(subsets.sets))
     assert via_word.elements == via_blocks.elements
     assert via_word.omega_vectors() == via_blocks.omega_vectors()
-    word_doc, blocks_doc = via_word.to_json_dict(), via_blocks.to_json_dict()
+    word_doc = gen_demazure_artifact(rs, word=list(word), a=list(a))
+    blocks_doc = gen_demazure_artifact(rs, subsets=subsets, weights=lams, words=WordSequence(subsets.sets))
     assert word_doc.pop("shape") == {"kind": "word", "a": list(a)}
     assert blocks_doc.pop("shape")["kind"] == "weights"
     assert word_doc == blocks_doc

@@ -77,6 +77,15 @@ class TestCartanValidation:
         with pytest.raises(ValueError, match="must not be empty"):
             CartanMatrix([])
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="must be square"):
+            CartanMatrix([[2, -1], [-1, 2, 0]])
+
+    def test_non_symmetrizable_rejected(self):
+        # d_1 c_13 = d_3 c_31 asks d_3 = d_1 / 2, while the path through 2 asks d_3 = d_1
+        with pytest.raises(ValueError, match="not symmetrizable"):
+            CartanMatrix([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]])
+
     def test_entries_read_as_integers(self):
         assert CartanMatrix([[np.int64(2), -1], [-1, 2]]).entries == ((2, -1), (-1, 2))
         for bad in (-1.0, "-1", Fraction(-1)):

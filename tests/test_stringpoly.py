@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crystalcubes import cli
 from crystalcubes.crystal import TensorElement, epsilon, highest_path, is_highest
 from crystalcubes.demazure import gen_demazure_crystal_weights
 from crystalcubes.rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
@@ -69,17 +70,17 @@ def sl3_hat_fixture(lam, mu):
 
 class TestLatticePoints:
     def test_a1_string(self):
-        assert lattice_points(A1, (1,), (2,)).points == ((0,), (1,), (2,))
+        assert lattice_points(A1, (1,), (2,)) == ((0,), (1,), (2,))
 
     def test_zero_vector(self):
-        assert lattice_points(A2, (1, 2, 1), (0, 0, 0)).points == ((0, 0, 0),)
+        assert lattice_points(A2, (1, 2, 1), (0, 0, 0)) == ((0, 0, 0),)
 
     def test_sl3_two_sided(self):
         from crystalcubes.bundles import pullback_vector
 
         lam = A2.weight(1, 1)
         a = pullback_vector(A2, SubsetSequence(SL3_SUBSETS), WordSequence(SL3_WORDS), [lam, lam]).flat
-        computed = set(lattice_points(A2, SL3_WORD, a).points)
+        computed = set(lattice_points(A2, SL3_WORD, a))
         expected = sl3_polytope_fixture((1, 1), (1, 1))
         assert computed == expected
 
@@ -87,15 +88,17 @@ class TestLatticePoints:
         with pytest.raises(ValueError):
             lattice_points(A1, (1,), (-1,))
 
+    def test_level_zero_rejected(self):
+        with pytest.raises(ValueError, match="level must be a positive integer"):
+            lattice_points(A1, (1,), (1,), level=0)
+
     def test_csv_lines(self):
-        lines = lattice_points(A1, (1,), (1,)).to_csv_lines()
-        assert lines[0] == "x1_1"
-        assert lines[1:] == ["0", "1"]
+        assert cli._points_csv(lattice_points(A1, (1,), (1,))) == "x1_1\n0\n1\n"
 
     def test_iterator_word_keeps_its_blocks(self):
         points = lattice_points(A2, iter([1, 2]), (1, 1))
-        assert points.block_sizes == (1, 1)
-        assert points.to_csv_lines()[0] == "x1_1,x2_1"
+        assert points == lattice_points(A2, (1, 2), (1, 1))
+        assert cli._points_csv(points).splitlines()[0] == "x1_1,x2_1"
 
 
 def in_hull_1d(q, points):
@@ -138,17 +141,17 @@ def in_hull_2d(q, points):
 
 class TestLevelScaling:
     def test_one_dimensional(self):
-        base = lattice_points(A1, (1,), (2,), level=1).points
+        base = lattice_points(A1, (1,), (2,), level=1)
         for k in (2, 3):
-            scaled = lattice_points(A1, (1,), (2,), level=k).points
+            scaled = lattice_points(A1, (1,), (2,), level=k)
             for p in scaled:
                 assert in_hull_1d((Fraction(p[0], k),), base)
 
     def test_two_dimensional(self):
         word, a = (1, 2), (1, 1)
-        base = lattice_points(A2, word, a, level=1).points
+        base = lattice_points(A2, word, a, level=1)
         for k in (2, 3):
-            scaled = lattice_points(A2, word, a, level=k).points
+            scaled = lattice_points(A2, word, a, level=k)
             for p in scaled:
                 q = (Fraction(p[0], k), Fraction(p[1], k))
                 assert in_hull_2d(q, base)
@@ -221,9 +224,13 @@ class TestTensorDecompose:
         oracle = highest_weight_decompose(A2, elems)
         assert table.as_dict() == dict(oracle)
 
+    def test_no_weights_rejected(self):
+        with pytest.raises(ValueError, match="at least one weight"):
+            tensor_decompose(A2, [])
+
     def test_json_keys(self):
         table = tensor_decompose(A2, [A2.weight(1, 0), A2.weight(0, 1)])
-        assert table.to_json_dict() == {"1,1": 1, "0,0": 1}
+        assert cli._table_json(table) == {"1,1": 1, "0,0": 1}
 
 
 class TestComponentCount:

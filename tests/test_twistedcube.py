@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from crystalcubes import twistedcube
 from crystalcubes.bundles import pullback_vector
-from crystalcubes.cli import main
+from crystalcubes.cli import _histogram_svg, main
 from crystalcubes.demazure import gen_demazure_crystal
-from crystalcubes.rootsys import RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from crystalcubes.rootsys import RootSystem, SubsetSequence, WordSequence
 from crystalcubes.twistedcube import (
     MVPolynomial,
     ProjectionMap,
@@ -24,7 +24,6 @@ from crystalcubes.twistedcube import (
     mc_histogram,
     projected_box,
     projection_map,
-    render_histogram_svg,
 )
 
 A1 = RootSystem.preset("A1")
@@ -77,6 +76,10 @@ class TestBoundForms:
         assert SL4_CUBE.forms[1] == (Fraction(-4), {2: 1, 3: 1})
         assert SL4_CUBE.forms[2] == (Fraction(-2), {})
         assert SL4_CUBE.forms[3] == (Fraction(-2), {})
+
+    def test_word_and_vector_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="word and integer vector lengths differ"):
+            TwistedCube(A2, (1, 2, 1), (1, 1))
 
 
 class TestDensity:
@@ -281,6 +284,17 @@ class TestMonteCarloHistogram:
         with pytest.raises(ValueError):
             mc_histogram(cube, identity_projection(1), 8, 0, seed=1)
 
+    def test_shards_must_divide_samples(self):
+        cube = TwistedCube(A1, (1,), (2,))
+        with pytest.raises(ValueError, match="shards must divide the sample count"):
+            mc_histogram(cube, identity_projection(1), 8, 10, seed=1, shards=3)
+
+    @pytest.mark.parametrize("bins", [(4, 4), (4, 0), 0])
+    def test_wrong_bin_count_rejected(self, bins):
+        """One positive count per target dimension: SL4_PROJ has 3 rows."""
+        with pytest.raises(ValueError, match="one positive bin count per target dimension"):
+            mc_histogram(SL4_CUBE, SL4_PROJ, bins, 100, seed=1)
+
     def test_edges_are_python_floats(self):
         hist = mc_histogram(SL4_CUBE, SL4_PROJ, 4, 100, seed=1)
         assert all(type(x) is float for edge in hist.edges for x in edge)
@@ -299,13 +313,19 @@ class TestSvg:
     def test_render_two_dim(self):
         cube = TwistedCube(A2, (1, 2), (1, 1))
         hist = mc_histogram(cube, identity_projection(2), 8, 10_000, seed=2)
-        svg = render_histogram_svg(hist)
+        svg = _histogram_svg(hist)
         assert svg.startswith("<svg") and svg.count("<rect") == 64
 
-    def test_three_dim_rejected(self):
-        hist = mc_histogram(SL4_CUBE, SL4_PROJ, 4, 5_000, seed=2)
-        with pytest.raises(UnsupportedInputError):
-            render_histogram_svg(hist)
+    def test_three_dim_rejected(self, tmp_path, capsys, monkeypatch):
+        """The CLI refuses a cube-svg job on SL4_PROJ's 3 rows before it samples."""
+        monkeypatch.setattr(twistedcube, "mc_histogram", lambda *args: pytest.fail("sampled"))
+        params = {"word": list(SL4_CUBE.word), "a": list(SL4_CUBE.a), "subsets": [[1, 2], [3]], "bins": 4, "samples": 5_000}
+        assert SL4_PROJ.rows == 3
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"root_system": "A3", "command": "cube-svg", "params": params, "seed": 2}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "unsupported"
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 def pack(e, width=4):
