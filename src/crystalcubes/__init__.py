@@ -8,7 +8,6 @@ Grossberg-Karshon twisted cubes with exact pushforward moments.
 
 from .rootsys import (
     BudgetExceededError,
-    CartanMatrix,
     InvariantError,
     RootSystem,
     SubsetSequence,

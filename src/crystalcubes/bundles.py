@@ -85,7 +85,7 @@ def flag_bott_vectors(rs: RootSystem, subsets) -> dict:
     zero on the padded slots l = m_k + 1 and p = m_j + 1."""
     subsets = rs.subsets(subsets)
     enums = [rs.type_a_enumeration(s) for s in subsets.sets]
-    c = rs.cartan.entries
+    c = rs.cartan
     vectors = {}
     for k in range(1, subsets.r):
         for j in range(k):

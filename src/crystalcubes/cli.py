@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from math import comb, prod
@@ -380,13 +379,11 @@ def _render(artifact, text, fmt: str) -> str:
 def _atomic_write(path: str, payload: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
+    tmp = os.path.join(directory, f".tmp-artifact-{os.urandom(8).hex()}")
+    handle = open(tmp, "x")  # a new file, so it gets the mode the umask gives, as the artifact should
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(payload)
-        umask = os.umask(0)  # mkstemp makes the file 0600; give it the mode open() would
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -47,13 +47,17 @@ class PathElement:
     """Piecewise-linear path: segments ((direction, n_j), ...) run for times n_j / den.
 
     The durations are positive integers with Σ n_j = den and gcd(den, n_1, ...) = 1,
-    and adjacent directions differ, so equal paths have equal segment tuples.
+    adjacent directions differ and all have one rank, so equal paths have equal segment
+    tuples.  A path built without ``end`` is checked for this; the operators and
+    `straight` build paths of this form and pass their endpoint.
     ``_end`` holds the endpoint and ``_ef[i - 1]`` holds (ε_i, φ_i) once known.
     """
 
     __slots__ = ("segs", "den", "_hash", "_end", "_ef")
 
     def __init__(self, segs, den: int, end=None):
+        if end is None:
+            _check_segments(segs, den)
         self.segs = segs
         self.den = den
         self._hash = hash(segs)
@@ -83,6 +87,19 @@ class PathElement:
 
     def __repr__(self):
         return f"PathElement({self.segs!r}, {self.den!r})"
+
+
+def _check_segments(segs, den: int) -> None:
+    """Reject segments that are not in the one form that `PathElement` equality compares."""
+    durations = [n for _, n in segs]
+    if not segs or min(durations) <= 0 or sum(durations) != den:
+        raise ValueError("path durations must be positive integers summing to den")
+    if gcd(den, *durations) != 1:
+        raise ValueError("path durations and den must have no common factor")
+    if len({len(v) for v, _ in segs}) != 1:
+        raise ValueError("path directions must all have one rank")
+    if any(a[0] == b[0] for a, b in zip(segs, segs[1:])):
+        raise ValueError("adjacent path directions must differ")
 
 
 class TensorElement:

@@ -13,8 +13,8 @@ An Ω value is a plain tuple of ints in flat-letter order (the block sizes are
 A `GenDemazureCrystal` holds values only: its elements, block words, tops, Ω
 and components.  The input shape and the artifact bytes belong to `cli`.
 `_peeler` peels a whole element set with one memo on (element, flat letter
-position): each e-string is walked once, and every element on it is recorded
-at that position, so elements that share a raised state share the rest of Ω.
+position): every state a walk passes is recorded, so elements that share a
+raised state share the rest of Ω.
 
 The word shape B_{i,a} is the case of singleton blocks ({i_k}, a_k ϖ_{i_k}),
 as Bott-Samelson varieties are the flag Bott-Samelson varieties with singleton
@@ -64,32 +64,29 @@ def _saturate(rs: RootSystem, tops, blocks, budget: int) -> frozenset:
 def _peeler(rs: RootSystem, tops, blocks):
     """Ω as a function of the element, memoized on (element, flat letter position).
 
-    Peeling is a walk through states (b, p): raise b maximally along the letter at
-    position p, and drop the exposed b_{λ_k} after block k's last letter.  Every
-    element on the e-string walked from b at p reaches the same top, so the walk
-    records them all at p, each with its distance to the top, and a walk that meets
-    an element recorded at p stops there.  The memo lives as long as the returned
-    function.  Ω(b) is a tuple of ints in flat-letter order.  Only elements of the
-    crystal saturated from ``tops`` along ``blocks`` are peeled here, so a peel that
-    does not expose b_{λ_k} is a defect of the program.
+    Peeling is a walk through states (p, b).  If e_{i_p} acts on b, the walk raises b
+    and stays at p, and Ω_p(b) is Ω_p(e_{i_p} b) with its first entry raised by 1;
+    otherwise it drops the exposed b_{λ_k} if p ends block k and steps to p + 1, and
+    Ω_p(b) is (0,) + Ω_{p+1}.  The walk stops at a state in the memo or past the last
+    letter, then unwinds, recording every state it passed.  The memo lives as long as
+    the returned function.  Ω(b) is a tuple of ints in flat-letter order.  Only elements
+    of the crystal saturated from ``tops`` along ``blocks`` are peeled here, so a peel
+    that does not expose b_{λ_k} is a defect of the program.
     """
     letters = [(i, k, pos == len(block) - 1) for k, block in enumerate(blocks) for pos, i in enumerate(block)]
     last = len(blocks) - 1
     memo = [{} for _ in letters]  # memo[p][b]: the Ω-entries from position p on
 
     def peel(b) -> tuple[int, ...]:
-        walked = []  # (position, elements raised through it, lowest first)
+        walk = []  # (position, element, raised) for each state passed
         p = 0
         while p < len(letters) and b not in memo[p]:
-            (i, k, ends_block), seen, string = letters[p], memo[p], [b]
-            while (c := path_e(rs, b, i)) is not None:
+            i, k, ends_block = letters[p]
+            c = path_e(rs, b, i)
+            walk.append((p, b, c is not None))
+            if c is not None:
                 b = c
-                if b in seen:
-                    break
-                string.append(b)
-            walked.append((p, string))
-            if c is not None:  # met an element recorded at p
-                break
+                continue
             if ends_block:
                 if b.factors[0] != tops[k]:
                     raise InvariantError("element is not in the generalized Demazure crystal (peeling failed)")
@@ -97,13 +94,8 @@ def _peeler(rs: RootSystem, tops, blocks):
                     b = TensorElement._of_valid(b.factors[1:])
             p += 1
         entries = memo[p][b] if p < len(letters) else ()
-        for q, string in reversed(walked):
-            # the highest element of the string sits one below b (met at q == p) or is the top
-            x, rest = (entries[0] + 1, entries[1:]) if q == p else (0, entries)
-            seen = memo[q]
-            for d, c in enumerate(reversed(string)):
-                seen[c] = (x + d,) + rest
-            entries = seen[string[0]]
+        for q, c, raised in reversed(walk):
+            entries = memo[q][c] = (entries[0] + 1,) + entries[1:] if raised else (0,) + entries
         return entries
 
     return peel

@@ -131,28 +131,6 @@ def _is_positive_definite(sym: list[list[Fraction]]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """Finite-type generalized Cartan matrix; entries[i][j] = ⟨α_{j+1}, α_{i+1}^∨⟩."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(map(index, row)) for row in entries)
-        if not rows:
-            raise ValueError("Cartan matrix must not be empty")
-        _validate_gcm(rows)
-        d = _symmetrizer(rows)
-        sym = [[d[i] * rows[i][j] for j in range(len(rows))] for i in range(len(rows))]
-        if not _is_positive_definite(sym):
-            raise ValueError("Cartan matrix is not of finite type")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-
 def type_a_cartan(n: int) -> list[list[int]]:
     return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
 
@@ -196,18 +174,24 @@ class _ReflectionMemo(dict):
 class RootSystem:
     """Cartan datum plus the derived arithmetic every other module consumes.
 
-    Indices i are 1-based throughout the public surface, matching α_1..α_n.
+    The constructor checks a finite-type generalized Cartan matrix and keeps its rows
+    as ``cartan``: cartan[i][j] = ⟨α_{j+1}, α_{i+1}^∨⟩.  Indices i are 1-based
+    throughout the public surface, matching α_1..α_n.
     """
 
-    def __init__(self, cartan: Sequence[Sequence[int]] | CartanMatrix):
-        self.cartan = cartan if isinstance(cartan, CartanMatrix) else CartanMatrix(cartan)
-        self.n = self.cartan.n
-        c = self.cartan.entries
+    def __init__(self, cartan: Sequence[Sequence[int]]):
+        c = tuple(tuple(map(index, row)) for row in cartan)
+        if not c:
+            raise ValueError("Cartan matrix must not be empty")
+        _validate_gcm(c)
+        n = len(c)
+        d = _symmetrizer(c)
+        if not _is_positive_definite([[d[i] * c[i][j] for j in range(n)] for i in range(n)]):
+            raise ValueError("Cartan matrix is not of finite type")
+        self.cartan, self.n = c, n
         # alpha_cols[i-1] = α_i in ϖ-coordinates (column i of the Cartan matrix)
-        self._alpha_cols: tuple[tuple[int, ...], ...] = tuple(
-            tuple(c[j][i] for j in range(self.n)) for i in range(self.n)
-        )
-        d = _symmetrizer(c)  # weyl_dimension reads only the ratios of d, so they are kept as ints
+        self._alpha_cols: tuple[tuple[int, ...], ...] = tuple(tuple(c[j][i] for j in range(n)) for i in range(n))
+        # weyl_dimension reads only the ratios of d, so they are kept as ints
         self._d = tuple(int(x * lcm(*(y.denominator for y in d))) for x in d)
         self._positive_roots: tuple[tuple[int, ...], ...] | None = None
         # operator caches; also intern paths so per-element caches stay warm
@@ -303,7 +287,7 @@ class RootSystem:
         that lowers its height and stays positive.
         """
         if self._positive_roots is None:
-            c = self.cartan.entries
+            c = self.cartan
             roots = {tuple(int(j == k) for j in range(self.n)) for k in range(self.n)}
             frontier = list(roots)
             while frontier:
@@ -389,7 +373,7 @@ class RootSystem:
         UnsupportedInputError when the Levi on I is not irreducible type A.
         """
         subset = self._check_subset(subset)
-        c = self.cartan.entries
+        c = self.cartan
         if any(c[i - 1][j - 1] not in (0, -1) for i in subset for j in subset if i != j):
             raise UnsupportedInputError(f"Levi on {subset} is not of type A")
         adj = {i: [j for j in subset if j != i and c[i - 1][j - 1]] for i in subset}

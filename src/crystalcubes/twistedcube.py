@@ -180,7 +180,7 @@ class TwistedCube:
         for i in self.word:
             rs._check_index(i)
         n = len(self.word)
-        c = rs.cartan.entries
+        c = rs.cartan
         forms = []
         for l in range(n):
             const = -sum(self.a[j] for j in range(l, n) if self.word[j] == self.word[l])
@@ -356,7 +356,6 @@ class SignedHistogram:
     edges: tuple[tuple[float, ...], ...]
     values: np.ndarray
     samples: int
-    seed: int
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -379,7 +378,7 @@ def mc_histogram(
     for pts, weights in cube._mc_stream(samples, seed, shards):
         _add_to_bins(padded, edges, pts @ lt, weights)
     hist = padded[(slice(1, -1),) * len(bins)] / samples
-    return SignedHistogram(tuple(tuple(map(float, e)) for e in edges), hist, samples, seed)
+    return SignedHistogram(tuple(tuple(map(float, e)) for e in edges), hist, samples)
 
 
 def _bin_counts(bins, rows: int) -> tuple[int, ...]:

@@ -129,7 +129,7 @@ def flag_bott_vectors(rs: RootSystem, subsets) -> dict:
     zero on the padded slots l = m_k + 1 and p = m_j + 1."""
     subsets = rs.subsets(subsets)
     enums = [rs.type_a_enumeration(s) for s in subsets.sets]
-    c = rs.cartan.entries
+    c = rs.cartan
     vectors: dict = {}
     for k in range(1, subsets.r):
         mk = len(enums[k])
@@ -156,7 +156,7 @@ def flag_bott_vectors(rs: RootSystem, subsets) -> dict:
 def type_a_enumeration(rs: RootSystem, subset) -> tuple:
     """The first ordering u_1..u_m of I, in lexicographic order, with the pairings of
     a type-A path: ⟨α_{u_s}, α_{u_t}^∨⟩ = -1 when |s - t| = 1 and 0 for |s - t| > 1."""
-    c = rs.cartan.entries
+    c = rs.cartan
     for order in permutations(sorted(subset)):
         if all(
             c[v - 1][u - 1] == (-1 if abs(s - t) == 1 else 0)

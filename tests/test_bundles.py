@@ -14,7 +14,8 @@ from crystalcubes.bundles import (
     pullback_vector,
 )
 from crystalcubes.demazure import gen_demazure_crystal, gen_demazure_crystal_weights
-from crystalcubes.rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from crystalcubes.rootsys import RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from crystalcubes.twistedcube import TwistedCube
 
 import oracles
 
@@ -143,7 +144,7 @@ class TestFlagBottVectors:
 
     def test_singleton_remark(self):
         tower = flag_bott_vectors(A3, SubsetSequence([(1,), (2,)]))
-        c = A3.cartan.entries
+        c = A3.cartan
         assert tower[(2, 1)] == ((c[0][1], 0), (0, 0))
 
     def test_r1_empty(self):
@@ -164,30 +165,49 @@ class TestFlagBottVectors:
 OMEGA_SYSTEMS = [RootSystem.preset(name) for name in ("A2", "A3", "B2", "C2", "G2", "B3")]
 
 
+def draw_blocks(draw, rs, count):
+    """`count` random subsets I of [n], each with a random reduced word of the longest
+    element of W_I: a maximal descent walk from Σ_{i∈I} ϖ_i."""
+    subsets, words = [], []
+    for _ in range(count):
+        subset = tuple(sorted(draw(st.sets(st.integers(1, rs.n), min_size=1))))
+        v = tuple(int(k + 1 in subset) for k in range(rs.n))
+        word = []
+        while descents := [i for i in subset if v[i - 1] > 0]:
+            word.append(draw(st.sampled_from(descents)))
+            v = rs.reflect(v, word[-1])
+        assert rs.is_reduced_word_for_longest(word, subset)
+        subsets.append(subset)
+        words.append(tuple(word))
+    return subsets, words
+
+
 @st.composite
 def block_shapes(draw):
-    """A preset, 1-3 random subsets with their default words, and dominant weights with
-    coordinates in 0..2."""
+    """A preset, 1-3 random subsets, their random words (`draw_blocks`) or None for the
+    default words, and dominant weights with coordinates in 0..2."""
     rs = draw(st.sampled_from(OMEGA_SYSTEMS))
-    subsets = [tuple(sorted(draw(st.sets(st.integers(1, rs.n), min_size=1)))) for _ in range(draw(st.integers(1, 3)))]
+    subsets, words = draw_blocks(draw, rs, draw(st.integers(1, 3)))
     lams = [rs.weight(draw(st.lists(st.integers(0, 2), min_size=rs.n, max_size=rs.n))) for _ in subsets]
-    return rs, subsets, lams
+    return rs, subsets, words if draw(st.booleans()) else None, lams
 
 
 class TestCrystalConsistency:
     @settings(max_examples=150, deadline=None)
     @given(drawn=block_shapes())
     def test_omega_image_matches_weights_construction(self, drawn):
-        """Ω(B_{I,λ}) = Ω(B_{i,a}) for i the flat words and a the pullback vector; a case
-        whose crystal outgrows the budget is skipped."""
-        rs, subsets, lams = drawn
-        subsets, words = rs.blocks(subsets)
+        """Ω(B_{I,λ}) = Ω(B_{i,a}) for i the flat words and a the pullback vector, and both
+        crystals have as many elements as the signed lattice count of the twisted cube of
+        (i, a).  The count sizes each case first: one over 20,000 is skipped unbuilt."""
+        rs, subsets, words, lams = drawn
+        subsets, words = rs.blocks(subsets, words)
         a = pullback_vector(rs, subsets, words, lams).flat
-        try:
-            flat = gen_demazure_crystal(rs, words.flat, a, budget=20_000)
-            blocked = gen_demazure_crystal_weights(rs, subsets, lams, words, budget=20_000)
-        except BudgetExceededError:
+        count = TwistedCube(rs, words.flat, a).signed_lattice_count()
+        if count > 20_000:
             return
+        flat = gen_demazure_crystal(rs, words.flat, a, budget=20_000)
+        blocked = gen_demazure_crystal_weights(rs, subsets, lams, words, budget=20_000)
+        assert count == flat.element_count == blocked.element_count
         assert flat.omega_vectors() == blocked.omega_vectors()
 
     def test_bundle_report_shape(self):
@@ -202,21 +222,10 @@ BUNDLE_SYSTEMS = [RootSystem.preset(name) for name in ("A2", "A3", "A4", "B3", "
 
 @st.composite
 def bundle_shapes(draw):
-    """A preset, 1-4 random subsets, a random reduced word of the longest element of each
-    W_I (a maximal descent walk from Σ_{i∈I} ϖ_i) or None for the default words, and
-    weights with coordinates in -3..3."""
+    """A preset, 1-4 random subsets, their random words (`draw_blocks`) or None for the
+    default words, and weights with coordinates in -3..3."""
     rs = draw(st.sampled_from(BUNDLE_SYSTEMS))
-    subsets, words = [], []
-    for _ in range(draw(st.integers(1, 4))):
-        subset = tuple(sorted(draw(st.sets(st.integers(1, rs.n), min_size=1))))
-        v = tuple(int(k + 1 in subset) for k in range(rs.n))
-        word = []
-        while descents := [i for i in subset if v[i - 1] > 0]:
-            word.append(draw(st.sampled_from(descents)))
-            v = rs.reflect(v, word[-1])
-        assert rs.is_reduced_word_for_longest(word, subset)
-        subsets.append(subset)
-        words.append(tuple(word))
+    subsets, words = draw_blocks(draw, rs, draw(st.integers(1, 4)))
     coords = st.lists(st.integers(-3, 3), min_size=rs.n, max_size=rs.n)
     lams = [rs.weight(draw(coords)) for _ in subsets]
     return rs, subsets, words if draw(st.booleans()) else None, lams

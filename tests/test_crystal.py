@@ -733,6 +733,22 @@ def test_non_integral_lowest_height_rejected():
             op(a1, p, 1)
 
 
+@pytest.mark.parametrize("segs,den,message", [
+    # would hash and compare as b_{ϖ_1}, the path over den 1, and take its cached f_1
+    ((((1, 0), 1),), 2, "summing to den"),
+    # is b_{ϖ_1}, but would compare unequal to it
+    ((((1, 0), 2),), 2, "no common factor"),
+    ((((1, 0), 0), ((0, 1), 1)), 1, "positive integers"),
+    ((), 1, "positive integers"),
+    ((((1, 0), 1), ((1,), 1)), 2, "one rank"),
+    ((((1, 0), 1), ((1, 0), 1)), 2, "must differ"),
+])
+def test_hand_built_path_rejected(segs, den, message):
+    """A path built by hand must be in the form that equality and hashing compare."""
+    with pytest.raises(ValueError, match=message):
+        PathElement(segs, den)
+
+
 def test_lazy_endpoint_matches_carried_endpoint():
     """A path built without `end` sums its segments on the first endpoint() call."""
     assert PathElement((((1, 0), 1), ((-1, 1), 1)), 2).endpoint() == (0, Fraction(1, 2))

@@ -44,7 +44,7 @@ SL3_A = (0, 1, 1, 0, 1, 1)  # pullback vector of λ = μ = ϖ1 + ϖ2
 def word_length(rs, word):
     """Coxeter length of s_{word}: the positive roots it sends negative, counted from
     its matrix on root coefficients (independent of the descent walk in `is_reduced`)."""
-    c = rs.cartan.entries
+    c = rs.cartan
     cols = [tuple(int(r == j) for r in range(rs.n)) for j in range(rs.n)]  # column j: the image of α_j
     for i in reversed(word):
         cols = [

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from crystalcubes.crystal import generate_crystal, highest_path
 from crystalcubes.rootsys import (
     PRESETS,
-    CartanMatrix,
     RootSystem,
     SubsetSequence,
     UnsupportedInputError,
@@ -50,20 +49,20 @@ class TestCartanValidation:
             RootSystem.preset("E8")
 
     def test_affine_rejected(self):
-        with pytest.raises(ValueError):
-            CartanMatrix([[2, -2], [-2, 2]])
+        with pytest.raises(ValueError, match="not of finite type"):
+            RootSystem([[2, -2], [-2, 2]])
 
     def test_bad_diagonal(self):
-        with pytest.raises(ValueError):
-            CartanMatrix([[1, -1], [-1, 2]])
+        with pytest.raises(ValueError, match="diagonal entries must equal 2"):
+            RootSystem([[1, -1], [-1, 2]])
 
     def test_positive_offdiag_rejected(self):
-        with pytest.raises(ValueError):
-            CartanMatrix([[2, 1], [-1, 2]])
+        with pytest.raises(ValueError, match="must be <= 0"):
+            RootSystem([[2, 1], [-1, 2]])
 
     def test_zero_pairing_symmetry(self):
-        with pytest.raises(ValueError):
-            CartanMatrix([[2, 0], [-1, 2]])
+        with pytest.raises(ValueError, match="must vanish together"):
+            RootSystem([[2, 0], [-1, 2]])
 
     def test_b2_accepted(self):
         rs = RootSystem([[2, -1], [-2, 2]])
@@ -75,22 +74,22 @@ class TestCartanValidation:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="must not be empty"):
-            CartanMatrix([])
+            RootSystem([])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="must be square"):
-            CartanMatrix([[2, -1], [-1, 2, 0]])
+            RootSystem([[2, -1], [-1, 2, 0]])
 
     def test_non_symmetrizable_rejected(self):
         # d_1 c_13 = d_3 c_31 asks d_3 = d_1 / 2, while the path through 2 asks d_3 = d_1
         with pytest.raises(ValueError, match="not symmetrizable"):
-            CartanMatrix([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]])
+            RootSystem([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]])
 
     def test_entries_read_as_integers(self):
-        assert CartanMatrix([[np.int64(2), -1], [-1, 2]]).entries == ((2, -1), (-1, 2))
+        assert RootSystem([[np.int64(2), -1], [-1, 2]]).cartan == ((2, -1), (-1, 2))
         for bad in (-1.0, "-1", Fraction(-1)):
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                CartanMatrix([[2, bad], [-1, 2]])
+                RootSystem([[2, bad], [-1, 2]])
 
 
 def simply_laced_cartan(n, edges):
@@ -121,7 +120,7 @@ def test_exceptional_positive_roots(name, count, dim):
     assert len(roots) == count
     assert len(rs.longest_word(range(1, rs.n + 1))) == count
     theta = max(roots, key=sum)
-    c = rs.cartan.entries
+    c = rs.cartan
     assert rs.weyl_dimension(rs.weight([sum(b * c[i][j] for j, b in enumerate(theta)) for i in range(rs.n)])) == dim
 
 
@@ -166,7 +165,7 @@ class TestSimpleRoots:
 
     def test_pairing_against_cartan(self):
         for rs in (A2, A3, A4):
-            c = rs.cartan.entries
+            c = rs.cartan
             for i in range(1, rs.n + 1):
                 for j in range(1, rs.n + 1):
                     assert rs.pairing(rs.simple_root_as_weight(i), j) == c[j - 1][i - 1]
@@ -190,7 +189,7 @@ def inversions(rs, word):
     Their number is the Coxeter length: the definitional count, kept as the oracle
     for the descent walk of `is_reduced`.
     """
-    c = rs.cartan.entries
+    c = rs.cartan
     cols = [tuple(int(r == j) for r in range(rs.n)) for j in range(rs.n)]  # column j: the image of α_j
     for i in reversed(word):
         cols = [
@@ -292,7 +291,7 @@ class TestTypeAEnumeration:
 
     def test_relation_holds(self):
         enum = A4.type_a_enumeration([1, 2, 3, 4])
-        c = A4.cartan.entries
+        c = A4.cartan
         for s, u in enumerate(enum):
             for t, v in enumerate(enum):
                 expected = 2 if s == t else (-1 if abs(s - t) == 1 else 0)

@@ -160,7 +160,7 @@ class TestSignedLatticeCount:
                 for a in product(range(3), repeat=len(word)):
                     cube = TwistedCube(rs, word, a)
                     crystal = gen_demazure_crystal(rs, word, a)
-                    assert cube.signed_lattice_count() == crystal.element_count, (rs.cartan.entries, word, a)
+                    assert cube.signed_lattice_count() == crystal.element_count, (rs.cartan, word, a)
 
     def test_sl4_example(self):
         assert SL4_CUBE.signed_lattice_count() == gen_demazure_crystal(A3, (1, 2, 1, 3), (0, 4, 2, 2)).element_count
