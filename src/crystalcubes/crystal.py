@@ -25,10 +25,14 @@ one, and reads each weight from the endpoint, whose heights the operators have
 already checked.
 
 One closure builds every crystal here and in `demazure`: `_close` saturates a
-set under f_{i_1}^* ... f_{i_N}^* along a word.  B(λ) is the Demazure crystal
-B_{w_0}(λ), so `generate_crystal` closes {b_λ} along a reduced word of w_0;
-`demazure` closes along any reduced word for B_w(λ), and block by block for
-the generalized Demazure crystals B_{I,λ}.
+set under f_{i_1}^* ... f_{i_N}^* along a word.  Each letter walks the whole
+f_i-string down from every element with ε_i = 0, so the closure meets each
+element at its string position and records it: the map it returns sends an
+element to its string entries, the Ω-entries of `demazure`.  It reads ε_i only
+and never calls e_i.  B(λ) is the Demazure crystal B_{w_0}(λ), so
+`generate_crystal` closes {b_λ} along a reduced word of w_0; `demazure` closes
+along any reduced word for B_w(λ), and block by block for the generalized
+Demazure crystals B_{I,λ}.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .rootsys import BudgetExceededError, RootSystem, Weight
+from .rootsys import BudgetExceededError, InvariantError, RootSystem, Weight
 
 DEFAULT_BUDGET = 10**6
 
@@ -448,26 +452,34 @@ def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     return CrystalGraph(tuple(verts), weights, tuple(edges), highest)
 
 
-def _f_power_closure(rs: RootSystem, elements, i: int, budget: int):
-    out = set(elements)
-    for b in list(out):
-        c = b
-        while True:
-            c = path_f(rs, c, i)
-            if c is None or c in out:
-                # an element already present had (or will have) its chain walked
-                break
-            out.add(c)
+def _f_strings(rs: RootSystem, start: dict, i: int, budget: int) -> dict:
+    """f_i^* of start, each f_i^k t given the entries (k,) + start[t] for the tops t, ε_i(t) = 0.
+
+    Every f_i-string that meets the start set must have its top there (the string property
+    of Demazure crystals); a start element that no string walk reaches breaks it."""
+    idx = i - 1
+    out = {}
+    for t, entries in start.items():
+        if _signature(_factors(t), idx)[0]:
+            continue
+        b, k = t, 0
+        while b is not None:
+            out[b] = (k,) + entries
             if len(out) > budget:
                 raise BudgetExceededError(f"saturation exceeded budget of {budget} elements")
+            b, k = path_f(rs, b, i), k + 1
+    if not start.keys() <= out.keys():
+        raise InvariantError(f"an f_{i}-string meets the start set without its top")
     return out
 
 
-def _close(rs: RootSystem, elements, word, budget: int):
-    """Closure of elements under f_{i_1}^* ... f_{i_N}^*, the last letter applied first."""
+def _close(rs: RootSystem, start: dict, word, budget: int) -> dict:
+    """Closure of start under f_{i_1}^* ... f_{i_N}^*, the last letter applied first, each element
+    mapped to its string entries (x_1, ..., x_N) followed by the entries of the start element
+    it was raised from."""
     for i in reversed(word):
-        elements = _f_power_closure(rs, elements, i, budget)
-    return elements
+        start = _f_strings(rs, start, i, budget)
+    return start
 
 
 def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> CrystalGraph:
@@ -479,4 +491,4 @@ def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> Cryst
     size = rs.weyl_dimension(start.endpoint())
     if size > budget:
         raise BudgetExceededError(f"crystal of {size} elements exceeds budget of {budget} elements")
-    return graph_from_elements(rs, _close(rs, {start}, rs.longest_word(range(1, rs.n + 1)), budget))
+    return graph_from_elements(rs, _close(rs, {start: ()}, rs.longest_word(range(1, rs.n + 1)), budget))

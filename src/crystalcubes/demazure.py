@@ -6,20 +6,21 @@ under f_i for the letters of block r's word, right to left, into the Demazure
 crystal B_{w_r}(λ_r) of bare paths, as `demazure_crystal` builds it; then
 b_{λ_{r-1}} is tensored on the left and the set is closed under block r-1's
 letters, and so on outward.  The elements are tensors, of one factor when
-there is one block.  The parametrization Ω peels the same way from the
-outside: raise maximally along block k's letters, then drop the exposed b_{λ_k}.
-An Ω value is a plain tuple of ints in flat-letter order (the block sizes are
-`words.block_sizes`), read through `GenDemazureCrystal.omega_map()`.
-A `GenDemazureCrystal` holds values only: its elements, block words, tops, Ω
-and components.  The input shape and the artifact bytes belong to `cli`.
-`_peeler` peels a whole element set with one memo on (element, flat letter
-position): every state a walk passes is recorded, so elements that share a
-raised state share the rest of Ω.
+there is one block.  The string parametrization Ω (raise maximally along block
+k's letters, then drop the exposed b_{λ_k}) is recorded while saturating.
+Each stage set is a disjoint union of Demazure crystals, so each i_p-string
+that meets it has its top there (Kashiwara, Duke Math. J. 71, 1993), and
+Ω_p(f_{i_p}^k t) = (k,) + Ω_{p+1}(t) for each top t with ε_{i_p}(t) = 0;
+b_{λ_k} ⊗ x keeps the entries of x.  An Ω value is a plain tuple of ints in
+flat-letter order (the block sizes are `words.block_sizes`), read through
+`GenDemazureCrystal.omega_map()`.  A `GenDemazureCrystal` holds values only:
+its elements, block words, tops, Ω and components.  The input shape and the
+artifact bytes belong to `cli`.
 
 The word shape B_{i,a} is the case of singleton blocks ({i_k}, a_k ϖ_{i_k}),
 as Bott-Samelson varieties are the flag Bott-Samelson varieties with singleton
-blocks, so both shapes share one saturation and one peeling loop.  At the
-other end, flag varieties G/B are the case of one block [n]: B(λ) = B_{w_0}(λ).
+blocks, so both shapes share one saturation.  At the other end, flag varieties
+G/B are the case of one block [n]: B(λ) = B_{w_0}(λ).
 Every saturation here, and `crystal.generate_crystal` for B(λ), is the one
 f-string closure `crystal._close` along a word.
 
@@ -48,57 +49,19 @@ from .crystal import (
 from .rootsys import InvariantError, RootSystem, WordSequence
 
 
-def _saturate(rs: RootSystem, tops, blocks, budget: int) -> frozenset:
-    """b_{λ_1} ⊗ (... ⊗ b_{λ_r}), closed under each block's letters, innermost block first.
+def _saturate(rs: RootSystem, tops, blocks, budget: int) -> dict:
+    """b_{λ_1} ⊗ (... ⊗ b_{λ_r}), closed under each block's letters, innermost block first,
+    each element mapped to its Ω-entries.
 
     The innermost block closes bare paths into the Demazure crystal B_{w_r}(λ_r); each
-    of its paths becomes a one-factor tail when the next block tensors its top on the left."""
-    current = _close(rs, {tops[-1]}, blocks[-1], budget)
-    tails = [(p,) for p in current]
+    of its paths becomes a one-factor tail when the next block tensors its top on the left,
+    and b_{λ_k} ⊗ x keeps the entries of x."""
+    current = _close(rs, {tops[-1]: ()}, blocks[-1], budget)
+    tails = [((p,), entries) for p, entries in current.items()]
     for top, block in zip(reversed(tops[:-1]), reversed(blocks[:-1])):
-        current = _close(rs, {TensorElement._of_valid((top,) + tail) for tail in tails}, block, budget)
-        tails = [b.factors for b in current]
-    return frozenset(current) if len(tops) > 1 else frozenset(map(TensorElement._of_valid, tails))
-
-
-def _peeler(rs: RootSystem, tops, blocks):
-    """Ω as a function of the element, memoized on (element, flat letter position).
-
-    Peeling is a walk through states (p, b).  If e_{i_p} acts on b, the walk raises b
-    and stays at p, and Ω_p(b) is Ω_p(e_{i_p} b) with its first entry raised by 1;
-    otherwise it drops the exposed b_{λ_k} if p ends block k and steps to p + 1, and
-    Ω_p(b) is (0,) + Ω_{p+1}.  The walk stops at a state in the memo or past the last
-    letter, then unwinds, recording every state it passed.  The memo lives as long as
-    the returned function.  Ω(b) is a tuple of ints in flat-letter order.  Only elements
-    of the crystal saturated from ``tops`` along ``blocks`` are peeled here, so a peel
-    that does not expose b_{λ_k} is a defect of the program.
-    """
-    letters = [(i, k, pos == len(block) - 1) for k, block in enumerate(blocks) for pos, i in enumerate(block)]
-    last = len(blocks) - 1
-    memo = [{} for _ in letters]  # memo[p][b]: the Ω-entries from position p on
-
-    def peel(b) -> tuple[int, ...]:
-        walk = []  # (position, element, raised) for each state passed
-        p = 0
-        while p < len(letters) and b not in memo[p]:
-            i, k, ends_block = letters[p]
-            c = path_e(rs, b, i)
-            walk.append((p, b, c is not None))
-            if c is not None:
-                b = c
-                continue
-            if ends_block:
-                if b.factors[0] != tops[k]:
-                    raise InvariantError("element is not in the generalized Demazure crystal (peeling failed)")
-                if k < last:
-                    b = TensorElement._of_valid(b.factors[1:])
-            p += 1
-        entries = memo[p][b] if p < len(letters) else ()
-        for q, c, raised in reversed(walk):
-            entries = memo[q][c] = (entries[0] + 1,) + entries[1:] if raised else (0,) + entries
-        return entries
-
-    return peel
+        current = _close(rs, {TensorElement._of_valid((top,) + tail): entries for tail, entries in tails}, block, budget)
+        tails = [(b.factors, entries) for b, entries in current.items()]
+    return current if len(tops) > 1 else {TensorElement._of_valid(tail): entries for tail, entries in tails}
 
 
 def demazure_crystal(rs: RootSystem, lam, word, budget: int = DEFAULT_BUDGET) -> frozenset:
@@ -107,12 +70,12 @@ def demazure_crystal(rs: RootSystem, lam, word, budget: int = DEFAULT_BUDGET) ->
     word = tuple(word)
     if not rs.is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
-    return frozenset(_close(rs, {highest_path(rs, lam)}, word, budget))
+    return frozenset(_close(rs, {highest_path(rs, lam): ()}, word, budget))
 
 
 @dataclass
 class GenDemazureCrystal:
-    """Generated element set with its parametrization words and cached Ω-vectors.
+    """Generated element set with its parametrization words and its Ω-vectors, recorded while saturating.
 
     ``tops`` and ``words`` are the b_{λ_k} and block words it was saturated from.
     """
@@ -128,13 +91,6 @@ class GenDemazureCrystal:
         return len(self.elements)
 
     def omega_map(self) -> dict:
-        if self._omega is None:
-            peel = _peeler(self.rs, self.tops, self.words.blocks)
-            mapping = {b: peel(b) for b in self.elements}
-            values = set(mapping.values())
-            if len(values) != len(mapping):
-                raise InvariantError("string parametrization failed to separate elements")
-            self._omega = mapping
         return self._omega
 
     def omega_vectors(self) -> list[tuple[int, ...]]:
@@ -167,9 +123,12 @@ class GenDemazureCrystal:
 
 
 def _build(rs: RootSystem, lams, words: WordSequence, budget: int) -> GenDemazureCrystal:
-    """The crystal saturated from the tops b_{λ_k} along the checked block words."""
+    """The crystal saturated from the tops b_{λ_k} along the checked block words, with its Ω."""
     tops = tuple(highest_path(rs, lam) for lam in lams)
-    return GenDemazureCrystal(rs, _saturate(rs, tops, words.blocks, budget), words, tops)
+    omega = _saturate(rs, tops, words.blocks, budget)
+    if len(set(omega.values())) != len(omega):
+        raise InvariantError("string parametrization failed to separate elements")
+    return GenDemazureCrystal(rs, frozenset(omega), words, tops, omega)
 
 
 def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) -> GenDemazureCrystal:

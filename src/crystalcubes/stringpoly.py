@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from operator import index
 
 from .crystal import DEFAULT_BUDGET, TensorElement, _close, _signature, highest_path, wt
-from .demazure import _peeler, gen_demazure_crystal, gen_demazure_crystal_weights
-from .rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from .demazure import gen_demazure_crystal, gen_demazure_crystal_weights
+from .rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def lattice_points(rs: RootSystem, word, a, level: int = 1, budget: int = DEFAUL
 
 
 def _projected(rs: RootSystem, subsets, lams, words, budget: int) -> tuple:
-    """The checked words and tops b_{λ_k}, with Ω_X(x) → b_{λ_1} ⊗ x over the x in
+    """The first block's checked word, with Ω_X(x) → b_{λ_1} ⊗ x over the x in
     X = B_{I_2..I_r, λ_2..λ_r} for which b_{λ_1} ⊗ x is highest weight.
 
     Only X is generated, so ``budget`` caps |X|, not |B_{I,λ_1..λ_r}|.
@@ -65,21 +65,16 @@ def _projected(rs: RootSystem, subsets, lams, words, budget: int) -> tuple:
         raise UnsupportedInputError("the first subset must be all of [n] for this operation")
     tops = (highest_path(rs, lams[0]),)
     if subsets.r == 1:
-        return words, tops, {(): TensorElement._of_valid(tops)}
+        return words.blocks[0], {(): TensorElement._of_valid(tops)}
     tail_subsets, tail_words = SubsetSequence(subsets.sets[1:]), WordSequence(words.blocks[1:])
     rest = gen_demazure_crystal_weights(rs, tail_subsets, lams[1:], tail_words, budget)
-    peel = _peeler(rs, rest.tops, rest.words.blocks)
     bounds = tuple(enumerate(lams[0].coords))
     highest: dict = {}
-    for x in rest.elements:
+    for x, tail in rest.omega_map().items():
         # ε_i(b_{λ_1} ⊗ x) = max(0, ε_i(x) − ⟨λ_1, α_i^∨⟩), as ε_i(b_{λ_1}) = 0
-        if any(_signature(x.factors, idx)[0] > bound for idx, bound in bounds):
-            continue
-        tail = peel(x)
-        if tail in highest:
-            raise InvariantError("string parametrization failed to separate elements")
-        highest[tail] = TensorElement._of_valid(tops + x.factors)
-    return words, tops + rest.tops, highest
+        if all(_signature(x.factors, idx)[0] <= bound for idx, bound in bounds):
+            highest[tail] = TensorElement._of_valid(tops + x.factors)
+    return words.blocks[0], highest
 
 
 def hat_lattice_points(rs: RootSystem, subsets, lams, words=None, budget: int = DEFAULT_BUDGET):
@@ -87,13 +82,13 @@ def hat_lattice_points(rs: RootSystem, subsets, lams, words=None, budget: int = 
 
     ``budget`` caps |X| for X = B_{I_2..I_r, λ_2..λ_r}, not |B_{I,λ_1..λ_r}|.
     """
-    return tuple(sorted(_projected(rs, subsets, lams, words, budget)[2]))
+    return tuple(sorted(_projected(rs, subsets, lams, words, budget)[1]))
 
 
 def multiplicity(rs: RootSystem, subsets, lams, nu, words=None, budget: int = DEFAULT_BUDGET) -> int:
     """Number of projected lattice points whose highest element b_{λ_1} ⊗ x has weight ν."""
     nu = rs.weight(nu).coords
-    highest = _projected(rs, subsets, lams, words, budget)[2]
+    highest = _projected(rs, subsets, lams, words, budget)[1]
     return sum(1 for b in highest.values() if wt(rs, b).coords == nu)
 
 
@@ -102,7 +97,7 @@ def tensor_decompose(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> Mult
     lams = list(lams)
     if not lams:
         raise ValueError("need at least one weight")
-    highest = _projected(rs, [range(1, rs.n + 1)] * len(lams), lams, None, budget)[2]
+    highest = _projected(rs, [range(1, rs.n + 1)] * len(lams), lams, None, budget)[1]
     return MultiplicityTable.from_counter(Counter(wt(rs, b).coords for b in highest.values()))
 
 
@@ -114,25 +109,21 @@ def component_count(rs: RootSystem, subsets, lams, words=None, budget: int = DEF
         subsets = SubsetSequence((full,) + subsets.sets)
         lams = [rs.zero_weight(), *lams]
         words = WordSequence((rs.longest_word(full),) + words.blocks)
-    return len(_projected(rs, subsets, lams, words, budget)[2])
+    return len(_projected(rs, subsets, lams, words, budget)[1])
 
 
 def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: int = DEFAULT_BUDGET):
     """First-block coordinates of the Ω-points over a projected lattice point x.
 
-    These are the Ω-heads of the component B(ν) generated from b_{λ_1} ⊗ x;
+    These are the Ω-heads of the component B(ν) generated from b_{λ_1} ⊗ x, recorded by
+    closing it along the first block's word (every element carries the tail x);
     ``budget`` caps |X| (as in ``hat_lattice_points``) and |B(ν)|, checked first by Weyl dimension.
     """
     x = tuple(map(index, x))
-    words, tops, highest = _projected(rs, subsets, lams, words, budget)
+    first_word, highest = _projected(rs, subsets, lams, words, budget)
     if x not in highest:
         raise ValueError(f"projected point {x} is not attained")
     size = rs.weyl_dimension(wt(rs, highest[x]))
     if size > budget:
         raise BudgetExceededError(f"component of {size} elements exceeds budget of {budget} elements")
-    peel = _peeler(rs, tops, words.blocks)
-    head = len(words.blocks[0])
-    strings = [peel(b) for b in _close(rs, {highest[x]}, words.blocks[0], budget)]
-    if any(s[head:] != x for s in strings):
-        raise InvariantError(f"the component over {x} has elements with another string tail")
-    return tuple(sorted({s[:head] for s in strings}))
+    return tuple(sorted(_close(rs, {highest[x]: ()}, first_word, budget).values()))

@@ -12,15 +12,19 @@ displayed formula term by term.
 `RootSystem.type_a_enumeration` walks the Dynkin diagram of I from an endpoint; the
 next helper searches the orderings of I for a type-A path instead.
 
+`crystal._close` walks each f_i-string down from its top and records the string
+entries of every element it meets; `close_set` closes a bare set instead, walking
+an f_i-chain from every element until it meets one already present.
 `demazure._saturate` closes the innermost block on bare paths, and
 `graph_from_elements` tests only the vertices no f-edge enters for the highest one.
-The last helpers keep tensors throughout and scan every vertex in order.
+The last helpers keep tensors throughout, close them with `close_set`, and scan
+every vertex in order.
 """
 
 from collections import Counter
 from itertools import permutations, product
 
-from crystalcubes.crystal import DEFAULT_BUDGET, TensorElement, _close, _vertex_order, is_highest, path_e, wt
+from crystalcubes.crystal import DEFAULT_BUDGET, TensorElement, _vertex_order, is_highest, path_e, path_f, wt
 from crystalcubes.demazure import demazure_crystal
 from crystalcubes.rootsys import BudgetExceededError, RootSystem, UnsupportedInputError, Weight
 
@@ -168,12 +172,25 @@ def type_a_enumeration(rs: RootSystem, subset) -> tuple:
     raise UnsupportedInputError(f"Levi on {tuple(subset)} is not of type A")
 
 
+def close_set(rs: RootSystem, elements, word, budget: int = DEFAULT_BUDGET) -> set:
+    """The set of elements closed under f_{i_1}^* ... f_{i_N}^*, the last letter applied first."""
+    for i in reversed(word):
+        out = set(elements)
+        for b in list(out):
+            while (b := path_f(rs, b, i)) is not None and b not in out:
+                out.add(b)
+                if len(out) > budget:
+                    raise BudgetExceededError(f"saturation exceeded budget of {budget} elements")
+        elements = out
+    return set(elements)
+
+
 def saturate_all_tensor(rs: RootSystem, tops, blocks, budget: int = DEFAULT_BUDGET) -> frozenset:
     """b_{λ_1} ⊗ (... ⊗ b_{λ_r}) closed under each block's letters, innermost block first,
     every element a tensor from the start (b_{λ_r} as the one-factor tensor)."""
     tails = [()]
     for top, block in zip(reversed(tops), reversed(blocks)):
-        current = _close(rs, {TensorElement((top,) + tail) for tail in tails}, block, budget)
+        current = close_set(rs, {TensorElement((top,) + tail) for tail in tails}, block, budget)
         tails = [b.factors for b in current]
     return frozenset(current)
 

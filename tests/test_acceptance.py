@@ -20,7 +20,6 @@ from crystalcubes.bundles import flag_bott_vectors, pullback_vector
 from crystalcubes.cli import _histogram_svg
 from crystalcubes.crystal import (
     TensorElement,
-    _f_power_closure,
     epsilon,
     generate_crystal,
     graph_from_elements,
@@ -39,7 +38,7 @@ from crystalcubes.twistedcube import (
     projected_box,
     projection_map,
 )
-from oracles import highest_weight_decompose, tensor_product_elements
+from oracles import close_set, highest_weight_decompose, tensor_product_elements
 
 A1 = RootSystem.preset("A1")
 A2 = RootSystem.preset("A2")
@@ -187,7 +186,7 @@ def test_criterion_08_signed_count_vs_crystal_sweep():
                 current = {TensorElement((top,))}
             else:
                 current = {TensorElement((top,) + b.factors) for b in saturated(word[1:], a[1:])}
-            memo[key] = _f_power_closure(A2, current, word[0], 10**6)
+            memo[key] = close_set(A2, current, word[:1], 10**6)
         return memo[key]
 
     rng = random.Random(55)

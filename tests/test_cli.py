@@ -960,10 +960,11 @@ def test_public_surface():
 
 
 def test_internal_invariant_exit_5(tmp_path, capsys, monkeypatch):
-    from crystalcubes import stringpoly
+    from crystalcubes import demazure
 
     # an Ω that sends every element to one vector breaks the separation check
-    monkeypatch.setattr(stringpoly, "_peeler", lambda *args: lambda b: (0, 0, 0))
+    saturate = demazure._saturate
+    monkeypatch.setattr(demazure, "_saturate", lambda *args: dict.fromkeys(saturate(*args), (0, 0, 0)))
     config = {"root_system": "A2", "command": "tensor-decompose", "params": {"weights": [[1, 1], [1, 1]]}}
     assert run_cli(tmp_path, config) == 5
     assert json.loads(capsys.readouterr().err) == {

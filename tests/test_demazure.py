@@ -1,5 +1,6 @@
 """Demazure and generalized Demazure crystals, string parametrizations."""
 
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from crystalcubes import cli
 from crystalcubes.crystal import (
     TensorElement,
+    _close,
     epsilon,
     graph_from_elements,
     highest_path,
@@ -18,12 +20,12 @@ from crystalcubes.crystal import (
     wt,
 )
 from crystalcubes.demazure import (
-    _peeler,
     demazure_crystal,
     gen_demazure_crystal,
     gen_demazure_crystal_weights,
 )
 from crystalcubes.rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, WordSequence
+from crystalcubes.stringpoly import fiber_string_points, hat_lattice_points, tensor_decompose
 from oracles import saturate_all_tensor
 from test_stringpoly import reduced_longest_words
 
@@ -218,13 +220,6 @@ class TestOmega:
         assert len(set(omegas)) == len(omegas)
         assert all(x >= 0 for xs in omegas for x in xs)
 
-    def test_outside_element_rejected(self):
-        small = gen_demazure_crystal(A2, (1, 2), (1, 1))
-        big = gen_demazure_crystal(A2, (1, 2), (2, 2))
-        outside = next(iter(big.elements - small.elements))
-        with pytest.raises(InvariantError, match="peeling failed"):
-            _peeler(A2, small.tops, small.words.blocks)(outside)
-
     def test_blocked_matches_flat_on_sl3(self):
         lam = A2.weight(1, 1)
         flat = gen_demazure_crystal(A2, SL3_WORD, SL3_A)
@@ -248,14 +243,6 @@ class TestOmega:
         for bigger in [(1, 1, 1), (2, 0, 1), (2, 1, 2)]:
             big = set(gen_demazure_crystal(A2, word, bigger).omega_vectors())
             assert small <= big
-
-    def test_blocked_peeling_rejects_foreign_element(self):
-        lam = A2.weight(1, 1)
-        crystal = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS)
-        foreign = TensorElement((highest_path(A2, A2.weight(2, 2)), highest_path(A2, lam)))
-        assert foreign not in crystal.elements
-        with pytest.raises(InvariantError, match="peeling failed"):
-            _peeler(A2, crystal.tops, SL3_WORDS.blocks)(foreign)
 
     def test_blocked_peeling_takes_plain_lists(self):
         lam = A2.weight(1, 1)
@@ -430,7 +417,7 @@ def test_components_reject_a_set_not_closed_under_e():
         broken.components()
 
 
-# -- Ω peeled element by element, kept as the oracle for the peeler memoized on (element, position),
+# -- Ω peeled element by element, kept as the oracle for the Ω recorded while saturating,
 # and its inverse on the word shape
 
 
@@ -480,19 +467,58 @@ def test_memoized_omega_matches_oracle(crystal):
     assert crystal.omega_map() == expected
 
 
-def test_peeler_rejects_foreign_element_after_peeling_the_crystal():
+def test_peel_oracle_rejects_foreign_element():
     lam = A2.weight(1, 1)
     crystal = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS)
-    peel = _peeler(A2, crystal.tops, SL3_WORDS.blocks)
-    for b in crystal.elements:
-        peel(b)
     foreign = TensorElement((highest_path(A2, A2.weight(2, 2)), highest_path(A2, lam)))
-    with pytest.raises(InvariantError, match="peeling failed"):
-        peel(foreign)
+    assert foreign not in crystal.elements
     with pytest.raises(ValueError, match="peeling failed"):
         peel_oracle(A2, crystal.tops, SL3_WORDS.blocks, foreign)
-    with pytest.raises(InvariantError, match="peeling failed"):
-        _peeler(A2, crystal.tops, SL3_WORDS.blocks)(foreign)
+
+
+def test_closure_rejects_a_string_without_its_top():
+    """f_1 b_{ϖ_1} has ε_1 = 1, and its 1-string's top b_{ϖ_1} is not in the start set: the
+    string property that the recorded Ω rests on fails, a defect of the program."""
+    below_top = path_f(A2, highest_path(A2, A2.fundamental_weight(1)), 1)
+    assert epsilon(A2, below_top, 1) == 1
+    with pytest.raises(InvariantError, match="without its top"):
+        _close(A2, {below_top: ()}, (1,), 10**6)
+
+
+def test_recorded_omega_calls_no_raising_operator():
+    """Building and reading Ω, decomposing a tensor product and reading a fiber call no e_i."""
+    c3, a3, g2 = RootSystem.preset("C3"), RootSystem.preset("A3"), RootSystem.preset("G2")
+    crystal = gen_demazure_crystal_weights(c3, [[1, 2, 3], [2, 3]], [(1, 0, 1), (0, 1, 1)])
+    assert len(crystal.omega_map()) == crystal.element_count == 5418
+    assert tensor_decompose(a3, [(1, 0, 1), (1, 1, 1)]).total() == 12
+    assert len(fiber_string_points(g2, [[1, 2], [1, 2]], [(1, 0), (0, 1)], (0, 0, 0, 0, 0, 0))) == 64
+    for rs in (c3, a3, g2):
+        assert rs._f_cache and not rs._e_cache
+
+
+@pytest.mark.parametrize("rs", [A2, A3, B2, C2, G2, B3, C3], ids=["A2", "A3", "B2", "C2", "G2", "B3", "C3"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fibers_match_peel_oracle(rs, data):
+    """The fiber over each projected point x holds the first-block heads of the oracle's Ω over
+    the elements of B_{I,λ} whose tail is x; the first block is [n], with 1-2 blocks after it."""
+    r = data.draw(st.integers(2, 3), label="blocks")
+    subsets = [range(1, rs.n + 1)]
+    subsets += [sorted(data.draw(st.sets(st.integers(1, rs.n), min_size=1), label="subset")) for _ in range(r - 1)]
+    left, coords = (2 if rs in (G2, B3, C3) else 3), []
+    for _ in range(r * rs.n):
+        coords.append(data.draw(st.integers(0, min(2, left)), label="weight coordinate"))
+        left -= coords[-1]
+    lams = [rs.weight(coords[k * rs.n:(k + 1) * rs.n]) for k in range(r)]
+    crystal = gen_demazure_crystal_weights(rs, subsets, lams)
+    head = len(crystal.words.blocks[0])
+    heads = defaultdict(set)
+    for b in crystal.elements:
+        xs = peel_oracle(rs, crystal.tops, crystal.words.blocks, b)
+        heads[xs[head:]].add(xs[:head])
+    assert hat_lattice_points(rs, subsets, lams) == tuple(sorted(heads))
+    for x, expected in heads.items():
+        assert fiber_string_points(rs, subsets, lams, x) == tuple(sorted(expected))
 
 
 # -- the innermost block closed on bare paths, against the all-tensor closure
