@@ -24,7 +24,6 @@ from .crystal import (
     highest_path,
     path_e,
     path_f,
-    phi,
     wt,
 )
 from .demazure import (

@@ -17,8 +17,8 @@ inside are reflected through a per-root-system memo of s_i on directions, and
 only the two seams can merge.  An operator carries state to the child instead
 of summing segments again: the endpoint moves by ∓α_i, and the parent's
 (ε_i, φ_i), stored in its `_ef`, moves by (±1, ∓1), so ε, φ, `is_highest` and
-the signature rule read them there.  An operator on a one-factor tensor goes
-straight to its path's operator, as the signature rule can pick no other factor.
+the signature rule read them there.  A one-block crystal is held as bare paths;
+on a one-factor tensor built by hand, the signature rule picks its one factor.
 `graph_from_elements` sorts vertices on flat integer keys, finds each f-edge
 with one index lookup, tests only the vertices no f-edge enters for the highest
 one, and reads each weight from the endpoint, whose heights the operators have
@@ -343,11 +343,6 @@ def is_highest(rs: RootSystem, b) -> bool:
     return all(_signature(factors, idx)[0] == 0 for idx in range(rs.n))
 
 
-def phi(rs: RootSystem, b, i: int) -> int:
-    """φ_i(b) = ε_i(b) + ⟨wt(b), α_i^∨⟩."""
-    return epsilon(rs, b, i) + wt(rs, b).coords[i - 1]
-
-
 _MISSING = object()
 
 
@@ -376,13 +371,8 @@ _e_path_cached = _cached(_e_path, "_e_cache")
 
 
 def _apply(rs: RootSystem, b: TensorElement, i: int, op, strict: bool):
-    """op on the factor of a tensor that the signature rule picks.
-
-    On one factor the rule always picks it, so op, which checks i on a cache miss, runs at once."""
+    """op on the factor of a tensor that the signature rule picks."""
     factors = b.factors
-    if len(factors) == 1:
-        child = op(rs, factors[0], i)
-        return None if child is None else TensorElement._of_valid((child,))
     rs._check_index(i)
     k = _signature(factors, i - 1, strict)[1]
     child = op(rs, factors[k], i)

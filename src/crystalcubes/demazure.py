@@ -5,7 +5,7 @@ B(λ_1) ⊗ ... ⊗ B(λ_r) and is saturated innermost-first: b_{λ_r} is closed
 under f_i for the letters of block r's word, right to left, into the Demazure
 crystal B_{w_r}(λ_r) of bare paths, as `demazure_crystal` builds it; then
 b_{λ_{r-1}} is tensored on the left and the set is closed under block r-1's
-letters, and so on outward.  The elements are tensors, of one factor when
+letters, and so on outward.  The elements are tensors, and bare paths when
 there is one block.  The string parametrization Ω (raise maximally along block
 k's letters, then drop the exposed b_{λ_k}) is recorded while saturating.
 Each stage set is a disjoint union of Demazure crystals, so each i_p-string
@@ -14,8 +14,8 @@ that meets it has its top there (Kashiwara, Duke Math. J. 71, 1993), and
 b_{λ_k} ⊗ x keeps the entries of x.  An Ω value is a plain tuple of ints in
 flat-letter order (the block sizes are `words.block_sizes`), read through
 `GenDemazureCrystal.omega_map()`.  A `GenDemazureCrystal` holds values only:
-its elements, block words, tops, Ω and components.  The input shape and the
-artifact bytes belong to `cli`.
+its block words and its Ω map, whose keys are its elements.  The input shape
+and the artifact bytes belong to `cli`.
 
 The word shape B_{i,a} is the case of singleton blocks ({i_k}, a_k ϖ_{i_k}),
 as Bott-Samelson varieties are the flag Bott-Samelson varieties with singleton
@@ -40,6 +40,7 @@ from .crystal import (
     DEFAULT_BUDGET,
     TensorElement,
     _close,
+    _factors,
     graph_from_elements,  # noqa: F401  (cli imports it from here; perfbench/tracing.py patches it here)
     highest_path,
     path_e,
@@ -53,15 +54,13 @@ def _saturate(rs: RootSystem, tops, blocks, budget: int) -> dict:
     """b_{λ_1} ⊗ (... ⊗ b_{λ_r}), closed under each block's letters, innermost block first,
     each element mapped to its Ω-entries.
 
-    The innermost block closes bare paths into the Demazure crystal B_{w_r}(λ_r); each
-    of its paths becomes a one-factor tail when the next block tensors its top on the left,
-    and b_{λ_k} ⊗ x keeps the entries of x."""
+    The innermost block closes bare paths into the Demazure crystal B_{w_r}(λ_r), which is
+    the whole crystal when r = 1; each outer block tensors its top on the left, and
+    b_{λ_k} ⊗ x keeps the entries of x."""
     current = _close(rs, {tops[-1]: ()}, blocks[-1], budget)
-    tails = [((p,), entries) for p, entries in current.items()]
     for top, block in zip(reversed(tops[:-1]), reversed(blocks[:-1])):
-        current = _close(rs, {TensorElement._of_valid((top,) + tail): entries for tail, entries in tails}, block, budget)
-        tails = [(b.factors, entries) for b, entries in current.items()]
-    return current if len(tops) > 1 else {TensorElement._of_valid(tail): entries for tail, entries in tails}
+        current = _close(rs, {TensorElement._of_valid((top, *_factors(x))): e for x, e in current.items()}, block, budget)
+    return current
 
 
 def demazure_crystal(rs: RootSystem, lam, word, budget: int = DEFAULT_BUDGET) -> frozenset:
@@ -75,20 +74,20 @@ def demazure_crystal(rs: RootSystem, lam, word, budget: int = DEFAULT_BUDGET) ->
 
 @dataclass
 class GenDemazureCrystal:
-    """Generated element set with its parametrization words and its Ω-vectors, recorded while saturating.
-
-    ``tops`` and ``words`` are the b_{λ_k} and block words it was saturated from.
-    """
+    """A generalized Demazure crystal as its block words and its Ω map, whose keys are its elements."""
 
     rs: RootSystem
-    elements: frozenset
     words: WordSequence
-    tops: tuple
-    _omega: dict | None = field(default=None, repr=False)
+    _omega: dict = field(repr=False)
+
+    @property
+    def elements(self):
+        """The element set, a read-only view of the Ω map's keys."""
+        return self._omega.keys()
 
     @property
     def element_count(self) -> int:
-        return len(self.elements)
+        return len(self._omega)
 
     def omega_map(self) -> dict:
         return self._omega
@@ -124,11 +123,10 @@ class GenDemazureCrystal:
 
 def _build(rs: RootSystem, lams, words: WordSequence, budget: int) -> GenDemazureCrystal:
     """The crystal saturated from the tops b_{λ_k} along the checked block words, with its Ω."""
-    tops = tuple(highest_path(rs, lam) for lam in lams)
-    omega = _saturate(rs, tops, words.blocks, budget)
+    omega = _saturate(rs, [highest_path(rs, lam) for lam in lams], words.blocks, budget)
     if len(set(omega.values())) != len(omega):
         raise InvariantError("string parametrization failed to separate elements")
-    return GenDemazureCrystal(rs, frozenset(omega), words, tops, omega)
+    return GenDemazureCrystal(rs, words, omega)
 
 
 def gen_demazure_crystal(rs: RootSystem, word, a, budget: int = DEFAULT_BUDGET) -> GenDemazureCrystal:

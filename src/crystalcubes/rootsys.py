@@ -1,9 +1,9 @@
 """Finite-type root-system arithmetic, Weyl words, and subset machinery.
 
 Everything downstream (crystals, polytopes, twisted cubes) consumes the data
-assembled here: a validated Cartan matrix, pairings against coroots, positive
-roots, deterministic reduced words for longest elements of parabolic Weyl
-subgroups, and type-A enumerations of subsets.
+assembled here: a validated Cartan matrix, positive roots, deterministic
+reduced words for longest elements of parabolic Weyl subgroups, and type-A
+enumerations of subsets.
 
 Weights are always stored in fundamental-weight coordinates, so the pairing
 with a simple coroot is a coordinate read-off; `Weight` reads each one as an int,
@@ -263,11 +263,6 @@ class RootSystem:
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise IndexError(f"simple-root index {i} out of range 1..{self.n}")
-
-    def pairing(self, lam: Weight, i: int) -> int:
-        """⟨λ, α_i^∨⟩; a coordinate read-off in the ϖ-basis."""
-        self._check_index(i)
-        return self.weight(lam).coords[i - 1]
 
     def simple_root_as_weight(self, i: int) -> Weight:
         self._check_index(i)

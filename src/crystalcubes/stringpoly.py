@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import index
 
-from .crystal import DEFAULT_BUDGET, TensorElement, _close, _signature, highest_path, wt
+from .crystal import DEFAULT_BUDGET, TensorElement, _close, _factors, _signature, highest_path, wt
 from .demazure import gen_demazure_crystal, gen_demazure_crystal_weights
 from .rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
@@ -63,17 +63,18 @@ def _projected(rs: RootSystem, subsets, lams, words, budget: int) -> tuple:
     lams = rs.block_weights(subsets, lams, dominant=True)
     if subsets.sets[0] != tuple(range(1, rs.n + 1)):
         raise UnsupportedInputError("the first subset must be all of [n] for this operation")
-    tops = (highest_path(rs, lams[0]),)
+    top = highest_path(rs, lams[0])
     if subsets.r == 1:
-        return words.blocks[0], {(): TensorElement._of_valid(tops)}
+        return words.blocks[0], {(): top}
     tail_subsets, tail_words = SubsetSequence(subsets.sets[1:]), WordSequence(words.blocks[1:])
     rest = gen_demazure_crystal_weights(rs, tail_subsets, lams[1:], tail_words, budget)
     bounds = tuple(enumerate(lams[0].coords))
     highest: dict = {}
     for x, tail in rest.omega_map().items():
+        factors = _factors(x)  # x is a bare path when X has one block
         # ε_i(b_{λ_1} ⊗ x) = max(0, ε_i(x) − ⟨λ_1, α_i^∨⟩), as ε_i(b_{λ_1}) = 0
-        if all(_signature(x.factors, idx)[0] <= bound for idx, bound in bounds):
-            highest[tail] = TensorElement._of_valid(tops + x.factors)
+        if all(_signature(factors, idx)[0] <= bound for idx, bound in bounds):
+            highest[tail] = TensorElement._of_valid((top, *factors))
     return words.blocks[0], highest
 
 

@@ -313,17 +313,19 @@ class TwistedCube:
         return pts, weights
 
     def _mc_stream(self, samples: int, seed: int, shards: int):
-        """`mc_sample` chunks of at most _CHUNK rows: each shard draws its samples/shards
-        points from its own stream, spawned from SeedSequence(seed).  A stream gives the
-        same values drawn at once or in chunks, so no sample depends on _CHUNK."""
+        """`mc_sample` chunks of at most _CHUNK rows: shard k draws its samples/shards points
+        from its own stream, the k-th child that SeedSequence(seed).spawn would make, made
+        when its turn comes, so memory does not grow with shards.  A stream gives the same
+        values drawn at once or in chunks, so no sample depends on _CHUNK."""
         samples, shards = index(samples), index(shards)
         if samples <= 0:
             raise ValueError("sample count must be positive")
         if shards < 1 or samples % shards:
             raise ValueError("shards must divide the sample count")
         per = samples // shards
-        for stream in np.random.SeedSequence(seed).spawn(shards):
-            rng = np.random.default_rng(stream)
+        entropy = np.random.SeedSequence(seed).entropy
+        for k in range(shards):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
             for start in range(0, per, _CHUNK):
                 yield self.mc_sample(rng, min(_CHUNK, per - start))
 

@@ -1,5 +1,8 @@
 """Slow definitional routes, kept as oracles for the fast ones in `src/`.
 
+`pairing` and `phi` give ⟨λ, α_i^∨⟩ and φ_i(b) = ε_i(b) + ⟨wt(b), α_i^∨⟩ for the tests
+only; `src/` reads weight coordinates and the (ε_i, φ_i) stored on each path directly.
+
 `tensor_decompose` reads tensor-product multiplicities off projected lattice points
 of string polytopes.  The first helpers get them by definition instead: list all of
 B(λ_1) ⊗ ... ⊗ B(λ_r) and count its highest elements by weight (Kashiwara, Duke
@@ -24,9 +27,20 @@ every vertex in order.
 from collections import Counter
 from itertools import permutations, product
 
-from crystalcubes.crystal import DEFAULT_BUDGET, TensorElement, _vertex_order, is_highest, path_e, path_f, wt
+from crystalcubes.crystal import DEFAULT_BUDGET, TensorElement, _vertex_order, epsilon, is_highest, path_e, path_f, wt
 from crystalcubes.demazure import demazure_crystal
 from crystalcubes.rootsys import BudgetExceededError, RootSystem, UnsupportedInputError, Weight
+
+
+def pairing(rs: RootSystem, lam, i: int) -> int:
+    """⟨λ, α_i^∨⟩: a coordinate read-off in the ϖ-basis, λ read through `RootSystem.weight`."""
+    rs._check_index(i)
+    return rs.weight(lam).coords[i - 1]
+
+
+def phi(rs: RootSystem, b, i: int) -> int:
+    """φ_i(b) = ε_i(b) + ⟨wt(b), α_i^∨⟩."""
+    return epsilon(rs, b, i) + wt(rs, b).coords[i - 1]
 
 
 def tensor(b1, b2) -> TensorElement:
@@ -86,11 +100,11 @@ def pullback_vector(rs: RootSystem, subsets, words, lams) -> tuple:
         for l, s in enumerate(block):
             if l != max(q for q, t in enumerate(block) if t == s):
                 continue
-            total = rs.pairing(lams[k], s)
+            total = pairing(rs, lams[k], s)
             for j in range(k + 1, r):
                 if any(s in letters_of[t] for t in range(k + 1, j + 1)):
                     continue
-                total += rs.pairing(lams[j], s)
+                total += pairing(rs, lams[j], s)
             row[l] = int(total)
         out.append(tuple(row))
     return tuple(out)
@@ -122,7 +136,7 @@ def degeneration_vectors(rs: RootSystem, subsets, lams) -> list[tuple]:
             tail_weight = tail_weight + lam
         vec = []
         for l in range(len(enum)):
-            vec.append(int(sum(rs.pairing(tail_weight, u) for u in enum[l:])))
+            vec.append(int(sum(pairing(rs, tail_weight, u) for u in enum[l:])))
         vec.append(0)
         out.append(tuple(vec))
     return out
@@ -187,12 +201,13 @@ def close_set(rs: RootSystem, elements, word, budget: int = DEFAULT_BUDGET) -> s
 
 def saturate_all_tensor(rs: RootSystem, tops, blocks, budget: int = DEFAULT_BUDGET) -> frozenset:
     """b_{λ_1} ⊗ (... ⊗ b_{λ_r}) closed under each block's letters, innermost block first,
-    every element a tensor from the start (b_{λ_r} as the one-factor tensor)."""
+    every element a tensor from the start (b_{λ_r} as the one-factor tensor); a one-block
+    result is unwrapped to the bare paths that `demazure._saturate` holds it as."""
     tails = [()]
     for top, block in zip(reversed(tops), reversed(blocks)):
         current = close_set(rs, {TensorElement((top,) + tail) for tail in tails}, block, budget)
         tails = [b.factors for b in current]
-    return frozenset(current)
+    return frozenset(current) if len(tops) > 1 else frozenset(b.factors[0] for b in current)
 
 
 def first_highest_vertex(rs: RootSystem, graph):

@@ -26,7 +26,6 @@ from crystalcubes.crystal import (
     highest_path,
     path_e,
     path_f,
-    phi,
     wt,
 )
 from crystalcubes.demazure import demazure_crystal, gen_demazure_crystal
@@ -38,7 +37,7 @@ from crystalcubes.twistedcube import (
     projected_box,
     projection_map,
 )
-from oracles import close_set, highest_weight_decompose, tensor_product_elements
+from oracles import close_set, highest_weight_decompose, pairing, phi, tensor_product_elements
 
 A1 = RootSystem.preset("A1")
 A2 = RootSystem.preset("A2")
@@ -154,8 +153,8 @@ def test_criterion_05_pullback_vector_example():
         l2 = A3.weight([rng.randint(0, 6) for _ in range(3)])
         vec = pullback_vector(A3, subsets, words, [l1, l2])
         expected = (
-            (0, A3.pairing(l1, 2) + A3.pairing(l2, 2), A3.pairing(l1, 1) + A3.pairing(l2, 1)),
-            (A3.pairing(l2, 3),),
+            (0, pairing(A3, l1, 2) + pairing(A3, l2, 2), pairing(A3, l1, 1) + pairing(A3, l2, 1)),
+            (pairing(A3, l2, 3),),
         )
         assert vec.blocks == expected
     report(5, "pullback 4-tuple matches the displayed formula at 10 random dominant weights")
@@ -301,7 +300,7 @@ def test_criterion_11_crystal_axiom_suite():
             elements += 1
             for i in range(1, rs.n + 1):
                 eps, ph = epsilon(rs, b, i), phi(rs, b, i)
-                assert ph - eps == rs.pairing(wt(rs, b), i)
+                assert ph - eps == pairing(rs, wt(rs, b), i)
                 c = path_f(rs, b, i)
                 assert (c is None) == (ph == 0)
                 if c is not None:

@@ -953,7 +953,7 @@ def test_public_surface():
         "crystal", "degeneration_vectors", "demazure", "demazure_crystal", "epsilon", "fiber_string_points",
         "flag_bott_vectors", "gen_demazure_crystal", "gen_demazure_crystal_weights", "generate_crystal",
         "hat_lattice_points", "highest_path", "lattice_points", "mc_histogram",
-        "mu_weight", "multiplicity", "path_e", "path_f", "phi", "projected_box", "projection_map",
+        "mu_weight", "multiplicity", "path_e", "path_f", "projected_box", "projection_map",
         "pullback_vector", "rootsys", "stringpoly", "tensor_decompose", "twistedcube",
         "wt",
     ]

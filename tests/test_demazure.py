@@ -2,6 +2,7 @@
 
 from collections import defaultdict
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from crystalcubes import cli
 from crystalcubes.crystal import (
+    PathElement,
     TensorElement,
     _close,
+    _factors,
     epsilon,
     graph_from_elements,
     highest_path,
@@ -24,7 +27,7 @@ from crystalcubes.demazure import (
     gen_demazure_crystal,
     gen_demazure_crystal_weights,
 )
-from crystalcubes.rootsys import BudgetExceededError, InvariantError, RootSystem, SubsetSequence, WordSequence
+from crystalcubes.rootsys import PRESETS, BudgetExceededError, InvariantError, RootSystem, SubsetSequence, WordSequence
 from crystalcubes.stringpoly import fiber_string_points, hat_lattice_points, tensor_decompose
 from oracles import saturate_all_tensor
 from test_stringpoly import reduced_longest_words
@@ -188,7 +191,7 @@ class TestGenDemazureWeights:
             gen_demazure_crystal_weights(A2, subsets, lams, budget=7)
         crystal = gen_demazure_crystal_weights(A2, subsets, lams, budget=8)
         assert crystal.element_count == 8
-        assert all(type(b) is TensorElement and len(b.factors) == 1 for b in crystal.elements)
+        assert all(type(b) is PathElement for b in crystal.elements)
 
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
@@ -292,7 +295,8 @@ def word_shape_oracle(rs, word, a):
 
     Saturation tensors b_{a_k ϖ_{i_k}} on the left and closes under f_{i_k},
     innermost letter first; Ω raises maximally along i_k and drops the exposed
-    b_{a_k ϖ_{i_k}}, one letter at a time.
+    b_{a_k ϖ_{i_k}}, one letter at a time.  A one-letter word's elements are keyed
+    as the bare paths that the saturation holds them as.
     """
     tops = [highest_path(rs, a_k * rs.fundamental_weight(i)) for i, a_k in zip(word, a)]
     current = {()}
@@ -315,7 +319,7 @@ def word_shape_oracle(rs, word, a):
             assert b.factors[0] == tops[k]
             if k < len(word) - 1:
                 b = TensorElement(b.factors[1:])
-        omegas[TensorElement(factors)] = tuple(xs)
+        omegas[TensorElement(factors) if len(factors) > 1 else factors[0]] = tuple(xs)
     return omegas
 
 
@@ -382,7 +386,7 @@ def graph_components(crystal):
 def small_block_crystals(draw):
     """A random B_{I,λ_1..λ_r} over A2, A3, B2, C2, G2, B3, C3: 1-3 blocks, each a random
     subset with a dominant weight, the weight coordinates summing to at most 3 (2 for G2,
-    B3 and C3)."""
+    B3 and C3), with its tops b_{λ_k}."""
     rs = draw(st.sampled_from([A2, A3, B2, C2, G2, B3, C3]), label="root system")
     r = draw(st.integers(1, 3), label="blocks")
     subsets = [sorted(draw(st.sets(st.integers(1, rs.n), min_size=1), label="subset")) for _ in range(r)]
@@ -391,11 +395,11 @@ def small_block_crystals(draw):
         coords.append(draw(st.integers(0, min(2, left)), label="weight coordinate"))
         left -= coords[-1]
     lams = [rs.weight(coords[k * rs.n:(k + 1) * rs.n]) for k in range(r)]
-    return gen_demazure_crystal_weights(rs, subsets, lams)
+    return gen_demazure_crystal_weights(rs, subsets, lams), [highest_path(rs, lam) for lam in lams]
 
 
 @settings(max_examples=60, deadline=None)
-@given(crystal=small_block_crystals())
+@given(crystal=small_block_crystals().map(itemgetter(0)))
 def test_components_match_graph_oracle(crystal):
     """The set is closed under every e_i, which `components` relies on, and its
     pieces are those of the crystal graph."""
@@ -410,9 +414,9 @@ def test_components_reject_a_set_not_closed_under_e():
     """Without the highest element b_{λ_1} ⊗ b_{λ_2}, raising leaves the set: a program defect."""
     lam = A2.weight(1, 1)
     crystal = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS)
-    top = TensorElement(crystal.tops)
+    top = TensorElement((highest_path(A2, lam), highest_path(A2, lam)))
     assert top in crystal.elements
-    broken = replace(crystal, elements=crystal.elements - {top})
+    broken = replace(crystal, _omega={b: xs for b, xs in crystal.omega_map().items() if b != top})
     with pytest.raises(InvariantError, match="leaves the generalized Demazure crystal"):
         broken.components()
 
@@ -422,7 +426,8 @@ def test_components_reject_a_set_not_closed_under_e():
 
 
 def peel_oracle(rs, tops, blocks, b):
-    """Ω: raise maximally along each block's letters, then drop the exposed top path."""
+    """Ω: raise maximally along each block's letters, then drop the exposed top path; b is a
+    bare path when there is one block."""
     xs = []
     for k, (top, block) in enumerate(zip(tops, blocks)):
         for i in block:
@@ -430,7 +435,7 @@ def peel_oracle(rs, tops, blocks, b):
             while (c := path_e(rs, b, i)) is not None:
                 b, x = c, x + 1
             xs.append(x)
-        if b.factors[0] != top:
+        if _factors(b)[0] != top:
             raise ValueError("element is not in the generalized Demazure crystal (peeling failed)")
         if k < len(blocks) - 1:
             b = TensorElement(b.factors[1:])
@@ -438,7 +443,8 @@ def peel_oracle(rs, tops, blocks, b):
 
 
 def rebuild_from_omega(rs, word, a, xs):
-    """Inverse of Ω on B_{i,a}: apply the nested f-pattern f_{i_1}^{x_1}(b_{a_1 ϖ_{i_1}} ⊗ ...)."""
+    """Inverse of Ω on B_{i,a}: apply the nested f-pattern f_{i_1}^{x_1}(b_{a_1 ϖ_{i_1}} ⊗ ...),
+    unwrapped to a bare path for a one-letter word."""
     tops = [highest_path(rs, a_k * rs.fundamental_weight(i)) for i, a_k in zip(word, a)]
     tail = ()
     for k in reversed(range(len(word))):
@@ -448,22 +454,25 @@ def rebuild_from_omega(rs, word, a, xs):
             if current is None:
                 raise ValueError("exponent pattern leaves the crystal")
         tail = current.factors
-    return TensorElement(tail)
+    return TensorElement(tail) if len(tail) > 1 else tail[0]
 
 
 @st.composite
 def small_word_crystals(draw):
-    """A random B_{i,a} over A2, A3, B2, C2, G2 with 1-3 letters and entries of a at most 2."""
+    """A random B_{i,a} over A2, A3, B2, C2, G2 with 1-3 letters and entries of a at most 2,
+    with its tops b_{a_k ϖ_{i_k}}."""
     rs = draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
     word = draw(st.lists(st.integers(1, rs.n), min_size=1, max_size=3), label="word")
     a = draw(st.lists(st.integers(0, 2), min_size=len(word), max_size=len(word)), label="a")
-    return gen_demazure_crystal(rs, word, a)
+    tops = [highest_path(rs, a_k * rs.fundamental_weight(i)) for i, a_k in zip(word, a)]
+    return gen_demazure_crystal(rs, word, a), tops
 
 
 @settings(max_examples=80, deadline=None)
-@given(crystal=st.one_of(small_word_crystals(), small_block_crystals()))
-def test_memoized_omega_matches_oracle(crystal):
-    expected = {b: peel_oracle(crystal.rs, crystal.tops, crystal.words.blocks, b) for b in crystal.elements}
+@given(crystal_tops=st.one_of(small_word_crystals(), small_block_crystals()))
+def test_memoized_omega_matches_oracle(crystal_tops):
+    crystal, tops = crystal_tops
+    expected = {b: peel_oracle(crystal.rs, tops, crystal.words.blocks, b) for b in crystal.elements}
     assert crystal.omega_map() == expected
 
 
@@ -473,7 +482,7 @@ def test_peel_oracle_rejects_foreign_element():
     foreign = TensorElement((highest_path(A2, A2.weight(2, 2)), highest_path(A2, lam)))
     assert foreign not in crystal.elements
     with pytest.raises(ValueError, match="peeling failed"):
-        peel_oracle(A2, crystal.tops, SL3_WORDS.blocks, foreign)
+        peel_oracle(A2, [highest_path(A2, lam)] * 2, SL3_WORDS.blocks, foreign)
 
 
 def test_closure_rejects_a_string_without_its_top():
@@ -511,10 +520,11 @@ def test_fibers_match_peel_oracle(rs, data):
         left -= coords[-1]
     lams = [rs.weight(coords[k * rs.n:(k + 1) * rs.n]) for k in range(r)]
     crystal = gen_demazure_crystal_weights(rs, subsets, lams)
+    tops = [highest_path(rs, lam) for lam in lams]
     head = len(crystal.words.blocks[0])
     heads = defaultdict(set)
     for b in crystal.elements:
-        xs = peel_oracle(rs, crystal.tops, crystal.words.blocks, b)
+        xs = peel_oracle(rs, tops, crystal.words.blocks, b)
         heads[xs[head:]].add(xs[:head])
     assert hat_lattice_points(rs, subsets, lams) == tuple(sorted(heads))
     for x, expected in heads.items():
@@ -538,5 +548,50 @@ def test_bare_innermost_closure_matches_all_tensor_closure(data):
         left -= coords[-1]
     lams = [rs.weight(coords[k * rs.n:(k + 1) * rs.n]) for k in range(r)]
     crystal = gen_demazure_crystal_weights(rs, subsets, lams, words)
-    assert crystal.elements == saturate_all_tensor(rs, crystal.tops, crystal.words.blocks)
-    assert all(type(b) is TensorElement and len(b.factors) == r for b in crystal.elements)
+    assert crystal.elements == saturate_all_tensor(rs, [highest_path(rs, lam) for lam in lams], crystal.words.blocks)
+    if r == 1:
+        assert all(type(b) is PathElement for b in crystal.elements)
+    else:
+        assert all(type(b) is TensorElement and len(b.factors) == r for b in crystal.elements)
+
+
+# -- one block is the Demazure crystal, held as bare paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_block_is_the_demazure_crystal(data):
+    """B_{I,λ} with one block is B_{w_0(I)}(λ): the same bare paths that `demazure_crystal`
+    closes along the same reduced word."""
+    rs = data.draw(st.sampled_from([A2, A3, B2, C2, G2, B3, C3]), label="root system")
+    subset = sorted(data.draw(st.sets(st.integers(1, rs.n), min_size=1), label="subset"))
+    word = data.draw(reduced_longest_words(rs, subset), label="word")
+    coords = data.draw(st.lists(st.integers(0, 2 if rs.n == 2 else 1), min_size=rs.n, max_size=rs.n), label="λ")
+    lam = rs.weight(coords)
+    crystal = gen_demazure_crystal_weights(rs, [subset], [lam], [word])
+    assert crystal.elements == demazure_crystal(rs, lam, word)
+
+
+def test_no_route_builds_a_one_factor_tensor(monkeypatch):
+    """With `TensorElement._of_valid` refusing fewer than two factors, tensor products,
+    fibers and gen-demazure artifacts of one to three blocks are built over every preset."""
+    of_valid = TensorElement._of_valid
+
+    def two_or_more(cls, factors):
+        if len(factors) < 2:
+            raise AssertionError(f"one-factor tensor built: {factors!r}")
+        return of_valid(factors)
+
+    monkeypatch.setattr(TensorElement, "_of_valid", classmethod(two_or_more))
+    for name in PRESETS:
+        rs = RootSystem.preset(name)
+        full, lam = list(range(1, rs.n + 1)), rs.fundamental_weight(1)
+        for r in (1, 2, 3):
+            assert tensor_decompose(rs, [lam] * r).total() > 0
+        assert len(fiber_string_points(rs, [full], [lam], ())) == rs.weyl_dimension(lam)
+        assert fiber_string_points(rs, [full, [1]], [lam, lam], (0,))
+        for subsets in ([full], [full, [1]], [[1], full]):
+            doc = gen_demazure_artifact(rs, subsets=subsets, weights=[lam] * len(subsets))
+            assert doc["element_count"] == len(doc["omega_vectors"])
+        for word in ([1], [rs.n, 1]):
+            assert gen_demazure_artifact(rs, word=word, a=[1] * len(word))["element_count"] > 1

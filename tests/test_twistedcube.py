@@ -795,6 +795,23 @@ def test_stream_matches_materialised_pass(monkeypatch, case, shards, chunk):
         assert got == pytest.approx(materialised_moment(cube, proj, m, samples, seed, shards), rel=1e-9), m
 
 
+def test_shard_streams_are_made_one_at_a_time(monkeypatch):
+    """Shard k draws from the k-th child that SeedSequence(seed).spawn would make, made when its
+    turn comes, so memory does not grow with shards: with spawn raising, the histogram equals
+    the bins drawn from spawn(4)'s children."""
+    cube, proj = STREAM_CASES[0]
+    bins, samples, seed = (5,) * proj.rows, 4000, 23
+    edges, values = materialised_histogram(cube, proj, bins, samples, seed, 4)
+
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("spawn builds every child before the first sample")
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    hist = mc_histogram(cube, proj, bins, samples, seed, shards=4)
+    assert hist.edges == edges and hist.values.tobytes() == values.tobytes()
+
+
 def histogramdd_cells(edge, x):
     """np.histogramdd's cell rule, as it reads: a search, then x on the last edge moved into the last bin."""
     k = np.searchsorted(edge, x, side="right")
