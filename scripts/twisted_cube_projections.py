@@ -49,7 +49,7 @@ def main():
 
     for idx, (c1, c2) in enumerate(PAIRS, start=1):
         lams = [rs.weight(*c1), rs.weight(*c2)]
-        a = pullback_vector(rs, subsets, words, lams).flat
+        a = pullback_vector(rs, subsets, words, lams)
         cube = TwistedCube(rs, words.flat, a)
         vol = cube.signed_volume()
         est, err = cube.mc_volume(SAMPLES, seed=SEED)
@@ -65,7 +65,7 @@ def main():
         print(f"  histogram -> {path}")
     g2 = RootSystem.preset("G2")
     flag, g2_words = g2.blocks([(1, 2)])
-    cube = TwistedCube(g2, g2_words.flat, pullback_vector(g2, flag, g2_words, [g2.weight(1, 1)]).flat)
+    cube = TwistedCube(g2, g2_words.flat, pullback_vector(g2, flag, g2_words, [g2.weight(1, 1)]))
     vol = cube.signed_volume()
     est, err = cube.mc_volume(SAMPLES, seed=SEED)
     print(f"G2 flag cube: word {cube.word}  a = {cube.a}")

@@ -42,7 +42,6 @@ from .stringpoly import (
     tensor_decompose,
 )
 from .bundles import (
-    PullbackVector,
     bundle_report,
     degeneration_vectors,
     flag_bott_vectors,

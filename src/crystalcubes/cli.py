@@ -5,8 +5,8 @@ bytes (JSON, CSV, edge-list text and SVG) and writes them.
 
 Exit codes: 0 success, 2 malformed config, computation error or unwritable
 output, 3 unsupported input (e.g. a Levi block not of type A), 4 element,
-moment-count or histogram-cell budget exceeded, 5 an internal consistency check
-failed (a defect of the program, not of the input).
+moment-count, histogram-cell or sample budget exceeded, 5 an internal
+consistency check failed (a defect of the program, not of the input).
 Errors go to stderr as a one-line JSON object.
 """
 
@@ -118,7 +118,7 @@ def _take(params: dict, allowed: dict) -> dict:
 
 
 def _graph_json(graph) -> dict:
-    verts = [{"index": k, "weight": list(w.coords)} for k, w in enumerate(graph.weights)]
+    verts = [{"index": k, "weight": list(w)} for k, w in enumerate(graph.weights)]
     return {
         "vertex_count": graph.vertex_count,
         "highest": graph.highest,
@@ -212,7 +212,7 @@ def _gen_demazure(rs: RootSystem, q: dict, config: JobConfig):
         "block_sizes": list(crystal.words.block_sizes),
         "element_count": crystal.element_count,
         "omega_vectors": [list(v) for v in crystal.omega_vectors()],
-        "components": crystal.components(),
+        "components": [{"size": size, "highest_weights": [list(w)]} for size, w in crystal.components()],
     }
     return artifact, None, f"generalized Demazure crystal with {crystal.element_count} elements"
 
@@ -254,7 +254,7 @@ def _twisted_cube(rs: RootSystem, q: dict):
     """The cube and its projection.  The word shape's subsets default to the singleton
     blocks {i_k}, and the word must be the longest words of its subsets."""
     if "word" not in q:
-        a = bundles.pullback_vector(rs, q["subsets"], q["words"], q["weights"]).flat
+        a = bundles.pullback_vector(rs, q["subsets"], q["words"], q["weights"])
         return twistedcube.TwistedCube(rs, q["words"].flat, a), twistedcube.projection_map(rs, q["subsets"], q["words"])
     cube = twistedcube.TwistedCube(rs, q["word"], q["a"])
     subsets, words = rs.blocks(q.get("subsets", [(i,) for i in cube.word]))
@@ -296,6 +296,9 @@ def _cube_histogram(rs: RootSystem, q: dict, config: JobConfig):
     cells = prod(b + 2 for b in bins)  # the bins and an outlier cell at each end of every axis
     if cells > config.budget:
         raise BudgetExceededError(f"histogram of {cells} cells exceeds budget of {config.budget} cells")
+    coords, cap = index(samples) * cube.dim, 100 * config.budget  # checked before any sample is drawn
+    if coords > cap:
+        raise BudgetExceededError(f"{samples} samples x {cube.dim} coordinates = {coords} exceed 100 x budget = {cap}")
     hist = twistedcube.mc_histogram(cube, proj, bins, samples, config.seed, q.get("shards", 1))
     artifact = {"word": list(cube.word), "a": list(cube.a), "samples": samples}
     if svg:
@@ -342,12 +345,12 @@ COMMANDS = {
 }
 
 
-def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False, fmt_override: str | None = None):
+def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False):
     if config.budget < 1:
         raise ConfigError("budget must be at least 1")
     rs = _root_system(config.root_system)
     command = COMMANDS[config.command]
-    fmt = fmt_override or config.output.get("format", command.formats[0])
+    fmt = config.output.get("format", command.formats[0])
     if fmt not in command.formats:
         raise ConfigError(f"{config.command} has no {fmt!r} artifact; formats: {', '.join(command.formats)}")
     p = config.params
@@ -420,9 +423,11 @@ def main(argv=None) -> int:
         config.seed = args.seed
     if args.budget is not None:
         config.budget = args.budget
+    if args.format is not None:
+        config.output["format"] = args.format
 
     try:
-        summary, path = run(config, args.out, args.echo_word, args.format)
+        summary, path = run(config, args.out, args.echo_word)
     except UnsupportedInputError as exc:
         return fail(3, "unsupported", str(exc))
     except BudgetExceededError as exc:

@@ -409,7 +409,8 @@ def highest_path(rs: RootSystem, lam) -> PathElement:
 
 @dataclass(frozen=True)
 class CrystalGraph:
-    """Colored digraph with canonical vertex indices; edge (u, i, v) means f_i(u) = v."""
+    """Colored digraph with canonical vertex indices; edge (u, i, v) means f_i(u) = v.
+    weights[k] is the weight of vertex k as its tuple of ϖ-coordinates."""
 
     vertices: tuple
     weights: tuple
@@ -438,8 +439,7 @@ def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     # f_i has read (ε_i, φ_i) of every vertex, or of each factor of a tensor, for every i,
     # and a non-integral height raises; so ⟨wt(b), α_i^∨⟩ = φ_i − ε_i is an integer for
     # every i, the endpoint is a tuple of ints, and it is not checked again
-    weights = tuple(Weight._of_ints(_endpoint(b)) for b in verts)
-    return CrystalGraph(tuple(verts), weights, tuple(edges), highest)
+    return CrystalGraph(tuple(verts), tuple(_endpoint(b) for b in verts), tuple(edges), highest)
 
 
 def _f_strings(rs: RootSystem, start: dict, i: int, budget: int) -> dict:

@@ -26,8 +26,8 @@ f-string closure `crystal._close` along a word.
 
 B_{I,λ} is a disjoint union of Demazure crystals (Joseph, J. Algebra 265, 2003;
 Lakshmibai-Littelmann-Magyar, Compositio Math. 130, 2002), so it is closed under
-every e_i, and `GenDemazureCrystal.components` names each connected piece by its
-one highest element, reached by raising, without building the crystal graph.
+every e_i, and `GenDemazureCrystal.components` pairs each connected piece's size
+with the weight of its one highest element, reached by raising, with no graph.
 """
 
 from __future__ import annotations
@@ -35,17 +35,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import index
+from types import MappingProxyType
 
 from .crystal import (
     DEFAULT_BUDGET,
     TensorElement,
     _close,
+    _endpoint,
     _factors,
     graph_from_elements,  # noqa: F401  (cli imports it from here; perfbench/tracing.py patches it here)
     highest_path,
     path_e,
     path_f,  # noqa: F401  (perfbench/tracing.py patches demazure.path_f)
-    wt,
 )
 from .rootsys import InvariantError, RootSystem, WordSequence
 
@@ -89,17 +90,18 @@ class GenDemazureCrystal:
     def element_count(self) -> int:
         return len(self._omega)
 
-    def omega_map(self) -> dict:
-        return self._omega
+    def omega_map(self) -> MappingProxyType:
+        """Element → Ω value, read-only: the map is also the crystal's element store."""
+        return MappingProxyType(self._omega)
 
     def omega_vectors(self) -> list[tuple[int, ...]]:
         return sorted(self.omega_map().values())
 
-    def components(self) -> list[dict]:
-        """Connected pieces, each named by its one highest element, as B_{I,λ} is a disjoint union
-        of Demazure crystals (Joseph 2003; Lakshmibai-Littelmann-Magyar 2002).  Each element is
-        raised by some e_i until none applies; every element on the walk records the highest
-        element reached, so a later walk stops at the first one already seen."""
+    def components(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(size, highest weight) of each connected piece, by (−size, weight).  B_{I,λ} is a
+        disjoint union of Demazure crystals (Joseph 2003; Lakshmibai-Littelmann-Magyar 2002), so
+        each piece has one highest element; each element is raised until no e_i applies, and the
+        walk records the highest element reached, so a later walk stops at the first one seen."""
         rs, elements = self.rs, self.elements
         highest: dict = {}  # element -> the highest element of its piece
         for b in elements:
@@ -116,9 +118,7 @@ class GenDemazureCrystal:
                     raise InvariantError(f"e_{i} leaves the generalized Demazure crystal")
                 b = c
             highest.update(dict.fromkeys(walk, highest[b]))
-        out = [{"size": size, "highest_weights": [wt(rs, h).coords]} for h, size in Counter(highest.values()).items()]
-        out.sort(key=lambda c: (-c["size"], c["highest_weights"]))
-        return out
+        return sorted(((n, _endpoint(h)) for h, n in Counter(highest.values()).items()), key=lambda c: (-c[0], c[1]))
 
 
 def _build(rs: RootSystem, lams, words: WordSequence, budget: int) -> GenDemazureCrystal:

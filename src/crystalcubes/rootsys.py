@@ -53,13 +53,6 @@ class Weight:
     def __init__(self, coords: Iterable):
         object.__setattr__(self, "coords", tuple(_num(c) for c in coords))
 
-    @classmethod
-    def _of_ints(cls, coords: tuple) -> "Weight":
-        """A weight of a tuple of ints that the caller has already checked: no per-coordinate read."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "coords", coords)
-        return w
-
     def __iter__(self):
         return iter(self.coords)
 

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import index
 
-from .crystal import DEFAULT_BUDGET, TensorElement, _close, _factors, _signature, highest_path, wt
+from .crystal import DEFAULT_BUDGET, TensorElement, _close, _endpoint, _factors, _signature, highest_path
 from .demazure import gen_demazure_crystal, gen_demazure_crystal_weights
 from .rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
@@ -90,7 +90,7 @@ def multiplicity(rs: RootSystem, subsets, lams, nu, words=None, budget: int = DE
     """Number of projected lattice points whose highest element b_{λ_1} ⊗ x has weight ν."""
     nu = rs.weight(nu).coords
     highest = _projected(rs, subsets, lams, words, budget)[1]
-    return sum(1 for b in highest.values() if wt(rs, b).coords == nu)
+    return sum(1 for b in highest.values() if _endpoint(b) == nu)
 
 
 def tensor_decompose(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> MultiplicityTable:
@@ -99,7 +99,7 @@ def tensor_decompose(rs: RootSystem, lams, budget: int = DEFAULT_BUDGET) -> Mult
     if not lams:
         raise ValueError("need at least one weight")
     highest = _projected(rs, [range(1, rs.n + 1)] * len(lams), lams, None, budget)[1]
-    return MultiplicityTable.from_counter(Counter(wt(rs, b).coords for b in highest.values()))
+    return MultiplicityTable.from_counter(Counter(_endpoint(b) for b in highest.values()))
 
 
 def component_count(rs: RootSystem, subsets, lams, words=None, budget: int = DEFAULT_BUDGET) -> int:
@@ -124,7 +124,7 @@ def fiber_string_points(rs: RootSystem, subsets, lams, x, words=None, budget: in
     first_word, highest = _projected(rs, subsets, lams, words, budget)
     if x not in highest:
         raise ValueError(f"projected point {x} is not attained")
-    size = rs.weyl_dimension(wt(rs, highest[x]))
+    size = rs.weyl_dimension(_endpoint(highest[x]))
     if size > budget:
         raise BudgetExceededError(f"component of {size} elements exceeds budget of {budget} elements")
     return tuple(sorted(_close(rs, {highest[x]: ()}, first_word, budget).values()))

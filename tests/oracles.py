@@ -10,7 +10,8 @@ Math. J. 71, 1993).
 
 `bundles` computes the pullback vector and the shift weight in one ownership pass,
 and the degeneration and tower vectors as tail sums.  The next helpers evaluate each
-displayed formula term by term.
+displayed formula term by term; the pullback vector comes in blocks, and
+`split_blocks` cuts the flat-letter vector of `src/` to match.
 
 `RootSystem.type_a_enumeration` walks the Dynkin diagram of I from an endpoint; the
 next helper searches the orderings of I for a type-A path instead.
@@ -25,7 +26,7 @@ every vertex in order.
 """
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 from crystalcubes.crystal import DEFAULT_BUDGET, TensorElement, _vertex_order, epsilon, is_highest, path_e, path_f, wt
 from crystalcubes.demazure import demazure_crystal
@@ -84,6 +85,12 @@ def highest_weight_decompose(rs: RootSystem, elements, check_closed: bool = True
         if is_highest(rs, b):
             out[wt(rs, b).coords] += 1
     return out
+
+
+def split_blocks(flat, sizes) -> tuple:
+    """A tuple in flat-letter order cut into per-block tuples of the given sizes."""
+    letters = iter(flat)
+    return tuple(tuple(islice(letters, size)) for size in sizes)
 
 
 def pullback_vector(rs: RootSystem, subsets, words, lams) -> tuple:

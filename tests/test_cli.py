@@ -843,6 +843,37 @@ def test_moment_count_over_budget_exit_4(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "cube-moments.json").read_text())["moments"].keys() == {"0,0", "0,1", "1,0"}
 
 
+def test_sample_count_over_budget_exit_4(tmp_path, capsys, monkeypatch):
+    def no_samples(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the sample count was checked")
+
+    monkeypatch.setattr(twistedcube.TwistedCube, "mc_sample", no_samples)
+    config = {"root_system": "A2", "command": "cube-histogram", "params": {**CUBE_PARAMS, "samples": 10**12}}
+    assert run_cli(tmp_path, config) == 4
+    message = f"{10**12} samples x 2 coordinates = {2 * 10**12} exceed 100 x budget = {10**8}"
+    assert json.loads(capsys.readouterr().err) == {"error": {"kind": "budget", "message": message}}
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+    # one bin on each of two axes fills 3 x 3 cells, so budget 9 passes the cell count and
+    # caps the dim-2 cube at 900 sample coordinates: 450 samples
+    config = {**config, "params": {**CUBE_PARAMS, "bins": 1, "samples": 451}, "budget": 9}
+    assert run_cli(tmp_path, config) == 4
+    assert "451 samples x 2 coordinates = 902 exceed 100 x budget = 900" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert run_cli(tmp_path, {**config, "params": {**CUBE_PARAMS, "bins": 1, "samples": 450}}) == 0
+    assert (tmp_path / "cube-histogram.csv").exists()
+
+
+def test_greedy_word_guard_exits_5(tmp_path, capsys, monkeypatch):
+    # one positive root short: the greedy word of w_0 reads as not reduced, a program defect
+    positive_roots_in = RootSystem.positive_roots_in
+    monkeypatch.setattr(RootSystem, "positive_roots_in", lambda self, s: positive_roots_in(self, s)[1:])
+    assert run_cli(tmp_path, CRYSTAL_A2) == 5
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "internal"
+    assert error["message"] == "greedy word [1, 2, 1] for (1, 2) is not a reduced word of the longest element"
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
 def test_unwritable_output_exit_2(tmp_path, capsys):
     (tmp_path / "afile").write_text("")
     config = {"root_system": "A2", "command": "crystal", "params": {"weight": [1, 0]}}
@@ -948,7 +979,7 @@ def test_public_surface():
     assert sorted(crystalcubes.__all__) == [
         "BudgetExceededError", "CrystalGraph", "GenDemazureCrystal",
         "InvariantError", "MVPolynomial", "MultiplicityTable", "PathElement", "ProjectionMap",
-        "PullbackVector", "RootSystem", "SignedHistogram", "SubsetSequence", "TensorElement", "TwistedCube",
+        "RootSystem", "SignedHistogram", "SubsetSequence", "TensorElement", "TwistedCube",
         "UnsupportedInputError", "Weight", "WordSequence", "bundle_report", "bundles", "component_count",
         "crystal", "degeneration_vectors", "demazure", "demazure_crystal", "epsilon", "fiber_string_points",
         "flag_bott_vectors", "gen_demazure_crystal", "gen_demazure_crystal_weights", "generate_crystal",

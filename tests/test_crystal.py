@@ -571,7 +571,7 @@ def bfs_crystal(rs, lam):
     highest = next(
         k for k, b in enumerate(verts) if all(oracle_epsilon(TensorElement([b]), i) == 0 for i in labels)
     )
-    weights = tuple(Weight(sum(v[k] * d for v, d in fraction_segs(b)) for k in range(rs.n)) for b in verts)
+    weights = tuple(Weight(sum(v[k] * d for v, d in fraction_segs(b)) for k in range(rs.n)).coords for b in verts)
     return CrystalGraph(verts, weights, tuple(edges), highest)
 
 

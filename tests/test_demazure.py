@@ -1,6 +1,6 @@
 """Demazure and generalized Demazure crystals, string parametrizations."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 from operator import itemgetter
 
@@ -15,6 +15,7 @@ from crystalcubes.crystal import (
     _close,
     _factors,
     epsilon,
+    generate_crystal,
     graph_from_elements,
     highest_path,
     is_highest,
@@ -27,8 +28,16 @@ from crystalcubes.demazure import (
     gen_demazure_crystal,
     gen_demazure_crystal_weights,
 )
-from crystalcubes.rootsys import PRESETS, BudgetExceededError, InvariantError, RootSystem, SubsetSequence, WordSequence
-from crystalcubes.stringpoly import fiber_string_points, hat_lattice_points, tensor_decompose
+from crystalcubes.rootsys import (
+    PRESETS,
+    BudgetExceededError,
+    InvariantError,
+    RootSystem,
+    SubsetSequence,
+    Weight,
+    WordSequence,
+)
+from crystalcubes.stringpoly import fiber_string_points, hat_lattice_points, multiplicity, tensor_decompose
 from oracles import saturate_all_tensor
 from test_stringpoly import reduced_longest_words
 
@@ -158,11 +167,10 @@ class TestGenDemazureWeights:
         lam = A2.weight(1, 1)
         crystal = gen_demazure_crystal_weights(A2, SL3_SUBSETS, [lam, lam], SL3_WORDS)
         comps = crystal.components()
-        assert [c["size"] for c in comps] == [27, 10, 10, 8, 8, 1]
-        for c in comps:
-            assert len(c["highest_weights"]) == 1
-            nu = A2.weight(c["highest_weights"][0])
-            assert A2.weyl_dimension(nu) == c["size"]
+        assert [size for size, _ in comps] == [27, 10, 10, 8, 8, 1]
+        for size, nu in comps:
+            assert type(nu) is tuple and all(type(x) is int for x in nu)
+            assert A2.weyl_dimension(nu) == size
 
     def test_singleton_blocks_degenerate_to_word_shape(self):
         subsets = SubsetSequence([(1,), (2,), (1,)])
@@ -234,7 +242,7 @@ class TestOmega:
 
         subsets, words = A3.blocks([(1, 2, 3), (2,)])
         lams = [A3.weight(1, 0, 0), A3.weight(0, 1, 0)]
-        a = pullback_vector(A3, subsets, words, lams).flat
+        a = pullback_vector(A3, subsets, words, lams)
         flat = gen_demazure_crystal(A3, words.flat, a)
         blocked = gen_demazure_crystal_weights(A3, subsets, lams, words)
         assert set(flat.omega_vectors()) == set(blocked.omega_vectors())
@@ -372,14 +380,12 @@ def graph_components(crystal):
     groups = {}
     for k in range(g.vertex_count):
         groups.setdefault(find(k), []).append(k)
+    # (size, *highest weights), so a piece with other than one highest element matches no pair
     out = [
-        {
-            "size": len(members),
-            "highest_weights": sorted(g.weights[k].coords for k in members if is_highest(crystal.rs, g.vertices[k])),
-        }
+        (len(members), *sorted(g.weights[k] for k in members if is_highest(crystal.rs, g.vertices[k])))
         for members in groups.values()
     ]
-    return sorted(out, key=lambda c: (-c["size"], c["highest_weights"]))
+    return sorted(out, key=lambda c: (-c[0], c[1:]))
 
 
 @st.composite
@@ -408,6 +414,46 @@ def test_components_match_graph_oracle(crystal):
             c = path_e(crystal.rs, b, i)
             assert c is None or c in crystal.elements
     assert crystal.components() == graph_components(crystal)
+
+
+def test_omega_map_is_read_only():
+    """The Ω map is also the crystal's element store, so it is handed out read-only."""
+    crystal = gen_demazure_crystal_weights(A2, [[1, 2]], [(1, 1)])
+    components = crystal.components()
+    b = next(iter(crystal.elements))
+    omega = crystal.omega_map()
+    with pytest.raises(AttributeError):  # a read-only view has no pop
+        omega.pop(b)
+    with pytest.raises(TypeError):
+        del omega[b]
+    with pytest.raises(TypeError):
+        omega[b] = (0, 0, 0)
+    assert crystal.element_count == len(crystal.elements) == 8
+    assert crystal.components() == components
+
+
+def is_int_tuple(w) -> bool:
+    return type(w) is tuple and all(type(x) is int for x in w)
+
+
+def test_results_are_int_tuples_built_without_weights(monkeypatch):
+    """Graph weights and component weights are tuples of ints, and given `Weight` inputs,
+    `tensor_decompose`, `multiplicity` and `components` construct no `Weight`."""
+    lams, nu, full = [A3.weight(1, 0, 1), A3.weight(0, 1, 0)], A3.weight(1, 1, 1), [[1, 2, 3], [1, 2, 3]]
+    crystal = gen_demazure_crystal_weights(A3, full, lams)
+    for graph in (generate_crystal(A3, lams[0]), graph_from_elements(A3, crystal.elements)):
+        assert all(map(is_int_tuple, graph.weights))
+
+    def no_weight(self, coords):
+        raise AssertionError("a Weight was constructed")
+
+    monkeypatch.setattr(Weight, "__init__", no_weight)
+    table = tensor_decompose(A3, lams)
+    assert multiplicity(A3, full, lams, nu) == table.as_dict()[nu.coords] == 1
+    components = crystal.components()
+    assert all(type(size) is int and is_int_tuple(w) for size, w in components)
+    assert Counter(w for _, w in components) == Counter(table.as_dict())
+    assert sum(size for size, _ in components) == crystal.element_count
 
 
 def test_components_reject_a_set_not_closed_under_e():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from crystalcubes.crystal import generate_crystal, highest_path
 from crystalcubes.rootsys import (
     PRESETS,
+    InvariantError,
     RootSystem,
     SubsetSequence,
     UnsupportedInputError,
@@ -251,6 +252,14 @@ class TestLongestWord:
             with pytest.raises(ValueError):
                 rs.longest_word(bad)
 
+    def test_greedy_word_not_reduced_is_a_defect(self, monkeypatch):
+        # a root set one short makes the greedy word too long for w_0: the guard raises
+        rs = RootSystem.preset("A3")
+        monkeypatch.setattr(rs, "positive_roots_in", lambda s: RootSystem.positive_roots_in(rs, s)[1:])
+        with pytest.raises(InvariantError, match=r"greedy word \[1, 2, 1\] for \(1, 2\) is not a reduced word"):
+            rs.longest_word([1, 2])
+        assert rs._longest_words == {}
+
     def test_word_memo_holds_no_cycle(self):
         # the memos hold tuples only, so a dropped root system is freed by reference counting
         rs = RootSystem.preset("A3")
@@ -346,6 +355,13 @@ class TestWeylDimension:
         a1xa1 = RootSystem([[2, 0], [0, 2]])
         for a, b in product(range(4), repeat=2):
             assert a1xa1.weyl_dimension(a1xa1.weight(a, b)) == (a + 1) * (b + 1)
+
+    def test_non_integral_result_is_a_defect(self):
+        # a wrong symmetrizer gives 16/6 for ϖ1 of A2, which no dimension can be
+        rs = RootSystem.preset("A2")
+        rs._d = (1, 2)
+        with pytest.raises(InvariantError, match=r"Weyl dimension of \(1, 0\) is not an integer: 8/3"):
+            rs.weyl_dimension([1, 0])
 
     def test_b2_spin(self):
         rs = RootSystem([[2, -1], [-2, 2]])

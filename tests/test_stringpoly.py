@@ -79,7 +79,7 @@ class TestLatticePoints:
         from crystalcubes.bundles import pullback_vector
 
         lam = A2.weight(1, 1)
-        a = pullback_vector(A2, SubsetSequence(SL3_SUBSETS), WordSequence(SL3_WORDS), [lam, lam]).flat
+        a = pullback_vector(A2, SubsetSequence(SL3_SUBSETS), WordSequence(SL3_WORDS), [lam, lam])
         computed = set(lattice_points(A2, SL3_WORD, a))
         expected = sl3_polytope_fixture((1, 1), (1, 1))
         assert computed == expected

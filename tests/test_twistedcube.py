@@ -16,7 +16,7 @@ from crystalcubes import twistedcube
 from crystalcubes.bundles import pullback_vector
 from crystalcubes.cli import _histogram_svg, main
 from crystalcubes.demazure import gen_demazure_crystal
-from crystalcubes.rootsys import RootSystem, SubsetSequence, WordSequence
+from crystalcubes.rootsys import InvariantError, RootSystem, SubsetSequence, WordSequence
 from crystalcubes.twistedcube import (
     MVPolynomial,
     ProjectionMap,
@@ -139,7 +139,7 @@ class TestSignedVolume:
         million-fold, all missed the support and gave (0.0, 0.0)."""
         rs = RootSystem.preset(name)
         _, words = rs.blocks(subsets)
-        cube = TwistedCube(rs, words.flat, pullback_vector(rs, subsets, None, lams).flat)
+        cube = TwistedCube(rs, words.flat, pullback_vector(rs, subsets, None, lams))
         exact = float(cube.signed_volume())
         est, err = cube.mc_volume(100_000, seed=11)
         assert err > 0 and abs(est - exact) < 4 * err
@@ -161,6 +161,12 @@ class TestSignedLatticeCount:
                     cube = TwistedCube(rs, word, a)
                     crystal = gen_demazure_crystal(rs, word, a)
                     assert cube.signed_lattice_count() == crystal.element_count, (rs.cartan, word, a)
+
+    def test_non_integral_count_is_a_defect(self, monkeypatch):
+        cube = TwistedCube(A1, (1,), (2,))
+        monkeypatch.setattr(cube, "_sum_out", lambda *args: Fraction(5, 2))
+        with pytest.raises(InvariantError, match="signed lattice count 5/2 is not an integer"):
+            cube.signed_lattice_count()
 
     def test_sl4_example(self):
         assert SL4_CUBE.signed_lattice_count() == gen_demazure_crystal(A3, (1, 2, 1, 3), (0, 4, 2, 2)).element_count
@@ -663,7 +669,7 @@ def test_a4_flag_cube_dim_19():
     subsets = [[1, 2, 3, 4], [1, 2, 3], [1, 2]]
     lams = [(1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0, 0)]
     _, words = A4.blocks(subsets)
-    cube = TwistedCube(A4, words.flat, pullback_vector(A4, subsets, None, lams).flat)
+    cube = TwistedCube(A4, words.flat, pullback_vector(A4, subsets, None, lams))
     assert cube.dim == 19
     assert cube.signed_volume() == Fraction(21157, 432)
     assert cube.signed_lattice_count() == 4_045_600
