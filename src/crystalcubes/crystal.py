@@ -52,9 +52,9 @@ class PathElement:
 
     The durations are positive integers with Σ n_j = den and gcd(den, n_1, ...) = 1,
     adjacent directions differ and all have one rank, so equal paths have equal segment
-    tuples.  A path built without ``end`` is checked for this; the operators and
-    `straight` build paths of this form and pass their endpoint.
-    ``_end`` holds the endpoint and ``_ef[i - 1]`` holds (ε_i, φ_i) once known.
+    tuples.  A path built without ``end`` is checked for this and sums its segments into
+    ``_end``, the endpoint; the operators and `straight` build paths of this form and
+    pass it.  ``_ef[i - 1]`` holds (ε_i, φ_i) once known.
     """
 
     __slots__ = ("segs", "den", "_hash", "_end", "_ef")
@@ -62,6 +62,8 @@ class PathElement:
     def __init__(self, segs, den: int, end=None):
         if end is None:
             _check_segments(segs, den)
+            total = (sum(v[k] * d for v, d in segs) for k in range(len(segs[0][0])))
+            end = tuple(t // den if t % den == 0 else Fraction(t, den) for t in total)
         self.segs = segs
         self.den = den
         self._hash = hash(segs)
@@ -74,13 +76,6 @@ class PathElement:
         return PathElement(((coords, 1),), 1, coords)
 
     def endpoint(self) -> tuple:
-        if self._end is None:
-            n, den = len(self.segs[0][0]), self.den
-            total = [0] * n
-            for v, d in self.segs:
-                for k in range(n):
-                    total[k] += v[k] * d
-            self._end = tuple(t // den if t % den == 0 else Fraction(t, den) for t in total)
         return self._end
 
     def __eq__(self, other):

@@ -19,11 +19,11 @@ coefficients, so A_l is an integer at lattice points),
 so both equal S(A-1) = Σ_{0<v<A} p(v), read as a polynomial in A.
 
 Summing x_1 innermost (A_l only involves later coordinates, which makes
-step-then-substitute well founded) gives Σ or ∫ of ρ·p = (-1)^N p_N with
-p_0 = p and p_l = T_l(p_{l-1}) evaluated at x_l = A_l, where T_l is the
-antiderivative in x_l vanishing at 0 (volumes, moments) or the antidifference
-S(x_l - 1) (lattice counts).  One recursion, `_sum_out`, runs both: it carries
-integer numerators over one common denominator, which only the step multiplies.
+step-then-substitute well founded) gives Σ or ∫ of ρ·p = (-1)^N p_N with p_0 = p and
+p_l = T_l(p_{l-1}) evaluated at x_l = A_l, where T_l is the antiderivative in x_l
+vanishing at 0 (volumes, moments) or the antidifference S(x_l - 1) (lattice counts).
+One recursion, `_sum_out`, runs both on integer numerators over one denominator, which
+only the step multiplies; its one polynomial operation, substitution, also expands p_0.
 
 The recursion never needs the N coordinates one by one.  The coefficient of a
 later x_j in A_l is -⟨α_{i_j}, α_{i_l}^∨⟩, which depends on the letter i_j
@@ -83,14 +83,6 @@ class MVPolynomial:
         self.width = width
         self.terms = terms
 
-    def __mul__(self, other: "MVPolynomial") -> "MVPolynomial":
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MVPolynomial(self.width, {e: c for e, c in terms.items() if c})
-
     def substitute(self, idx: int, value: "MVPolynomial") -> "MVPolynomial":
         """Replace variable idx by a polynomial in the remaining variables, by Horner's
         rule: q_K, then q_K·value + q_{K-1}, ..., where q_k collects the x_idx^k terms."""
@@ -145,18 +137,14 @@ def _strict_power_sum(k: int) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ProjectionMap:
-    """0/1 block matrix sending cube coordinate (k,l) to the row of letter i_{k,l} in I_k;
-    the rows run over the pairs (k, u), u ∈ I_k, block by block."""
+    """Integer matrix L, N entries a row; `projection_map` builds the 0/1 block matrix that sends
+    coordinate (k,l) to the row of letter i_{k,l} in I_k, rows (k, u), u ∈ I_k, block by block."""
 
     matrix: tuple[tuple[int, ...], ...]
 
     @property
     def rows(self) -> int:
         return len(self.matrix)
-
-    @property
-    def cols(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
 
 
 def projection_map(rs: RootSystem, subsets, words=None) -> ProjectionMap:
@@ -205,12 +193,12 @@ class TwistedCube:
 
         Slot 0, the low bits of each packed key, holds x_l; slot v ≥ 1 holds y_v, the
         sum of the coordinates j ≥ l of class v, which share a letter and their entries
-        in every row of `moment`.
-        Before its step, x_l is split off its class, y_v := x + y_v, or y_v := x at
-        the class's last coordinate, which drops the class.  The polynomial is kept
-        as integer numerators over one denominator, which only the steps multiply
-        (by the lcm of their d); the gcd of numerators and denominator is divided
-        out after each coordinate.
+        in every row of `moment`.  Slot 0 is free before x_1, so p_0 is built by the
+        same substitution: x^{m_r} goes into slot 0, then x := (Lx)_r, row by row.
+        Before its step, x_l is split off its class, y_v := x + y_v, or y_v := x at the
+        class's last coordinate, which drops the class.  The polynomial is kept as integer
+        numerators over one denominator, which only the steps multiply (by the lcm of
+        their d); the gcd of numerators and denominator is divided out after each coordinate.
         """
         slots: dict = {}
         class_of = [slots.setdefault((i, *(row[j] for row, _ in moment)), len(slots) + 1)
@@ -222,16 +210,12 @@ class TwistedCube:
         width = (sum(power for _, power in moment) + self.dim).bit_length()
         mask = (1 << width) - 1
         unit = [1 << (v * width) for v in range(len(slots) + 1)]
-        p = MVPolynomial(width, {0: 1})
+        p, den = MVPolynomial(width, {0: 1}), 1
         for row, power in moment:
-            linear = MVPolynomial(width, {unit[v]: c for v, c in zip(class_of, row) if c})
-            for _ in range(power):
-                p = p * linear
-        den = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
-        p = MVPolynomial(width, {e: int(c * den) for e, c in p.terms.items()})
+            p = MVPolynomial(width, {e + power: c for e, c in p.terms.items()})
+            p = p.substitute(0, MVPolynomial(width, {unit[v]: c for v, c in zip(class_of, row) if c}))
         for l, v in enumerate(class_of):
-            split = {unit[0]: 1} if last[v] == l else {unit[0]: 1, unit[v]: 1}
-            p = p.substitute(v, MVPolynomial(width, split))
+            p = p.substitute(v, MVPolynomial(width, {unit[0]: 1} if last[v] == l else {unit[0]: 1, unit[v]: 1}))
             rows = {k: step(k) for k in {e & mask for e in p.terms}}
             scale = math.lcm(*(d for d, _ in rows.values()))
             rows = {k: [(j, fj * (scale // d)) for j, fj in enumerate(f) if fj] for k, (d, f) in rows.items()}
@@ -254,16 +238,17 @@ class TwistedCube:
                 p = MVPolynomial(width, {e: c // g for e, c in p.terms.items()})
         return (-1) ** self.dim * Fraction(p.constant_value(), den)
 
-    def _multi_index(self, projection: ProjectionMap, multi_index) -> tuple[int, ...]:
-        """The moment multi-index m as integers, checked against the projection and the cube."""
+    def _multi_index(self, projection: ProjectionMap, multi_index):
+        """m and the projection's rows, each entry read as an integer: len(m) rows of N entries."""
         m = tuple(map(index, multi_index))
-        if len(m) != projection.rows:
+        rows = tuple(tuple(map(index, row)) for row in projection.matrix)
+        if len(m) != len(rows):
             raise ValueError("multi-index length must match the projection target dimension")
         if any(t < 0 for t in m):
             raise ValueError("multi-index entries must be nonnegative")
-        if projection.cols != self.dim:
+        if not rows or any(len(row) != self.dim for row in rows):
             raise ValueError("projection source dimension mismatch")
-        return m
+        return m, rows
 
     def signed_volume(self) -> Fraction:
         """∫ ρ dx, exactly."""
@@ -271,8 +256,8 @@ class TwistedCube:
 
     def pushforward_moments(self, projection: ProjectionMap, multi_index) -> Fraction:
         """∫ (Lx)^m ρ(x) dx, exactly; m = 0 reduces to the signed volume."""
-        m = self._multi_index(projection, multi_index)
-        return self._sum_out(_power_integral, [(row, k) for row, k in zip(projection.matrix, m) if k])
+        m, rows = self._multi_index(projection, multi_index)
+        return self._sum_out(_power_integral, [(row, k) for row, k in zip(rows, m) if k])
 
     def signed_lattice_count(self) -> int:
         """Σ_{x ∈ Z^N} ρ(x), honoring the closed/open branch asymmetry exactly."""
@@ -336,8 +321,8 @@ class TwistedCube:
     def mc_moment(self, projection: ProjectionMap, multi_index, samples: int, seed: int, shards: int = 1):
         """(estimate, standard error) for a pushforward moment: the mean of
         g = w·(Lx)^m over the sample stream, from the running sums of g and g²."""
-        m = self._multi_index(projection, multi_index)
-        lt = np.array(projection.matrix, dtype=float).T
+        m, rows = self._multi_index(projection, multi_index)
+        lt = np.array(rows, dtype=float).T
         s1 = s2 = 0.0
         for pts, g in self._mc_stream(samples, seed, shards):
             if any(m):

@@ -749,9 +749,9 @@ def test_hand_built_path_rejected(segs, den, message):
 
 
 def test_lazy_endpoint_matches_carried_endpoint():
-    """A path built without `end` sums its segments on the first endpoint() call."""
+    """A path built without `end` sums its segments into its endpoint when it is made."""
     assert PathElement((((1, 0), 1), ((-1, 1), 1)), 2).endpoint() == (0, Fraction(1, 2))
     for b in generate_crystal(B2, (1, 1)).vertices:
         bare = PathElement(b.segs, b.den)
-        assert bare._end is None
+        assert bare._end == b.endpoint()
         assert bare.endpoint() == b.endpoint()

@@ -9,7 +9,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crystalcubes import twistedcube
@@ -250,6 +250,30 @@ class TestMoments:
         with pytest.raises(ValueError) as estimate:
             cube.mc_moment(projection, m, 1000, 1)
         assert str(estimate.value) == str(exact.value)
+
+    @pytest.mark.parametrize("matrix,m,error", [
+        (((1, 1, 1), (1, 1)), (1, 0), ValueError),
+        (((1, 1, 1), (1, 1)), (0, 1), ValueError),
+        (((1, 0.1, 1), (1, 1, 0)), (1, 0), TypeError),
+        (((1, 1, 1), (1, 0.1, 0)), (1, 0), TypeError),
+        (((1, Fraction(1, 2), 1), (1, 1, 0)), (1, 0), TypeError),
+    ], ids=["ragged-unread-row", "ragged-read-row", "float-entry", "float-in-unread-row", "fraction-entry"])
+    def test_matrix_rows_checked_on_both_routes(self, matrix, m, error):
+        """Every row holds N integer entries on the exact and the Monte Carlo route: a short
+        row that m does not raise, or a float entry, must not give an 'exact' moment."""
+        cube = TwistedCube(A2, (1, 2, 1), (1, 1, 1))
+        with pytest.raises(error):
+            cube.pushforward_moments(ProjectionMap(matrix), m)
+        with pytest.raises(error):
+            cube.mc_moment(ProjectionMap(matrix), m, 100, 1)
+
+    def test_numpy_int_matrix_reads_as_plain_ints(self):
+        """NumPy integer entries are read as Python ints, so no coefficient is an int64."""
+        proj = ProjectionMap(tuple(tuple(np.int64(c) for c in row) for row in SL4_PROJ.matrix))
+        got = SL4_CUBE.pushforward_moments(proj, (3, 2, 1))
+        assert got == SL4_CUBE.pushforward_moments(SL4_PROJ, (3, 2, 1))
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert SL4_CUBE.mc_moment(proj, (1, 0, 0), 1000, 1) == SL4_CUBE.mc_moment(SL4_PROJ, (1, 0, 0), 1000, 1)
 
 
 class TestMonteCarloHistogram:
@@ -623,14 +647,36 @@ def test_letter_classes_match_n_variable_engine(case, data):
         assert cube.pushforward_moments(proj, m) == want, m
 
 
-def test_letter_classes_with_mixed_integer_rows():
+@st.composite
+def integer_rows(draw):
+    """(cube, projection, m): a flag cube of at most 6 letters, 1-3 rows of N entries in
+    -2..3, and a multi-index with |m| from 1 to 3 that raises every row."""
+    cube, _ = draw(flag_cubes(max_dim=6))
+    k = draw(st.integers(1, 3), label="row count")
+    row = st.lists(st.integers(-2, 3), min_size=cube.dim, max_size=cube.dim).map(tuple)
+    matrix = tuple(draw(st.lists(row, min_size=k, max_size=k), label="rows"))
+    extra = draw(st.lists(st.integers(0, k - 1), max_size=3 - k), label="extra powers")
+    return cube, ProjectionMap(matrix), tuple(1 + extra.count(t) for t in range(k))
+
+
+B2_MIXED = TwistedCube(B2, (1, 2, 1, 2, 2), (0, 0, 1, 1, 2)), ProjectionMap(((1, -1, 2, 0, 1), (0, 3, 0, -2, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=integer_rows())
+@example(case=(*B2_MIXED, (0, 0)))
+@example(case=(*B2_MIXED, (1, 0)))
+@example(case=(*B2_MIXED, (0, 1)))
+@example(case=(*B2_MIXED, (2, 0)))
+@example(case=(*B2_MIXED, (1, 1)))
+@example(case=(*B2_MIXED, (0, 2)))
+def test_letter_classes_with_mixed_integer_rows(case):
     """Rows that mix letters and weight coordinates of one letter differently split a
-    letter into several classes."""
-    cube = TwistedCube(B2, (1, 2, 1, 2, 2), (0, 0, 1, 1, 2))
-    proj = ProjectionMap(((1, -1, 2, 0, 1), (0, 3, 0, -2, 1)))
-    for m in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-        want = n_variable_sum(cube, moment_integrand(cube, proj, m), twistedcube._power_integral)
-        assert cube.pushforward_moments(proj, m) == want, m
+    letter into several classes: one fixed B2 matrix, and drawn rows with repeated, zero
+    and negative entries.  The oracle expands p_0 by products, not by substitution."""
+    cube, proj, m = case
+    want = n_variable_sum(cube, moment_integrand(cube, proj, m), twistedcube._power_integral)
+    assert cube.pushforward_moments(proj, m) == want, m
 
 
 def largest_exponent(p):
