@@ -42,7 +42,8 @@ exponent exceeds the degree bound |m| + N (see `_sum_out`), so fields of
 (|m| + N).bit_length() bits never carry into each other.
 
 Monte Carlo samples down the same tower: for l = N-1 down to 0, x_l = A_l(x)·u_l
-with u uniform in [0, 1)^N, so x_l is uniform on its branch, [A_l, 0] or (0, A_l).
+with u uniform in [0, 1)^N, so x_l is uniform on its branch, [A_l, 0] or (0, A_l).  Every
+sample lies in `bounding_box`; histograms bin over its image under L; one interval rule gives both.
 The weight (-1)^N Π A_l is ρ times the Π |A_l| that undoes the sampling density
 (sign(x_l)·|A_l| = A_l on either branch), so E[w·f(Lx)] = ∫ ρ f(Lx) dx and every
 sample lies in the support.  Histograms find each sample's cell by arithmetic on
@@ -137,10 +138,17 @@ def _strict_power_sum(k: int) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ProjectionMap:
-    """Integer matrix L, N entries a row; `projection_map` builds the 0/1 block matrix that sends
-    coordinate (k,l) to the row of letter i_{k,l} in I_k, rows (k, u), u ∈ I_k, block by block."""
+    """Integer matrix L, read once here: one or more rows of one length, entries by operator.index;
+    `projection_map` builds the 0/1 block matrix that sends coordinate (k,l) to the row of
+    letter i_{k,l} in I_k, rows (k, u), u ∈ I_k, block by block."""
 
     matrix: tuple[tuple[int, ...], ...]
+
+    def __init__(self, matrix):
+        rows = tuple(tuple(map(index, row)) for row in matrix)
+        if not rows or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("a projection needs one or more rows, all of one length")
+        object.__setattr__(self, "matrix", rows)
 
     @property
     def rows(self) -> int:
@@ -238,17 +246,20 @@ class TwistedCube:
                 p = MVPolynomial(width, {e: c // g for e, c in p.terms.items()})
         return (-1) ** self.dim * Fraction(p.constant_value(), den)
 
+    def _rows(self, projection: ProjectionMap):
+        """The projection's rows, each of N entries (`ProjectionMap` checked the rest)."""
+        if len(projection.matrix[0]) != self.dim:
+            raise ValueError("projection source dimension mismatch")
+        return projection.matrix
+
     def _multi_index(self, projection: ProjectionMap, multi_index):
-        """m and the projection's rows, each entry read as an integer: len(m) rows of N entries."""
+        """m, one nonnegative integer per row, and the projection's rows."""
         m = tuple(map(index, multi_index))
-        rows = tuple(tuple(map(index, row)) for row in projection.matrix)
-        if len(m) != len(rows):
+        if len(m) != projection.rows:
             raise ValueError("multi-index length must match the projection target dimension")
         if any(t < 0 for t in m):
             raise ValueError("multi-index entries must be nonnegative")
-        if not rows or any(len(row) != self.dim for row in rows):
-            raise ValueError("projection source dimension mismatch")
-        return m, rows
+        return m, self._rows(projection)
 
     def signed_volume(self) -> Fraction:
         """∫ ρ dx, exactly."""
@@ -271,17 +282,11 @@ class TwistedCube:
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
         """Coordinate intervals guaranteed to contain the region, by interval
         arithmetic over the boxes of later coordinates (processed last to first)."""
-        lo = [0] * self.dim
-        hi = [0] * self.dim
+        box = [(0, 0)] * self.dim
         for l in range(self.dim - 1, -1, -1):
-            const, coeffs = self.forms[l]
-            bmin = bmax = const
-            for j, c in coeffs.items():
-                bmin += min(c * lo[j], c * hi[j])
-                bmax += max(c * lo[j], c * hi[j])
-            lo[l] = min(0, bmin)
-            hi[l] = max(0, bmax)
-        return tuple(zip(lo, hi))
+            lo, hi = _span(*self.forms[l], box)
+            box[l] = (min(0, lo), max(0, hi))
+        return tuple(box)
 
     def mc_sample(self, rng: np.random.Generator, rows: int):
         """(points, weights) of `rows` samples drawn by rng down the tower: x_l = A_l(x)·u_l
@@ -316,7 +321,7 @@ class TwistedCube:
 
     def mc_volume(self, samples: int, seed: int, shards: int = 1):
         """(estimate, standard error) for the signed volume: the zero moment."""
-        return self.mc_moment(projection_map(self.rs, [(i,) for i in self.word]), (0,) * self.dim, samples, seed, shards)
+        return self.mc_moment(ProjectionMap(((0,) * self.dim,)), (0,), samples, seed, shards)
 
     def mc_moment(self, projection: ProjectionMap, multi_index, samples: int, seed: int, shards: int = 1):
         """(estimate, standard error) for a pushforward moment: the mean of
@@ -348,18 +353,12 @@ class SignedHistogram:
         return float(self.values.sum())
 
 
-def mc_histogram(
-    cube: TwistedCube,
-    projection: ProjectionMap,
-    bins,
-    samples: int,
-    seed: int,
-    shards: int = 1,
-) -> SignedHistogram:
-    """Deterministic signed histogram over `projected_box`: bin value = (Σ w over the
-    samples whose Lx falls in the bin) / samples, an estimate of ∫_bin of the pushforward."""
+def mc_histogram(cube: TwistedCube, projection: ProjectionMap, bins, samples: int, seed: int,
+                 shards: int = 1) -> SignedHistogram:
+    """Deterministic signed histogram over `projected_box`, which holds every Lx: bin value = (Σ w
+    over the samples whose Lx falls in the bin) / samples, an estimate of ∫_bin of the pushforward."""
+    lt = np.array(cube._rows(projection), dtype=float).T
     bins = _bin_counts(bins, projection.rows)
-    lt = np.array(projection.matrix, dtype=float).T
     edges = [np.linspace(float(a), float(b), n + 1) for n, (a, b) in zip(bins, projected_box(cube, projection))]
     padded = np.zeros(tuple(b + 2 for b in bins))
     for pts, weights in cube._mc_stream(samples, seed, shards):
@@ -408,12 +407,13 @@ def _cells(edge: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def projected_box(cube: TwistedCube, projection: ProjectionMap) -> tuple[tuple[int, int], ...]:
-    """Exact image intervals of the cube's bounding box under the 0/1 projection."""
+    """Exact image intervals of the cube's bounding box under the integer rows of L."""
     box = cube.bounding_box()
-    out = []
-    for row in projection.matrix:
-        lo = sum(a for (a, _), r in zip(box, row) if r)
-        hi = sum(b for (_, b), r in zip(box, row) if r)
-        out.append((lo, hi))
-    return tuple(out)
+    return tuple(_span(0, dict(enumerate(row)), box) for row in cube._rows(projection))
+
+
+def _span(const: int, coeffs: dict, box) -> tuple[int, int]:
+    """[min, max] of const + Σ_j c_j x_j over the box: const + Σ_j min/max(c_j·lo_j, c_j·hi_j)."""
+    ends = [(c * box[j][0], c * box[j][1]) for j, c in coeffs.items()]
+    return const + sum(map(min, ends)), const + sum(map(max, ends))
 

@@ -518,7 +518,9 @@ def fresh_crystals(draw):
     r = draw(st.integers(0, 2 if name == "F4" else 3), label="blocks (0: B(λ))")
     if name == "F4":
         picks = (1, 3, 4) if r == 0 else (0, 1, 4)
-        lams = [[int(k == draw(st.sampled_from(picks), label="ϖ")) for k in range(1, 5)] for _ in range(max(r, 1))]
+        # one fundamental index per block, so each weight is one ϖ_u (or 0)
+        fundamentals = [draw(st.sampled_from(picks), label="ϖ") for _ in range(max(r, 1))]
+        lams = [[int(k == u) for k in range(1, 5)] for u in fundamentals]
     else:
         left, coords = (2 if name == "G2" else 3), []
         for _ in range(max(r, 1) * rs.n):

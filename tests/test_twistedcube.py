@@ -37,6 +37,7 @@ G2 = RootSystem([[2, -1], [-3, 2]])
 
 SL4_CUBE = TwistedCube(A3, (1, 2, 1, 3), (0, 4, 2, 2))
 SL4_PROJ = projection_map(A3, SubsetSequence([(1, 2), (3,)]), WordSequence([(1, 2, 1), (3,)]))
+A2_CUBE = TwistedCube(A2, (1, 2, 1), (1, 1, 1))  # signed volume 5/2
 
 
 def identity_projection(n):
@@ -209,6 +210,19 @@ class TestProjectionMap:
         for col in zip(*proj.matrix):
             assert sum(col) == 1 and set(col) <= {0, 1}
 
+    def test_matrix_read_when_made(self):
+        """Rows become tuples of plain ints when the map is made; no rows, rows of two
+        lengths, or a float or Fraction entry are refused there."""
+        proj = ProjectionMap([[np.int64(2), -1], (0, np.int8(3))])
+        assert proj.matrix == ((2, -1), (0, 3)) and proj.rows == 2
+        assert all(type(c) is int for row in proj.matrix for c in row)
+        for matrix in [(), ((1, 0), (1,)), ((), (1,))]:
+            with pytest.raises(ValueError, match="one or more rows, all of one length"):
+                ProjectionMap(matrix)
+        for matrix in [((1, 0.5),), ((1, 0), (Fraction(1), 0))]:
+            with pytest.raises(TypeError):
+                ProjectionMap(matrix)
+
 
 class TestMoments:
     def test_zero_index_is_volume(self):
@@ -238,18 +252,26 @@ class TestMoments:
         with pytest.raises(TypeError):
             SL4_CUBE.mc_moment(SL4_PROJ, (1.5, 0, 0), 100, seed=1)
 
-    @pytest.mark.parametrize("projection,m", [
-        (identity_projection(3), (1,)),
-        (identity_projection(3), (-1, 0, 0)),
-        (identity_projection(4), (1, 0, 0, 0)),
+    @pytest.mark.parametrize("projection,m,bad_matrix", [
+        (identity_projection(3), (1,), False),
+        (identity_projection(3), (-1, 0, 0), False),
+        (identity_projection(4), (1, 0, 0, 0), True),
     ], ids=["short", "negative", "wide"])
-    def test_mc_moment_checks_multi_index_as_exact(self, projection, m):
+    def test_mc_moment_checks_multi_index_as_exact(self, projection, m, bad_matrix):
+        """A bad multi-index, or rows of the wrong width, give one message on every route;
+        the histogram routes take no multi-index, so they see only the wrong width."""
         cube = TwistedCube(A2, (1, 2, 1), (1, 1, 1))
         with pytest.raises(ValueError) as exact:
             cube.pushforward_moments(projection, m)
         with pytest.raises(ValueError) as estimate:
             cube.mc_moment(projection, m, 1000, 1)
         assert str(estimate.value) == str(exact.value)
+        if bad_matrix:
+            with pytest.raises(ValueError) as histogram:
+                mc_histogram(cube, projection, 4, 1000, 1)
+            with pytest.raises(ValueError) as box:
+                projected_box(cube, projection)
+            assert str(histogram.value) == str(box.value) == str(exact.value)
 
     @pytest.mark.parametrize("matrix,m,error", [
         (((1, 1, 1), (1, 1)), (1, 0), ValueError),
@@ -257,15 +279,22 @@ class TestMoments:
         (((1, 0.1, 1), (1, 1, 0)), (1, 0), TypeError),
         (((1, 1, 1), (1, 0.1, 0)), (1, 0), TypeError),
         (((1, Fraction(1, 2), 1), (1, 1, 0)), (1, 0), TypeError),
-    ], ids=["ragged-unread-row", "ragged-read-row", "float-entry", "float-in-unread-row", "fraction-entry"])
+        ((), (), ValueError),
+    ], ids=["ragged-unread-row", "ragged-read-row", "float-entry", "float-in-unread-row", "fraction-entry",
+            "empty"])
     def test_matrix_rows_checked_on_both_routes(self, matrix, m, error):
-        """Every row holds N integer entries on the exact and the Monte Carlo route: a short
-        row that m does not raise, or a float entry, must not give an 'exact' moment."""
+        """Every row holds N integer entries on the exact, the Monte Carlo and the histogram
+        route: a short row that m does not raise, a float entry or no row at all must give
+        no 'exact' moment, no histogram and no box."""
         cube = TwistedCube(A2, (1, 2, 1), (1, 1, 1))
         with pytest.raises(error):
             cube.pushforward_moments(ProjectionMap(matrix), m)
         with pytest.raises(error):
             cube.mc_moment(ProjectionMap(matrix), m, 100, 1)
+        with pytest.raises(error):
+            mc_histogram(cube, ProjectionMap(matrix), 4, 100, 1)
+        with pytest.raises(error):
+            projected_box(cube, ProjectionMap(matrix))
 
     def test_numpy_int_matrix_reads_as_plain_ints(self):
         """NumPy integer entries are read as Python ints, so no coefficient is an int64."""
@@ -328,6 +357,15 @@ class TestMonteCarloHistogram:
     def test_edges_are_python_floats(self):
         hist = mc_histogram(SL4_CUBE, SL4_PROJ, 4, 100, seed=1)
         assert all(type(x) is float for edge in hist.edges for x in edge)
+
+    @pytest.mark.parametrize("matrix", [((1, 0, 1),), ((2, 0, 0),), ((-1, 0, 0),), ((1, -1, 0),),
+                                        ((1, 0, 0), (0, -2, 1)), ((0, 0, 0), (3, -2, 1))])
+    def test_projected_box_is_the_image_of_the_bounding_box(self, matrix):
+        """Each row's interval is its least and greatest value over the corners of the
+        bounding box, where a linear form takes its extremes on a box."""
+        corners = list(product(*A2_CUBE.bounding_box()))
+        values = [[sum(c * xj for c, xj in zip(row, x)) for x in corners] for row in matrix]
+        assert projected_box(A2_CUBE, ProjectionMap(matrix)) == tuple((min(v), max(v)) for v in values)
 
     def test_support_within_projected_box(self):
         hist = mc_histogram(SL4_CUBE, SL4_PROJ, 6, 50_000, seed=9)
@@ -677,6 +715,34 @@ def test_letter_classes_with_mixed_integer_rows(case):
     cube, proj, m = case
     want = n_variable_sum(cube, moment_integrand(cube, proj, m), twistedcube._power_integral)
     assert cube.pushforward_moments(proj, m) == want, m
+
+
+@st.composite
+def histogram_rows(draw):
+    """(cube, projection, bins): a flag cube of at most 6 letters, 1-2 rows of N entries in
+    -2..3 and 1-6 bins a side."""
+    cube, _ = draw(flag_cubes(max_dim=6))
+    k = draw(st.integers(1, 2), label="row count")
+    row = st.lists(st.integers(-2, 3), min_size=cube.dim, max_size=cube.dim).map(tuple)
+    matrix = tuple(draw(st.lists(row, min_size=k, max_size=k), label="rows"))
+    bins = tuple(draw(st.lists(st.integers(1, 6), min_size=k, max_size=k), label="bins"))
+    return cube, ProjectionMap(matrix), bins
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=histogram_rows(), seed=st.integers(0, 2**32 - 1), shards=st.sampled_from([1, 2]))
+@example(case=(A2_CUBE, ProjectionMap(((2, 0, 0),)), (6,)), seed=1, shards=1)
+@example(case=(A2_CUBE, ProjectionMap(((-1, 0, 0),)), (6,)), seed=1, shards=1)
+@example(case=(A2_CUBE, ProjectionMap(((1, -1, 0),)), (6,)), seed=1, shards=1)
+@example(case=(A2_CUBE, ProjectionMap(((1, 0, 0), (0, -2, 1))), (6, 6)), seed=1, shards=1)
+def test_histogram_of_integer_rows_holds_the_volume(case, seed, shards):
+    """The bins span the image of the bounding box under any integer rows, negative and
+    repeated entries too, so every sample's weight lands in a bin: the histogram total is
+    the Monte Carlo volume of the same sample stream."""
+    cube, proj, bins = case
+    total = mc_histogram(cube, proj, bins, 2000, seed, shards).total()
+    volume = cube.mc_volume(2000, seed, shards)[0]
+    assert abs(total - volume) <= 1e-9 * max(1.0, abs(volume))
 
 
 def largest_exponent(p):
