@@ -25,9 +25,9 @@ Every saturation here, and `crystal.generate_crystal` for B(λ), is the one
 f-string closure `crystal._close` along a word.
 
 B_{I,λ} is a disjoint union of Demazure crystals (Joseph, J. Algebra 265, 2003;
-Lakshmibai-Littelmann-Magyar, Compositio Math. 130, 2002), so it is closed under
-every e_i, and `GenDemazureCrystal.components` pairs each connected piece's size
-with the weight of its one highest element, reached by raising, with no graph.
+Lakshmibai-Littelmann-Magyar, Compositio Math. 130, 2002), closed under every e_i.
+Elements whose Ω values share their entries after the first block were lowered from
+one b_{λ_1} ⊗ x, so `GenDemazureCrystal.components` raises one element per such tail.
 """
 
 from __future__ import annotations
@@ -98,27 +98,27 @@ class GenDemazureCrystal:
         return sorted(self.omega_map().values())
 
     def components(self) -> list[tuple[int, tuple[int, ...]]]:
-        """(size, highest weight) of each connected piece, by (−size, weight).  B_{I,λ} is a
-        disjoint union of Demazure crystals (Joseph 2003; Lakshmibai-Littelmann-Magyar 2002), so
-        each piece has one highest element; each element is raised until no e_i applies, and the
-        walk records the highest element reached, so a later walk stops at the first one seen."""
-        rs, elements = self.rs, self.elements
-        highest: dict = {}  # element -> the highest element of its piece
-        for b in elements:
+        """(size, highest weight) of each connected piece, by (−size, weight), one raising walk per Ω tail."""
+        rs, elements, h = self.rs, self.elements, self.words.block_sizes[0]
+        tails: dict = {}  # Ω tail -> [an element with it, how many have it]
+        for b, xs in self._omega.items():
+            tails.setdefault(xs[h:], [b, 0])[1] += 1
+        highest, sizes = {}, Counter()  # element -> the highest element of its piece, so a walk stops at one seen
+        for b, count in tails.values():
             walk = []
             while b not in highest:
                 walk.append(b)
                 for i in range(1, rs.n + 1):
                     if (c := path_e(rs, b, i)) is not None:
+                        if c not in elements:
+                            raise InvariantError(f"e_{i} leaves the generalized Demazure crystal")
+                        b = c
                         break
                 else:
                     highest[b] = b
-                    break
-                if c not in elements:
-                    raise InvariantError(f"e_{i} leaves the generalized Demazure crystal")
-                b = c
             highest.update(dict.fromkeys(walk, highest[b]))
-        return sorted(((n, _endpoint(h)) for h, n in Counter(highest.values()).items()), key=lambda c: (-c[0], c[1]))
+            sizes[highest[b]] += count
+        return sorted(((n, _endpoint(top)) for top, n in sizes.items()), key=lambda c: (-c[0], c[1]))
 
 
 def _build(rs: RootSystem, lams, words: WordSequence, budget: int) -> GenDemazureCrystal:

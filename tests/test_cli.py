@@ -12,6 +12,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import crystalcubes
 from crystalcubes import cli, twistedcube
@@ -1227,3 +1229,71 @@ def test_echo_word_summary_golden(tmp_path, capsys, root_system, command, params
     config = {"root_system": root_system, "command": command, "params": params, "seed": 5}
     assert run_cli(tmp_path, config, "--echo-word") == 0
     assert capsys.readouterr().out == line.replace("OUT", str(tmp_path)) + "\n"
+
+
+# -- robustness: mutated configs exit with a code and a one-line JSON error, never a traceback
+
+MUTANT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 4),
+    st.sampled_from([1.5, float("nan"), 10**9, "", "x", "A2", "12", "crystal"]),
+)
+MUTANT_VALUES = st.one_of(MUTANT_LEAVES, st.lists(MUTANT_LEAVES, max_size=3))
+MUTANT_KEYS = st.sampled_from(
+    ["root_system", "command", "params", "output", "seed", "budget", "word", "a", "weight", "weights",
+     "subsets", "words", "nu", "x", "level", "degree", "bins", "samples", "shards", "format", "path", "bogus"]
+)
+
+
+def _nodes(tree, path=()):
+    """(path, value) of every node of a JSON tree, the root first."""
+    yield path, tree
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _mutate(data, config: dict) -> None:
+    """One mutation in place: replace a leaf, drop a key, or add a key or a list entry."""
+    nodes = list(_nodes(config))
+    leaves = [p for p, v in nodes if p and not isinstance(v, (dict, list))]
+    keyed = [p for p, _ in nodes if p and isinstance(_at(config, p[:-1]), dict)]
+    kinds = ["add"] + ["replace"] * bool(leaves) + ["drop"] * bool(keyed)
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    if kind == "replace":
+        path = data.draw(st.sampled_from(leaves), label="leaf")
+        _at(config, path[:-1])[path[-1]] = data.draw(MUTANT_LEAVES, label="new leaf")
+    elif kind == "drop":
+        path = data.draw(st.sampled_from(keyed), label="dropped")
+        del _at(config, path[:-1])[path[-1]]
+    else:
+        target = data.draw(st.sampled_from([v for _, v in nodes if isinstance(v, (dict, list))]), label="container")
+        value = data.draw(MUTANT_VALUES, label="added")
+        if isinstance(target, dict):
+            target[data.draw(MUTANT_KEYS, label="key")] = value
+        else:
+            target.append(value)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_configs_exit_cleanly(tmp_path, capsys, data):
+    """An `ECHO_GOLDENS` config with one to three mutations runs to exit 0, 2, 3 or 4 under a
+    small budget, and every non-zero exit writes one line of JSON error to stderr."""
+    root_system, command, params, _ = data.draw(st.sampled_from(ECHO_GOLDENS), label="golden")
+    config = json.loads(json.dumps({"root_system": root_system, "command": command, "params": params, "seed": 5}))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        _mutate(data, config)
+    code = run_cli(tmp_path, config, "--budget", "2000")
+    err = capsys.readouterr().err
+    assert code in {0, 2, 3, 4}, err
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert set(json.loads(err)["error"]) == {"kind", "message"}

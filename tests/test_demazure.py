@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalcubes import cli
+from crystalcubes import cli, demazure
 from crystalcubes.crystal import (
     PathElement,
     TensorElement,
@@ -365,8 +365,8 @@ def test_string_word_rejected():
 
 def graph_components(crystal):
     """Components read off the sorted in-set crystal graph, kept as the oracle for
-    `GenDemazureCrystal.components`, which raises each element to its piece's one
-    highest element and never builds the graph."""
+    `GenDemazureCrystal.components`, which raises one element per Ω tail to its piece's
+    one highest element and never builds the graph."""
     g = graph_from_elements(crystal.rs, crystal.elements)
     parent = list(range(g.vertex_count))
 
@@ -404,8 +404,19 @@ def small_block_crystals(draw):
     return gen_demazure_crystal_weights(rs, subsets, lams), [highest_path(rs, lam) for lam in lams]
 
 
+@st.composite
+def repeated_letter_crystals(draw):
+    """A random B_{i,a} over A2, A3, B2, C2, G2 whose word of 2-4 letters repeats a letter, with
+    entries of a at most 2: singleton blocks, so each Ω tail is all but the first entry."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2]), label="root system")
+    word = draw(st.lists(st.integers(1, rs.n), min_size=1, max_size=3), label="word")
+    word.insert(draw(st.integers(0, len(word)), label="at"), draw(st.sampled_from(word), label="repeat"))
+    a = draw(st.lists(st.integers(0, 2), min_size=len(word), max_size=len(word)), label="a")
+    return gen_demazure_crystal(rs, word, a)
+
+
 @settings(max_examples=60, deadline=None)
-@given(crystal=small_block_crystals().map(itemgetter(0)))
+@given(crystal=st.one_of(small_block_crystals().map(itemgetter(0)), repeated_letter_crystals()))
 def test_components_match_graph_oracle(crystal):
     """The set is closed under every e_i, which `components` relies on, and its
     pieces are those of the crystal graph."""
@@ -414,6 +425,22 @@ def test_components_match_graph_oracle(crystal):
             c = path_e(crystal.rs, b, i)
             assert c is None or c in crystal.elements
     assert crystal.components() == graph_components(crystal)
+
+
+def test_one_block_components_raise_one_element(monkeypatch):
+    """With one block every Ω tail is (), so `components` makes one walk, from b_λ: at most
+    one e_i call per label."""
+    rs = RootSystem.preset("A4")
+    crystal = gen_demazure_crystal_weights(rs, [[1, 2, 3, 4]], [(2, 1, 1, 2)])
+    calls = []
+
+    def counted(rs, b, i):
+        calls.append(i)
+        return path_e(rs, b, i)
+
+    monkeypatch.setattr(demazure, "path_e", counted)
+    assert crystal.components() == [(6125, (2, 1, 1, 2))]
+    assert len(calls) <= rs.n
 
 
 def test_omega_map_is_read_only():
