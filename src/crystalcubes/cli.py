@@ -115,16 +115,12 @@ def _take(params: dict, allowed: dict) -> dict:
 
 
 # -- renderers: library values -> artifact JSON objects and csv/svg/txt text ---------
+# An artifact holds the library's tuples as they are: json.dumps writes a tuple as an array.
 
 
 def _graph_json(graph) -> dict:
-    verts = [{"index": k, "weight": list(w)} for k, w in enumerate(graph.weights)]
-    return {
-        "vertex_count": graph.vertex_count,
-        "highest": graph.highest,
-        "vertices": verts,
-        "edges": [list(e) for e in graph.edges],
-    }
+    verts = [{"index": k, "weight": w} for k, w in enumerate(graph.weights)]
+    return {"vertex_count": graph.vertex_count, "highest": graph.highest, "vertices": verts, "edges": graph.edges}
 
 
 def _edge_lines(graph) -> str:
@@ -208,11 +204,11 @@ def _gen_demazure(rs: RootSystem, q: dict, config: JobConfig):
         }
     artifact = {
         "shape": shape,
-        "word": list(crystal.words.flat),
-        "block_sizes": list(crystal.words.block_sizes),
+        "word": crystal.words.flat,
+        "block_sizes": crystal.words.block_sizes,
         "element_count": crystal.element_count,
-        "omega_vectors": [list(v) for v in crystal.omega_vectors()],
-        "components": [{"size": size, "highest_weights": [list(w)]} for size, w in crystal.components()],
+        "omega_vectors": crystal.omega_vectors(),
+        "components": [{"size": size, "highest_weights": [w]} for size, w in crystal.components()],
     }
     return artifact, None, f"generalized Demazure crystal with {crystal.element_count} elements"
 
@@ -220,7 +216,7 @@ def _gen_demazure(rs: RootSystem, q: dict, config: JobConfig):
 def _lattice_points(rs: RootSystem, q: dict, config: JobConfig):
     level = q.get("level", 1)
     pts = stringpoly.lattice_points(rs, q["word"], q["a"], level, config.budget)
-    artifact = {"word": q["word"], "a": q["a"], "level": level, "count": len(pts), "points": [list(x) for x in pts]}
+    artifact = {"word": q["word"], "a": q["a"], "level": level, "count": len(pts), "points": pts}
     return artifact, lambda: _points_csv(pts), f"{len(pts)} lattice points"
 
 
@@ -243,7 +239,7 @@ def _component_count(rs: RootSystem, q: dict, config: JobConfig):
 
 def _fiber(rs: RootSystem, q: dict, config: JobConfig):
     fiber = stringpoly.fiber_string_points(rs, q["subsets"], q["weights"], q["x"], q["words"], config.budget)
-    return {"x": q["x"], "count": len(fiber), "points": [list(t) for t in fiber]}, None, f"{len(fiber)} fiber points"
+    return {"x": q["x"], "count": len(fiber), "points": fiber}, None, f"{len(fiber)} fiber points"
 
 
 def _bundle_vectors(rs: RootSystem, q: dict, config: JobConfig):
@@ -365,6 +361,7 @@ def run(config: JobConfig, out_dir: str = ".", echo_word: bool = False):
     path = config.output.get("path") or f"{config.command}.{fmt}"
     if not os.path.isabs(path):
         path = os.path.join(out_dir, path)
+    del rs  # with it go the operator caches and interned paths, before the artifact is rendered
     if fmt == "json":
         text = None  # frees what the builder holds, such as a whole crystal graph, before the dump
     _atomic_write(path, _render(artifact, text, fmt))

@@ -16,13 +16,15 @@ or final height is not an integer.  Both operators then call one splice,
 inside are reflected through a per-root-system memo of s_i on directions, and
 only the two seams can merge.  An operator carries state to the child instead
 of summing segments again: the endpoint moves by ∓α_i, and the parent's
-(ε_i, φ_i), stored in its `_ef`, moves by (±1, ∓1), so ε, φ, `is_highest` and
-the signature rule read them there.  A one-block crystal is held as bare paths;
-on a one-factor tensor built by hand, the signature rule picks its one factor.
-`graph_from_elements` sorts vertices on flat integer keys, finds each f-edge
-with one index lookup, tests only the vertices no f-edge enters for the highest
-one, and reads each weight from the endpoint, whose heights the operators have
-already checked.
+(ε_i, φ_i), held in slots 2i − 2 and 2i − 1 of the flat list `_ef`, moves by
+(±1, ∓1), so ε, φ, `is_highest` and the signature rule read them there.  The
+operator caches keep paths only: a call with no result is answered again from
+a known φ_i = 0 (f_i) or ε_i = 0 (e_i) before any walk.  A one-block crystal is
+held as bare paths; on a one-factor tensor built by hand, the signature rule
+picks its one factor.  `graph_from_elements` sorts vertices on flat integer
+keys, finds each f-edge with one index lookup, tests only the vertices no
+f-edge enters for the highest one, and reads each weight from the endpoint,
+whose heights the operators have already checked.
 
 One closure builds every crystal here and in `demazure`: `_close` saturates a
 set under f_{i_1}^* ... f_{i_N}^* along a word.  Each letter walks the whole
@@ -54,7 +56,8 @@ class PathElement:
     adjacent directions differ and all have one rank, so equal paths have equal segment
     tuples.  A path built without ``end`` is checked for this and sums its segments into
     ``_end``, the endpoint; the operators and `straight` build paths of this form and
-    pass it.  ``_ef[i - 1]`` holds (ε_i, φ_i) once known.
+    pass it.  ``_ef`` is the flat list [ε_1, φ_1, ..., ε_n, φ_n] of small ints, each pair
+    None until known.
     """
 
     __slots__ = ("segs", "den", "_hash", "_end", "_ef")
@@ -68,7 +71,7 @@ class PathElement:
         self.den = den
         self._hash = hash(segs)
         self._end = end
-        self._ef = {}
+        self._ef = [None] * (2 * len(end))
 
     @staticmethod
     def straight(coords) -> "PathElement":
@@ -170,16 +173,16 @@ def _integral(low: int, high: int, den: int) -> tuple:
     return eps, phi
 
 
-def _eps_phi_path(p: PathElement, idx: int):
-    ef = p._ef.get(idx)
-    if ef is None:
+def _eps_phi_path(p: PathElement, idx: int) -> tuple:
+    ef, e = p._ef, 2 * idx
+    if ef[e] is None:
         h = low = 0
         for v, n in p.segs:
             h += v[idx] * n
             if h < low:
                 low = h
-        ef = p._ef[idx] = _integral(low, h - low, p.den)
-    return ef
+        ef[e], ef[e + 1] = _integral(low, h - low, p.den)
+    return ef[e], ef[e + 1]
 
 
 def _f_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
@@ -187,9 +190,8 @@ def _f_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
     the first time after it that h is one higher, inside segment `cross`.
 
     One pass from the start: a new or repeated minimum moves t0 and forgets the crossing."""
-    idx = i - 1
-    ef = p._ef.get(idx)
-    if ef is not None and ef[1] == 0:
+    idx, ef, e = i - 1, p._ef, 2 * i - 2
+    if ef[e + 1] == 0:
         return None
     segs, den = p.segs, p.den
     h = low = start = 0
@@ -201,13 +203,13 @@ def _f_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
         elif cross < 0 and nxt >= low + den:
             cross, rise = k, low + den - h
         h = nxt
-    eps, phi = p._ef[idx] = _integral(low, h - low, den)
+    eps, phi = ef[e], ef[e + 1] = _integral(low, h - low, den)
     if phi == 0:
         return None
     s, cut = _crossing(segs[cross][0][idx], rise)
     end = tuple(map(sub, p.endpoint(), rs._alpha_cols[idx]))
     child = _splice(rs._reflections[idx], segs, den, s, start, 0, cross, cut, end)
-    child._ef[idx] = (eps + 1, phi - 1)
+    child._ef[e], child._ef[e + 1] = eps + 1, phi - 1
     return child
 
 
@@ -216,9 +218,8 @@ def _e_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
     before it that h is one higher, inside segment `cross`.
 
     The pass of f_i read from the end: den · (h(t) − h(1)) at each breakpoint, walking back."""
-    idx = i - 1
-    ef = p._ef.get(idx)
-    if ef is not None and ef[0] == 0:
+    idx, ef, e = i - 1, p._ef, 2 * i - 2
+    if ef[e] == 0:
         return None
     segs, den = p.segs, p.den
     h = low = 0
@@ -232,14 +233,14 @@ def _e_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
         elif cross < 0 and nxt >= low + den:
             cross, rise = k, low + den - h
         h = nxt
-    eps, phi = p._ef[idx] = _integral(low - h, -low, den)  # h is now den · (h(0) − h(1))
+    eps, phi = ef[e], ef[e + 1] = _integral(low - h, -low, den)  # h is now den · (h(0) − h(1))
     if eps == 0:
         return None
     v, n = segs[cross]
     s, cut = _crossing(-v[idx], rise)  # cut: den·s-units from the end of segment `cross`
     end = tuple(map(add, p.endpoint(), rs._alpha_cols[idx]))
     child = _splice(rs._reflections[idx], segs, den, s, cross, n * s - cut, start, 0, end)
-    child._ef[idx] = (eps - 1, phi + 1)
+    child._ef[e], child._ef[e + 1] = eps - 1, phi + 1
     return child
 
 
@@ -317,10 +318,12 @@ def _signature(factors, idx: int, strict: bool = True) -> tuple:
     ... ⊗ b_r), as ⟨wt(b_k), α_i^∨⟩ = φ_k − ε_k.  The operator acts on the first b_k with
     φ_k > E (f_i) or φ_k ≥ E (e_i), and on the last factor if there is none.
     """
-    total, k = 0, len(factors) - 1
+    total, k, e = 0, len(factors) - 1, 2 * idx
     for j in range(k, -1, -1):
         f = factors[j]
-        eps, phi = f._ef.get(idx) or _eps_phi_path(f, idx)
+        eps, phi = f._ef[e], f._ef[e + 1]
+        if eps is None:
+            eps, phi = _eps_phi_path(f, idx)
         if phi > total or (phi == total and not strict):
             k = j
         total = eps + total - phi if total > phi else eps
@@ -338,24 +341,21 @@ def is_highest(rs: RootSystem, b) -> bool:
     return all(_signature(factors, idx)[0] == 0 for idx in range(rs.n))
 
 
-_MISSING = object()
-
-
 def _cached(op, cache_name: str):
     """op memoized per root system in rs.<cache_name>, with results interned in rs._paths.
 
-    The index is checked on a miss only: a (b, i) in the cache has a valid i."""
+    Only paths are stored: a None result is answered again by op from the (ε_i, φ_i) that
+    its first call left in b._ef, before any walk.  The index is checked on a miss only: a
+    (b, i) in the cache has a valid i."""
 
     def cached(rs: RootSystem, b: PathElement, i: int):
         cache = getattr(rs, cache_name)
-        key = (b, i)
-        res = cache.get(key, _MISSING)
-        if res is _MISSING:
+        res = cache.get((b, i))
+        if res is None:
             rs._check_index(i)
             res = op(rs, b, i)
             if res is not None:
-                res = rs._paths.setdefault(res, res)
-            cache[key] = res
+                res = cache[b, i] = rs._paths.setdefault(res, res)
         return res
 
     return cached
@@ -476,4 +476,5 @@ def generate_crystal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET) -> Cryst
     size = rs.weyl_dimension(start.endpoint())
     if size > budget:
         raise BudgetExceededError(f"crystal of {size} elements exceeds budget of {budget} elements")
-    return graph_from_elements(rs, _close(rs, {start: ()}, rs.longest_word(range(1, rs.n + 1)), budget))
+    # the list drops the closure's string entries, which no caller reads, before the graph is built
+    return graph_from_elements(rs, list(_close(rs, {start: ()}, rs.longest_word(range(1, rs.n + 1)), budget)))

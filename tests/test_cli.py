@@ -263,6 +263,36 @@ def test_json_dump_holds_no_graph(tmp_path, monkeypatch):
     assert alive == [False]
 
 
+@pytest.mark.parametrize(
+    "command,params,fmt",
+    [
+        ("crystal", {"weight": [1, 1]}, "json"),
+        ("crystal", {"weight": [1, 1]}, "txt"),
+        ("gen-demazure", {"subsets": [[1, 2], [1]], "weights": [[1, 1], [1, 0]]}, "json"),
+    ],
+)
+def test_render_holds_no_root_system(tmp_path, monkeypatch, command, params, fmt):
+    """The job's root system, and with it the operator caches and interned paths, is freed
+    before the artifact is rendered."""
+    make, render = cli._root_system, cli._render
+    refs, alive = [], []
+
+    def record(spec):
+        rs = make(spec)
+        refs.append(weakref.ref(rs))
+        return rs
+
+    def spy(*args):
+        alive.append(refs[0]() is not None)
+        return render(*args)
+
+    monkeypatch.setattr(cli, "_root_system", record)
+    monkeypatch.setattr(cli, "_render", spy)
+    config = {"root_system": "A2", "command": command, "params": params, "output": {"format": fmt}}
+    assert run_cli(tmp_path, config) == 0
+    assert alive == [False]
+
+
 def test_lattice_points_csv_default(tmp_path):
     config = {
         "root_system": "A1",

@@ -537,7 +537,10 @@ def fresh_crystals(draw):
 @given(drawn=fresh_crystals())
 def test_carried_state_matches_segments(drawn):
     """The endpoint and the (ε_i, φ_i) that the operators carry to their results equal the
-    endpoint summed from the segments and the Fraction path model's ε_i and φ_i."""
+    endpoint summed from the segments and the Fraction path model's ε_i and φ_i.
+
+    `_ef` is the flat list [ε_1, φ_1, ..., ε_n, φ_n]: each pair is known in both slots or in
+    neither, and every known pair is checked."""
     rs, elements = drawn
     for b in elements:
         for i in range(1, rs.n + 1):
@@ -547,8 +550,13 @@ def test_carried_state_matches_segments(drawn):
     assert len(paths) > 1 or len(elements) == 1
     for p in paths:
         assert p._end == tuple(Fraction(sum(v[k] * n for v, n in p.segs), p.den) for k in range(rs.n))
-        for idx, ef in p._ef.items():
-            assert ef == oracle_eps_phi_path(p, idx + 1)
+        assert len(p._ef) == 2 * rs.n
+        for idx in range(rs.n):
+            ef = tuple(p._ef[2 * idx : 2 * idx + 2])
+            assert ef == (None, None) or ef == oracle_eps_phi_path(p, idx + 1)
+    for b in elements:  # f_i and e_i have run on every element, so each of its paths knows every pair
+        for f in b.factors if isinstance(b, TensorElement) else (b,):
+            assert None not in f._ef
 
 
 # -- B(λ) by breadth-first search under every f_i, kept as the oracle for the closure along w_0;

@@ -1,5 +1,6 @@
 """Demazure and generalized Demazure crystals, string parametrizations."""
 
+import json
 from collections import Counter, defaultdict
 from dataclasses import replace
 from operator import itemgetter
@@ -278,10 +279,12 @@ class TestOmega:
 
 
 def gen_demazure_artifact(rs, **params):
-    """The gen-demazure artifact object that the CLI handler builds, its subsets and words checked first."""
+    """The gen-demazure JSON document that the CLI handler's artifact renders to, its subsets and
+    words checked first; the artifact holds tuples, which the JSON writes as arrays."""
     if "subsets" in params:
         params["subsets"], params["words"] = rs.blocks(params["subsets"], params.get("words"))
-    return cli._gen_demazure(rs, params, cli.JobConfig(rs, "gen-demazure", params))[0]
+    artifact = cli._gen_demazure(rs, params, cli.JobConfig(rs, "gen-demazure", params))[0]
+    return json.loads(cli._render(artifact, None, "json"))
 
 
 class TestExport:
@@ -576,6 +579,22 @@ def test_recorded_omega_calls_no_raising_operator():
     assert len(fiber_string_points(g2, [[1, 2], [1, 2]], [(1, 0), (0, 1)], (0, 0, 0, 0, 0, 0))) == 64
     for rs in (c3, a3, g2):
         assert rs._f_cache and not rs._e_cache
+
+
+@pytest.mark.parametrize("name,coords", [("A3", (1, 0, 1)), ("B2", (1, 1)), ("G2", (1, 0)), ("C3", (0, 1, 1))])
+def test_operator_caches_hold_paths_only(name, coords):
+    """The f-cache of a fresh root system, once B(λ) is built, is exactly the crystal graph's
+    f-edges: an f_i with no result leaves no entry.  Neither does an e_i with none, when the
+    components of a generalized Demazure crystal of two blocks are read."""
+    rs = RootSystem.preset(name)
+    graph = generate_crystal(rs, coords)
+    verts = graph.vertices
+    assert rs._f_cache == {(verts[u], i): verts[v] for u, i, v in graph.edges}
+    assert not rs._e_cache
+    rs = RootSystem.preset(name)
+    crystal = gen_demazure_crystal_weights(rs, [[1], range(1, rs.n + 1)], [(1,) + (0,) * (rs.n - 1), coords])
+    assert len(crystal.components()) > 1
+    assert rs._e_cache and None not in rs._e_cache.values() and None not in rs._f_cache.values()
 
 
 @pytest.mark.parametrize("rs", [A2, A3, B2, C2, G2, B3, C3], ids=["A2", "A3", "B2", "C2", "G2", "B3", "C3"])
