@@ -50,7 +50,7 @@ sample lies in the support.  Histograms find each sample's cell by arithmetic on
 the bin edges, checked against the same edges, and add the weights in sample order,
 as one np.histogramdd pass would, so no histogram byte depends on how the samples
 are chunked.  Moments sum each chunk before adding it to the running sums, so they
-agree across chunk sizes only up to rounding.
+agree across chunk sizes only up to rounding.  NumPy loads with the first Monte Carlo call.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import index
-
-import numpy as np
 
 from .rootsys import InvariantError, RootSystem
 
@@ -291,6 +289,7 @@ class TwistedCube:
     def mc_sample(self, rng: np.random.Generator, rows: int):
         """(points, weights) of `rows` samples drawn by rng down the tower: x_l = A_l(x)·u_l
         for l = N-1 down to 0 with u = rng.random((rows, N)), and weight (-1)^N Π A_l."""
+        import numpy as np
         pts = rng.random((rows, self.dim))
         weights = np.full(rows, (-1.0) ** self.dim)
         for l in range(self.dim - 1, -1, -1):
@@ -307,6 +306,7 @@ class TwistedCube:
         from its own stream, the k-th child that SeedSequence(seed).spawn would make, made
         when its turn comes, so memory does not grow with shards.  A stream gives the same
         values drawn at once or in chunks, so no sample depends on _CHUNK."""
+        import numpy as np
         samples, shards = index(samples), index(shards)
         if samples <= 0:
             raise ValueError("sample count must be positive")
@@ -326,6 +326,7 @@ class TwistedCube:
     def mc_moment(self, projection: ProjectionMap, multi_index, samples: int, seed: int, shards: int = 1):
         """(estimate, standard error) for a pushforward moment: the mean of
         g = w·(Lx)^m over the sample stream, from the running sums of g and g²."""
+        import numpy as np
         m, rows = self._multi_index(projection, multi_index)
         lt = np.array(rows, dtype=float).T
         s1 = s2 = 0.0
@@ -357,6 +358,7 @@ def mc_histogram(cube: TwistedCube, projection: ProjectionMap, bins, samples: in
                  shards: int = 1) -> SignedHistogram:
     """Deterministic signed histogram over `projected_box`, which holds every Lx: bin value = (Σ w
     over the samples whose Lx falls in the bin) / samples, an estimate of ∫_bin of the pushforward."""
+    import numpy as np
     lt = np.array(cube._rows(projection), dtype=float).T
     bins = _bin_counts(bins, projection.rows)
     edges = [np.linspace(float(a), float(b), n + 1) for n, (a, b) in zip(bins, projected_box(cube, projection))]
@@ -379,6 +381,7 @@ def _add_to_bins(padded: np.ndarray, edges, points: np.ndarray, weights: np.ndar
     """Add each weight, in sample order, to its cell of `padded` (the bins and an outlier
     cell at each end) by np.histogramdd's rule, so the bins equal one histogramdd pass for
     any chunking.  A helper, so that its temporaries die before the next chunk is drawn."""
+    import numpy as np
     flat = np.zeros(len(weights), dtype=np.intp)
     for edge, x in zip(edges, points.T):
         flat *= len(edge) + 1
@@ -394,6 +397,7 @@ def _cells(edge: np.ndarray, x: np.ndarray) -> np.ndarray:
     For b > a no search runs: k is read off (x - a)·n/(b - a), which rounding leaves at
     most one cell off, and corrected once against the edges padded with -inf and +inf.
     A zero-span axis, where every edge is a, keeps the search."""
+    import numpy as np
     a, b, n = edge[0], edge[-1], len(edge) - 1
     if b > a:
         k = np.clip(np.floor((x - a) * (n / (b - a))), -1, n).astype(np.intp) + 1

@@ -23,6 +23,10 @@ an f_i-chain from every element until it meets one already present.
 `graph_from_elements` tests only the vertices no f-edge enters for the highest one.
 The last helpers keep tensors throughout, close them with `close_set`, and scan
 every vertex in order.
+
+`stringpoly.lattice_points` reads a string polytope's lattice points off the Ω map of
+a crystal.  `untwisted_cube_points` enumerates the twisted cube of the same (i, a)
+instead, for cubes with no lattice point on an open branch.
 """
 
 from collections import Counter
@@ -220,3 +224,23 @@ def saturate_all_tensor(rs: RootSystem, tops, blocks, budget: int = DEFAULT_BUDG
 def first_highest_vertex(rs: RootSystem, graph):
     """The index of the first vertex, in vertex order, with ε_i = 0 for every i, or None."""
     return next((k for k, b in enumerate(graph.vertices) if is_highest(rs, b)), None)
+
+
+def untwisted_cube_points(rs: RootSystem, word, a):
+    """The lattice points of the twisted cube of (word, a), enumerated from x_N down to x_1,
+    or None at the first lattice prefix where some A_l ≥ 2, whose open branch 0 < x_l < A_l
+    holds a lattice point.  With no such prefix the cube is untwisted: every lattice point
+    has A_l(x) ≤ x_l ≤ 0 for every l, with A_l read off the Cartan matrix as
+    A_l(x) = -Σ_{j≥l, i_j=i_l} a_j - Σ_{j>l} ⟨α_{i_j}, α_{i_l}^∨⟩ x_j."""
+    n = len(word)
+    tails = [()]  # (x_{l+1}, ..., x_N) of every lattice prefix
+    for l in range(n - 1, -1, -1):
+        const = -sum(a[j] for j in range(l, n) if word[j] == word[l])
+        grown = []
+        for tail in tails:
+            bound = const - sum(rs.cartan[word[l] - 1][word[j] - 1] * x for j, x in enumerate(tail, l + 1))
+            if bound >= 2:
+                return None
+            grown.extend((x, *tail) for x in range(bound, 1))
+        tails = grown
+    return tails

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
 import warnings
 import weakref
@@ -837,9 +838,9 @@ def test_non_integer_value_exit_2(tmp_path, capsys, command, params, top):
 
 def test_histogram_cells_over_budget_exit_4(tmp_path, capsys, monkeypatch):
     def no_allocation(*args, **kwargs):
-        raise AssertionError("np.zeros called before the cell count was checked")
+        raise AssertionError("numpy.zeros called before the cell count was checked")
 
-    monkeypatch.setattr(twistedcube.np, "zeros", no_allocation)
+    monkeypatch.setattr("numpy.zeros", no_allocation)
     params = {**A2_FLAG, "weights": [[1, 1], [1, 0]], "bins": [3000] * 4}
     config = {"root_system": "A2", "command": "cube-histogram", "params": params}
     assert run_cli(tmp_path, config) == 4
@@ -1259,6 +1260,45 @@ def test_echo_word_summary_golden(tmp_path, capsys, root_system, command, params
     config = {"root_system": root_system, "command": command, "params": params, "seed": 5}
     assert run_cli(tmp_path, config, "--echo-word") == 0
     assert capsys.readouterr().out == line.replace("OUT", str(tmp_path)) + "\n"
+
+
+# Runs the configs named on its command line, then one Monte Carlo config, through `main`
+# and prints whether NumPy was loaded before and after that last job.
+_NUMPY_PROBE = """
+import json, sys
+import crystalcubes
+from crystalcubes.cli import main
+*exact, histogram, out = sys.argv[1:]
+codes = [main(["--config", config, "--out", out]) for config in exact]
+before = "numpy" in sys.modules
+codes.append(main(["--config", histogram, "--out", out]))
+print(json.dumps({"codes": codes, "before": before, "after": "numpy" in sys.modules}))
+"""
+
+
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    """In a fresh interpreter, `import crystalcubes` and one job of every exact command leave
+    NumPy unloaded; the first Monte Carlo job loads it and writes its golden bytes."""
+    exact = {}
+    for root_system, command, params, _ in ECHO_GOLDENS:
+        exact.setdefault(command, {"root_system": root_system, "command": command, "params": params})
+    del exact["cube-histogram"], exact["cube-svg"]
+    assert set(exact) == set(cli.COMMANDS) - {"cube-histogram", "cube-svg"}
+    root_system, command, params, fmt, seed, expected = next(
+        g for g in MC_GOLDENS if g[1] == "cube-histogram" and g[3] == "csv"
+    )
+    histogram = {"root_system": root_system, "command": command, "params": params, "seed": seed,
+                 "output": {"path": f"out.{fmt}", "format": fmt}}
+    paths = []
+    for k, config in enumerate([*exact.values(), histogram]):
+        paths.append(tmp_path / f"job{k}.json")
+        paths[-1].write_text(json.dumps(config))
+    src = str(Path(crystalcubes.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *map(str, paths), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == {"codes": [0] * len(paths), "before": False, "after": True}
+    assert (tmp_path / f"out.{fmt}").read_bytes() == expected
 
 
 # -- robustness: mutated configs exit with a code and a one-line JSON error, never a traceback

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from crystalcubes import cli
 from crystalcubes.crystal import TensorElement, _factors, epsilon, highest_path, is_highest
 from crystalcubes.demazure import gen_demazure_crystal_weights
-from crystalcubes.rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
+from crystalcubes.rootsys import (
+    PRESETS,
+    BudgetExceededError,
+    RootSystem,
+    SubsetSequence,
+    UnsupportedInputError,
+    WordSequence,
+)
 from crystalcubes.stringpoly import (
     component_count,
     fiber_string_points,
@@ -21,7 +28,7 @@ from crystalcubes.stringpoly import (
     multiplicity,
     tensor_decompose,
 )
-from oracles import highest_weight_decompose, tensor_product_elements
+from oracles import highest_weight_decompose, tensor_product_elements, untwisted_cube_points
 
 A1 = RootSystem.preset("A1")
 A2 = RootSystem.preset("A2")
@@ -399,3 +406,17 @@ def test_epsilon_bound_matches_highest_test_element_by_element(data):
         passing += bound
     hat = hat_lattice_points(rs, [full] + subsets, [lam1] + lams, [rs.longest_word(full)] + words)
     assert len(hat) == passing
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)), data=st.data())
+def test_untwisted_cube_is_the_string_polytope(name, data):
+    """When enumerating the twisted cube of (i, a) from x_N down meets no lattice prefix with
+    some A_l ≥ 2, the Ω-image of B_{i,a} is the cube's lattice points, negated, as a set
+    (Harada-Yang, Michigan Math. J. 65, 2016).  Twisted cubes are drawn and discarded."""
+    rs = RootSystem.preset(name)
+    word = data.draw(st.lists(st.integers(1, rs.n), min_size=1, max_size=6), label="word")
+    a = data.draw(st.lists(st.integers(0, 2), min_size=len(word), max_size=len(word)), label="a")
+    points = untwisted_cube_points(rs, word, a)
+    assume(points is not None)
+    assert lattice_points(rs, word, a) == tuple(sorted(tuple(-x for x in p) for p in points))
