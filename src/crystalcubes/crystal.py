@@ -30,11 +30,13 @@ One closure builds every crystal here and in `demazure`: `_close` saturates a
 set under f_{i_1}^* ... f_{i_N}^* along a word.  Each letter walks the whole
 f_i-string down from every element with ε_i = 0, so the closure meets each
 element at its string position and records it: the map it returns sends an
-element to its string entries, the Ω-entries of `demazure`.  It reads ε_i only
-and never calls e_i.  B(λ) is the Demazure crystal B_{w_0}(λ), so
-`generate_crystal` closes {b_λ} along a reduced word of w_0; `demazure` closes
-along any reduced word for B_w(λ), and block by block for the generalized
-Demazure crystals B_{I,λ}.
+element to its string entries, the Ω-entries of `demazure`.  It never calls e_i.
+A path's ε_i is read from its slot, and its string stops at the φ_i = 0 that f_i
+carried to the last child; a tensor's whole string comes from one signature
+scan, each step applying f_i to the one factor the scan names.  B(λ) is the
+Demazure crystal B_{w_0}(λ), so `generate_crystal` closes {b_λ} along a reduced
+word of w_0; `demazure` closes along any reduced word for B_w(λ), and block by
+block for the generalized Demazure crystals B_{I,λ}.
 """
 
 from __future__ import annotations
@@ -310,6 +312,14 @@ def wt(rs: RootSystem, b) -> Weight:
     return Weight(_endpoint(b))
 
 
+def _epsilon(b, idx: int) -> int:
+    """ε_i of a path, from its slot and walking it only when unknown, or of a tensor, by the signature rule."""
+    if isinstance(b, TensorElement):
+        return _signature(b.factors, idx)[0]
+    eps = b._ef[2 * idx]
+    return _eps_phi_path(b, idx)[0] if eps is None else eps
+
+
 def _signature(factors, idx: int, strict: bool = True) -> tuple:
     """Kashiwara's signature rule on b_1 ⊗ ... ⊗ b_r: (ε_i of the tensor, the index k of the
     factor that f_i, for strict, or e_i acts on).
@@ -330,29 +340,37 @@ def _signature(factors, idx: int, strict: bool = True) -> tuple:
     return total, k
 
 
+def _check_rank(rs: RootSystem, b) -> None:
+    rank = len(_factors(b)[0]._end)
+    if rank != rs.n:
+        raise ValueError(f"an element of rank {rank} does not belong to a root system of rank {rs.n}")
+
+
 def epsilon(rs: RootSystem, b, i: int) -> int:
     rs._check_index(i)
-    return _signature(_factors(b), i - 1)[0]
+    _check_rank(rs, b)
+    return _epsilon(b, i - 1)
 
 
 def is_highest(rs: RootSystem, b) -> bool:
     """ε_i(b) = 0 for every i: b is the highest-weight element of its component."""
-    factors = _factors(b)
-    return all(_signature(factors, idx)[0] == 0 for idx in range(rs.n))
+    _check_rank(rs, b)
+    return not any(_epsilon(b, idx) for idx in range(rs.n))
 
 
 def _cached(op, cache_name: str):
     """op memoized per root system in rs.<cache_name>, with results interned in rs._paths.
 
     Only paths are stored: a None result is answered again by op from the (ε_i, φ_i) that
-    its first call left in b._ef, before any walk.  The index is checked on a miss only: a
-    (b, i) in the cache has a valid i."""
+    its first call left in b._ef, before any walk.  The index and the path's rank are checked
+    on a miss only: a (b, i) in the cache was checked when it was stored."""
 
     def cached(rs: RootSystem, b: PathElement, i: int):
         cache = getattr(rs, cache_name)
         res = cache.get((b, i))
         if res is None:
             rs._check_index(i)
+            _check_rank(rs, b)
             res = op(rs, b, i)
             if res is not None:
                 res = cache[b, i] = rs._paths.setdefault(res, res)
@@ -369,6 +387,7 @@ def _apply(rs: RootSystem, b: TensorElement, i: int, op, strict: bool):
     """op on the factor of a tensor that the signature rule picks."""
     factors = b.factors
     rs._check_index(i)
+    _check_rank(rs, b)
     k = _signature(factors, i - 1, strict)[1]
     child = op(rs, factors[k], i)
     if child is None:
@@ -437,22 +456,49 @@ def graph_from_elements(rs: RootSystem, elements) -> CrystalGraph:
     return CrystalGraph(tuple(verts), tuple(_endpoint(b) for b in verts), tuple(edges), highest)
 
 
+def _path_string(rs: RootSystem, p: PathElement, i: int) -> list:
+    """The f_i-string down from a path p, empty unless ε_i(p) = 0."""
+    if _epsilon(p, i - 1):
+        return []
+    string, phi_slot = [p], 2 * i - 1
+    while p._ef[phi_slot] != 0 and (p := path_f(rs, p, i)) is not None:
+        string.append(p)
+    return string
+
+
+def _tensor_string(rs: RootSystem, t: TensorElement, i: int) -> list:
+    """The f_i-string down from a tensor t, empty unless ε_i(t) = 0: u_j steps on each factor j."""
+    factors, total, steps = t.factors, 0, []
+    for j in range(len(factors) - 1, -1, -1):
+        eps, phi = _eps_phi_path(factors[j], i - 1)
+        steps += [j] * (phi - total)  # none when phi <= total
+        total = eps + total - phi if total > phi else eps
+    if total:
+        return []
+    string = [t]
+    for j in reversed(steps):
+        factors = factors[:j] + (path_f(rs, factors[j], i),) + factors[j + 1 :]
+        string.append(TensorElement._of_valid(factors))
+    return string
+
+
 def _f_strings(rs: RootSystem, start: dict, i: int, budget: int) -> dict:
     """f_i^* of start, each f_i^k t given the entries (k,) + start[t] for the tops t, ε_i(t) = 0.
 
-    Every f_i-string that meets the start set must have its top there (the string property
-    of Demazure crystals); a start element that no string walk reaches breaks it."""
-    idx = i - 1
+    A tensor's string is read off one right-to-left signature scan: factor j keeps
+    u_j = max(0, φ_j − E) unmatched pluses, E being ε_i of the factors right of it, and
+    ε_i > 0 exactly when minuses are left over.  Each f_i turns the leftmost unmatched +
+    into a −, which nothing can match, as every + left of it is matched to a − left of it;
+    so the string acts u_j times on each factor j, left to right.  Every f_i-string that
+    meets the start set must have its top there (the string property of Demazure
+    crystals); a start element that no string walk reaches breaks it."""
     out = {}
     for t, entries in start.items():
-        if _signature(_factors(t), idx)[0]:
-            continue
-        b, k = t, 0
-        while b is not None:
+        string = _tensor_string(rs, t, i) if isinstance(t, TensorElement) else _path_string(rs, t, i)
+        for k, b in enumerate(string):
             out[b] = (k,) + entries
             if len(out) > budget:
                 raise BudgetExceededError(f"saturation exceeded budget of {budget} elements")
-            b, k = path_f(rs, b, i), k + 1
     if not start.keys() <= out.keys():
         raise InvariantError(f"an f_{i}-string meets the start set without its top")
     return out

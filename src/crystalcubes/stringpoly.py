@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import index
 
-from .crystal import DEFAULT_BUDGET, TensorElement, _close, _endpoint, _factors, _signature, highest_path
+from .crystal import DEFAULT_BUDGET, TensorElement, _close, _endpoint, _epsilon, _factors, highest_path
 from .demazure import gen_demazure_crystal, gen_demazure_crystal_weights
 from .rootsys import BudgetExceededError, RootSystem, SubsetSequence, UnsupportedInputError, WordSequence
 
@@ -71,10 +71,12 @@ def _projected(rs: RootSystem, subsets, lams, words, budget: int) -> tuple:
     bounds = tuple(enumerate(lams[0].coords))
     highest: dict = {}
     for x, tail in rest.omega_map().items():
-        factors = _factors(x)  # x is a bare path when X has one block
         # ε_i(b_{λ_1} ⊗ x) = max(0, ε_i(x) − ⟨λ_1, α_i^∨⟩), as ε_i(b_{λ_1}) = 0
-        if all(_signature(factors, idx)[0] <= bound for idx, bound in bounds):
-            highest[tail] = TensorElement._of_valid((top, *factors))
+        for idx, bound in bounds:
+            if _epsilon(x, idx) > bound:
+                break
+        else:  # x is a bare path when X has one block
+            highest[tail] = TensorElement._of_valid((top, *_factors(x)))
     return words.blocks[0], highest
 
 

@@ -24,6 +24,11 @@ an f_i-chain from every element until it meets one already present.
 The last helpers keep tensors throughout, close them with `close_set`, and scan
 every vertex in order.
 
+`crystal._f_strings` reads a tensor's whole f_i-string off one signature scan and
+stops a path's at the φ_i = 0 carried to its last element; `f_string` walks the string
+with one `path_f` per step instead, re-running the signature rule on the whole tensor
+each time, until f_i has no result.
+
 `stringpoly.lattice_points` reads a string polytope's lattice points off the Ω map of
 a crystal.  `untwisted_cube_points` enumerates the twisted cube of the same (i, a)
 instead, for cubes with no lattice point on an open branch.
@@ -208,6 +213,14 @@ def close_set(rs: RootSystem, elements, word, budget: int = DEFAULT_BUDGET) -> s
                     raise BudgetExceededError(f"saturation exceeded budget of {budget} elements")
         elements = out
     return set(elements)
+
+
+def f_string(rs: RootSystem, b, i: int) -> list:
+    """b, f_i b, f_i^2 b, ... down to the last element f_i acts on, one `path_f` per step."""
+    string = [b]
+    while (b := path_f(rs, b, i)) is not None:
+        string.append(b)
+    return string
 
 
 def saturate_all_tensor(rs: RootSystem, tops, blocks, budget: int = DEFAULT_BUDGET) -> frozenset:

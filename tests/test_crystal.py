@@ -13,20 +13,33 @@ from hypothesis import strategies as st
 
 from crystalcubes.cli import _graph_json, main
 from crystalcubes.crystal import (
+    DEFAULT_BUDGET,
     CrystalGraph,
     PathElement,
     TensorElement,
+    _f_strings,
+    _path_string,
+    _tensor_string,
     epsilon,
     generate_crystal,
     graph_from_elements,
     highest_path,
+    is_highest,
     path_e,
     path_f,
     wt,
 )
 from crystalcubes.demazure import gen_demazure_crystal_weights
 from crystalcubes.rootsys import PRESETS, BudgetExceededError, RootSystem, Weight
-from oracles import first_highest_vertex, highest_weight_decompose, pairing, phi, tensor, tensor_product_elements
+from oracles import (
+    f_string,
+    first_highest_vertex,
+    highest_weight_decompose,
+    pairing,
+    phi,
+    tensor,
+    tensor_product_elements,
+)
 from test_acceptance import canonical
 
 A2 = RootSystem.preset("A2")
@@ -34,6 +47,7 @@ A3 = RootSystem.preset("A3")
 B2 = RootSystem([[2, -1], [-2, 2]])
 C2 = RootSystem([[2, -2], [-1, 2]])
 G2 = RootSystem([[2, -1], [-3, 2]])
+B3 = RootSystem.preset("B3")
 
 
 def alpha(rs, i):
@@ -469,6 +483,52 @@ def test_signature_rule_matches_oracle(drawn):
         assert phi(rs, b, i) == oracle_phi(b, i)
         assert path_f(rs, b, i) == oracle_operator(rs, b, i, raising=False)
         assert path_e(rs, b, i) == oracle_operator(rs, b, i, raising=True)
+
+
+@st.composite
+def small_tensors(draw):
+    """A root system and b_1 ⊗ ... ⊗ b_r, r = 1-3, over A2, A3, B2, C2, G2 and B3, each b_k
+    an element of B(λ_k) for λ_k = 0 or a sum of one or two fundamental weights."""
+    rs = draw(st.sampled_from([A2, A3, B2, C2, G2, B3]), label="root system")
+    factors = []
+    for _ in range(draw(st.integers(1, 3), label="factors")):
+        lam = [0] * rs.n
+        for u in draw(st.lists(st.integers(0, rs.n - 1), max_size=2), label="fundamental weights"):
+            lam[u] += 1
+        factors.append(draw(st.sampled_from(generate_crystal(rs, lam).vertices), label="factor"))
+    return rs, TensorElement(factors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=small_tensors())
+def test_one_scan_strings_match_per_step_rule(drawn):
+    """For every letter, the scan finds no string exactly when ε_i > 0, and otherwise the
+    closure meets the elements of the per-step walk (`path_f` on the whole tensor each step)
+    in its order, φ_i + 1 of them; the first factor, as a bare path, likewise."""
+    rs, t = drawn
+    for i in range(1, rs.n + 1):
+        for b, string in ((t, _tensor_string), (t.factors[0], _path_string)):
+            top = epsilon(rs, b, i) == 0
+            assert (string(rs, b, i) != []) == top
+            if top:
+                closed = _f_strings(rs, {b: ()}, i, DEFAULT_BUDGET)
+                assert list(closed) == string(rs, b, i) == f_string(rs, b, i)
+                assert list(closed.values()) == [(k,) for k in range(phi(rs, b, i) + 1)]
+
+
+def test_operators_reject_an_element_of_another_rank():
+    """A path or tensor whose rank is not the root system's raises ValueError naming both ranks."""
+    rank3, rank2 = PathElement.straight((1, 0, 1)), PathElement.straight((1, 1))
+    with pytest.raises(ValueError, match="rank 3 .* rank 2"):
+        path_f(A2, rank3, 1)
+    with pytest.raises(ValueError, match="rank 3 .* rank 2"):
+        epsilon(A2, rank3, 2)
+    with pytest.raises(ValueError, match="rank 3 .* rank 2"):
+        is_highest(A2, rank3)
+    with pytest.raises(ValueError, match="rank 2 .* rank 3"):
+        path_f(A3, rank2, 3)
+    with pytest.raises(ValueError, match="rank 2 .* rank 3"):
+        path_e(A3, TensorElement([rank2]), 3)
 
 
 @st.composite

@@ -147,6 +147,21 @@ class TestGenDemazure:
         with pytest.raises(BudgetExceededError):
             gen_demazure_crystal(A2, SL3_WORD, SL3_A, budget=10)
 
+    @pytest.mark.parametrize(
+        "build, size",
+        [
+            (lambda budget: gen_demazure_crystal_weights(A2, [[1, 2], [1, 2]], [(1, 1), (1, 0)], budget=budget), 24),
+            # singleton blocks: every block but the innermost closes tensors
+            (lambda budget: gen_demazure_crystal(A2, SL3_WORD, SL3_A, budget), 64),
+        ],
+        ids=["weights", "word"],
+    )
+    def test_budget_counts_every_tensor(self, build, size):
+        """The running count stops a saturation at exactly |B| − 1 and lets it through at |B|."""
+        assert build(size).element_count == size
+        with pytest.raises(BudgetExceededError, match=rf"^saturation exceeded budget of {size - 1} elements$"):
+            build(size - 1)
+
 
 class TestGenDemazureWeights:
     def test_r1_full_crystal(self):
