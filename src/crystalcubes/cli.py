@@ -247,26 +247,28 @@ def _bundle_vectors(rs: RootSystem, q: dict, config: JobConfig):
 
 
 def _twisted_cube(rs: RootSystem, q: dict):
-    """The cube and its projection.  The word shape's subsets default to the singleton
-    blocks {i_k}, and the word must be the longest words of its subsets."""
+    """The cube and the subsets and words of its projection, which only the moment and
+    histogram handlers build.  The word shape's subsets default to the singleton blocks
+    {i_k}, and the word must be the longest words of its subsets."""
     if "word" not in q:
         a = bundles.pullback_vector(rs, q["subsets"], q["words"], q["weights"])
-        return twistedcube.TwistedCube(rs, q["words"].flat, a), twistedcube.projection_map(rs, q["subsets"], q["words"])
+        return twistedcube.TwistedCube(rs, q["words"].flat, a), q["subsets"], q["words"]
     cube = twistedcube.TwistedCube(rs, q["word"], q["a"])
     subsets, words = rs.blocks(q.get("subsets", [(i,) for i in cube.word]))
     if words.flat != cube.word:
         raise ConfigError("word does not match the longest words of the subsets")
-    return cube, twistedcube.projection_map(rs, subsets, words)
+    return cube, subsets, words
 
 
 def _cube_volume(rs: RootSystem, q: dict, config: JobConfig):
-    cube, _ = _twisted_cube(rs, q)
+    cube = _twisted_cube(rs, q)[0]
     vol = str(cube.signed_volume())
     return {"word": list(cube.word), "a": list(cube.a), "signed_volume": vol}, None, vol
 
 
 def _cube_moments(rs: RootSystem, q: dict, config: JobConfig):
-    cube, proj = _twisted_cube(rs, q)
+    cube, subsets, words = _twisted_cube(rs, q)
+    proj = twistedcube.projection_map(rs, subsets, words)
     degree = index(q.get("degree", 1))
     if degree < 0:
         raise ConfigError("degree must be nonnegative")
@@ -283,7 +285,8 @@ def _cube_moments(rs: RootSystem, q: dict, config: JobConfig):
 
 
 def _cube_histogram(rs: RootSystem, q: dict, config: JobConfig):
-    cube, proj = _twisted_cube(rs, q)
+    cube, subsets, words = _twisted_cube(rs, q)
+    proj = twistedcube.projection_map(rs, subsets, words)
     svg = config.command == "cube-svg"
     if svg and proj.rows != 2:
         raise UnsupportedInputError("cube-svg needs a 2-D projection target; export CSV instead")

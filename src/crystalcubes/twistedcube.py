@@ -23,7 +23,8 @@ step-then-substitute well founded) gives Σ or ∫ of ρ·p = (-1)^N p_N with p_
 p_l = T_l(p_{l-1}) evaluated at x_l = A_l, where T_l is the antiderivative in x_l
 vanishing at 0 (volumes, moments) or the antidifference S(x_l - 1) (lattice counts).
 One recursion, `_sum_out`, runs both on integer numerators over one denominator, which
-only the step multiplies; its one polynomial operation, substitution, also expands p_0.
+only the step multiplies; per coordinate, one pass splits x_l off its class and steps it,
+and substitution, its one polynomial operation, makes x_l := A_l and also expands p_0.
 
 The recursion never needs the N coordinates one by one.  The coefficient of a
 later x_j in A_l is -⟨α_{i_j}, α_{i_l}^∨⟩, which depends on the letter i_j
@@ -201,8 +202,9 @@ class TwistedCube:
         sum of the coordinates j ≥ l of class v, which share a letter and their entries
         in every row of `moment`.  Slot 0 is free before x_1, so p_0 is built by the
         same substitution: x^{m_r} goes into slot 0, then x := (Lx)_r, row by row.
-        Before its step, x_l is split off its class, y_v := x + y_v, or y_v := x at the
-        class's last coordinate, which drops the class.  The polynomial is kept as integer
+        One pass splits x_l off its class, y_v := x + y_v, and steps it: c·y_v^k adds
+        C(k, j)·c·y_v^{k-j}·step(j) for j = 0..k, or j = k alone at the class's last
+        coordinate, where y_v := x drops the class.  The polynomial is kept as integer
         numerators over one denominator, which only the steps multiply (by the lcm of
         their d); the gcd of numerators and denominator is divided out after each coordinate.
         """
@@ -210,9 +212,9 @@ class TwistedCube:
         class_of = [slots.setdefault((i, *(row[j] for row, _ in moment)), len(slots) + 1)
                     for j, i in enumerate(self.word)]
         last = {v: l for l, v in enumerate(class_of)}
-        # p_0 has total degree |m|; each step raises it by at most 1, and both substitutions
-        # (y_v := x + y_v, x := A_l) are affine, so no exponent ever exceeds |m| + N and
-        # fields of this width never carry into each other
+        # p_0 has total degree |m|; each step raises it by at most 1, and the split
+        # (y_v := x + y_v) and the substitution x := A_l are affine, so no exponent ever
+        # exceeds |m| + N and fields of this width never carry into each other
         width = (sum(power for _, power in moment) + self.dim).bit_length()
         mask = (1 << width) - 1
         unit = [1 << (v * width) for v in range(len(slots) + 1)]
@@ -221,23 +223,26 @@ class TwistedCube:
             p = MVPolynomial(width, {e + power: c for e, c in p.terms.items()})
             p = p.substitute(0, MVPolynomial(width, {unit[v]: c for v, c in zip(class_of, row) if c}))
         for l, v in enumerate(class_of):
-            p = p.substitute(v, MVPolynomial(width, {unit[0]: 1} if last[v] == l else {unit[0]: 1, unit[v]: 1}))
-            rows = {k: step(k) for k in {e & mask for e in p.terms}}
+            shift, drop = v * width, last[v] == l
+            powers = {(e >> shift) & mask for e in p.terms}
+            rows = {j: step(j) for j in (powers if drop else range(max(powers, default=-1) + 1))}
             scale = math.lcm(*(d for d, _ in rows.values()))
-            rows = {k: [(j, fj * (scale // d)) for j, fj in enumerate(f) if fj] for k, (d, f) in rows.items()}
+            rows = {j: [(t, ft * (scale // d)) for t, ft in enumerate(f) if ft] for j, (d, f) in rows.items()}
             terms: dict = {}
             for e, c in p.terms.items():
-                k = e & mask
-                rest = e - k
-                for j, fj in rows[k]:
-                    key = rest + j
-                    terms[key] = terms.get(key, 0) + c * fj
+                k = (e >> shift) & mask
+                rest = e - (k << shift)
+                for j in (k,) if drop else range(k + 1):
+                    cj, base = c * math.comb(k, j), rest + ((k - j) << shift)
+                    for t, ft in rows[j]:
+                        key = base + t
+                        terms[key] = terms.get(key, 0) + cj * ft
             den *= scale
             const, coeffs = self.forms[l]
             bound = {unit[class_of[j]]: c for j, c in coeffs.items()}
             if const:
                 bound[0] = const
-            p = MVPolynomial(width, {e: c for e, c in terms.items() if c}).substitute(0, MVPolynomial(width, bound))
+            p = MVPolynomial(width, terms).substitute(0, MVPolynomial(width, bound))
             g = math.gcd(den, *p.terms.values())
             if g > 1:
                 den //= g

@@ -623,10 +623,22 @@ def twisted_cubes(draw, max_len=5):
     return TwistedCube(rs, word, a)
 
 
+# the count's polynomial cancels to zero after x_2, so the later coordinates step no terms
+CANCELLING_CUBE = TwistedCube(A2, (1, 1, 1, 1), (-1, -2, -2, -2))
+
+
 @settings(max_examples=120, deadline=None)
 @given(cube=twisted_cubes())
+@example(cube=CANCELLING_CUBE)
 def test_count_matches_brute_force(cube):
     assert cube.signed_lattice_count() == brute_force_count(cube)
+
+
+def test_polynomial_that_cancels_before_the_last_coordinate():
+    """An empty polynomial has no powers to step: the count is 0, and the volume of the
+    same cube, whose polynomial never cancels, is 8."""
+    assert CANCELLING_CUBE.signed_lattice_count() == 0
+    assert CANCELLING_CUBE.signed_volume() == 8
 
 
 @settings(max_examples=60, deadline=None)
@@ -775,6 +787,24 @@ def test_largest_exponent_fills_its_field(monkeypatch, cube, m):
     want = n_variable_sum(cube, moment_integrand(cube, proj, (m,)), twistedcube._power_integral)
     assert cube.pushforward_moments(proj, (m,)) == want
     assert widths == {3} and max(tops) == 7
+
+
+@pytest.mark.parametrize("m", [(0, 0, 0), (1, 0, 0), (2, 0, 1), (1, 1, 1)])
+def test_one_substitution_per_coordinate_and_raised_row(monkeypatch, m):
+    """Splitting x_l off its class is part of the step pass, not a substitution: the SL(4)
+    moment, whose two letter-1 coordinates share a class, substitutes only into slot 0,
+    once per row with m_r > 0 (expanding p_0) and once per coordinate (x_l := A_l)."""
+    want = n_variable_sum(SL4_CUBE, moment_integrand(SL4_CUBE, SL4_PROJ, m), twistedcube._power_integral)
+    slots = []
+
+    def spy(p, idx, value):
+        slots.append(idx)
+        return substitute(p, idx, value)
+
+    substitute = MVPolynomial.substitute
+    monkeypatch.setattr(MVPolynomial, "substitute", spy)
+    assert SL4_CUBE.pushforward_moments(SL4_PROJ, m) == want
+    assert slots == [0] * (SL4_CUBE.dim + sum(1 for power in m if power))
 
 
 def test_a4_flag_cube_dim_19():
