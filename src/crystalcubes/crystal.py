@@ -7,24 +7,25 @@ the path where t ↦ ⟨π(t), α_i^∨⟩ attains its minimum and reflect the m
 stretch; tensor elements carry the Kashiwara rule, with the first factor
 receiving f_i whenever φ_i(b1) > ε_i(b2).
 
-Each operator is one pass over the segments.  f_i walks them forward, keeping
-the last breakpoint where den · h is lowest and the first segment after it
-along which h has risen by one; e_i makes the same walk from the end, on
-h(t) − h(1).  The pass also gives (ε_i, φ_i) and rejects a path whose lowest
-or final height is not an integer.  Both operators then call one splice,
-`_splice`: the segments outside the reflected stretch are copied, the pieces
-inside are reflected through a per-root-system memo of s_i on directions, and
-only the two seams can merge.  An operator carries state to the child instead
-of summing segments again: the endpoint moves by ∓α_i, and the parent's
-(ε_i, φ_i), held in slots 2i − 2 and 2i − 1 of the flat list `_ef`, moves by
-(±1, ∓1), so ε, φ, `is_highest` and the signature rule read them there.  The
-operator caches keep paths only: a call with no result is answered again from
-a known φ_i = 0 (f_i) or ε_i = 0 (e_i) before any walk.  A one-block crystal is
-held as bare paths; on a one-factor tensor built by hand, the signature rule
-picks its one factor.  `graph_from_elements` sorts vertices on flat integer
-keys, finds each f-edge with one index lookup, tests only the vertices no
-f-edge enters for the highest one, and reads each weight from the endpoint,
-whose heights the operators have already checked.
+f_i is one pass over the segments, keeping the last breakpoint where den · h is
+lowest and the first segment after it along which h has risen by one.  The pass
+also gives (ε_i, φ_i) and rejects a path whose lowest or final height is not an
+integer.  Then one splice, `_splice`, copies the segments outside the reflected
+stretch, reflects the pieces inside through a per-root-system memo of s_i on
+directions, and merges at the two seams only.  e_i is f_i on the dual path,
+e_i(π) = f_i(π*)* for π*(t) = π(1 − t) − π(1) (Littelmann): the segments
+reversed and negated, with ε_i and φ_i swapped.  The walk on π* fills π's own
+(ε_i, φ_i), and no dual path is cached.  An operator carries state to the
+child instead of summing segments again: the endpoint moves by ∓α_i, and the
+parent's (ε_i, φ_i), held in slots 2i − 2 and 2i − 1 of the flat list `_ef`,
+moves by (±1, ∓1), so ε, φ, `is_highest` and the signature rule read them
+there.  The operator caches keep paths only: a call with no result is answered
+again from a known φ_i = 0 (f_i) or ε_i = 0 (e_i) before any walk.  A one-block
+crystal is held as bare paths; on a one-factor tensor built by hand, the
+signature rule picks its one factor.  `graph_from_elements` sorts vertices on
+flat integer keys, finds each f-edge with one index lookup, tests only the
+vertices no f-edge enters for the highest one, and reads each weight from the
+endpoint, whose heights the operators have already checked.
 
 One closure builds every crystal here and in `demazure`: `_close` saturates a
 set under f_{i_1}^* ... f_{i_N}^* along a word.  Each letter walks the whole
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import neg, sub
 
 from .rootsys import BudgetExceededError, InvariantError, RootSystem, Weight
 
@@ -210,40 +211,29 @@ def _f_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
         return None
     s, cut = _crossing(segs[cross][0][idx], rise)
     end = tuple(map(sub, p.endpoint(), rs._alpha_cols[idx]))
-    child = _splice(rs._reflections[idx], segs, den, s, start, 0, cross, cut, end)
+    child = _splice(rs._reflections[idx], segs, den, s, start, cross, cut, end)
     child._ef[e], child._ef[e + 1] = eps + 1, phi - 1
     return child
 
 
-def _e_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
-    """Reflect [t0, t1]: t1 the first time h is minimal (breakpoint `start`), t0 the last time
-    before it that h is one higher, inside segment `cross`.
+def _dual(p: PathElement) -> PathElement:
+    """π*(t) = π(1 − t) − π(1): the segments reversed, directions and endpoint negated, and
+    each carried (ε_i, φ_i) swapped, as ε_i(π*) = φ_i(π) and φ_i(π*) = ε_i(π)."""
+    d = PathElement(tuple([(tuple(map(neg, v)), n) for v, n in reversed(p.segs)]), p.den, tuple(map(neg, p._end)))
+    d._ef[::2], d._ef[1::2] = p._ef[1::2], p._ef[::2]
+    return d
 
-    The pass of f_i read from the end: den · (h(t) − h(1)) at each breakpoint, walking back."""
-    idx, ef, e = i - 1, p._ef, 2 * i - 2
+
+def _e_path(rs: RootSystem, p: PathElement, i: int) -> PathElement | None:
+    """e_i(π) = f_i(π*)*.  The walk on π* also gives (φ_i, ε_i) of π, which go into p's slots,
+    so a call with no result is answered from them the next time without a walk."""
+    ef, e = p._ef, 2 * i - 2
     if ef[e] == 0:
         return None
-    segs, den = p.segs, p.den
-    h = low = 0
-    start = len(segs)
-    cross = -1
-    for k in range(start - 1, -1, -1):
-        v, n = segs[k]
-        nxt = h - v[idx] * n
-        if nxt <= low:
-            low, start, cross = nxt, k, -1
-        elif cross < 0 and nxt >= low + den:
-            cross, rise = k, low + den - h
-        h = nxt
-    eps, phi = ef[e], ef[e + 1] = _integral(low - h, -low, den)  # h is now den · (h(0) − h(1))
-    if eps == 0:
-        return None
-    v, n = segs[cross]
-    s, cut = _crossing(-v[idx], rise)  # cut: den·s-units from the end of segment `cross`
-    end = tuple(map(add, p.endpoint(), rs._alpha_cols[idx]))
-    child = _splice(rs._reflections[idx], segs, den, s, cross, n * s - cut, start, 0, end)
-    child._ef[e], child._ef[e + 1] = eps - 1, phi + 1
-    return child
+    dual = _dual(p)
+    child = _f_path(rs, dual, i)
+    ef[e], ef[e + 1] = dual._ef[e + 1], dual._ef[e]
+    return None if child is None else _dual(child)
 
 
 def _crossing(c: int, rise: int) -> tuple:
@@ -253,9 +243,10 @@ def _crossing(c: int, rise: int) -> tuple:
     return s, rise * s // c
 
 
-def _splice(reflect, segs, den: int, s: int, k0: int, c0: int, k1: int, c1: int, end) -> PathElement:
-    """The path of segs, over den · s, with the stretch from c0 units into segment k0 to c1
-    units into segment k1 reflected through `reflect`; pieces merged at the two seams only.
+def _splice(reflect, segs, den: int, s: int, k0: int, k1: int, c1: int, end) -> PathElement:
+    """The path of segs, over den · s, with the stretch from the breakpoint before segment k0
+    to c1 > 0 units into segment k1 reflected through `reflect`; pieces merged at the two
+    seams only.
 
     Adjacent pieces inside the head, the reflected middle and the tail come from adjacent
     segments (the middle reflected by s_i, a bijection) or from the two sides of a cut
@@ -265,26 +256,16 @@ def _splice(reflect, segs, den: int, s: int, k0: int, c0: int, k1: int, c1: int,
     if s != 1:
         segs = tuple((v, n * s) for v, n in segs)
     out = list(segs[:k0])
-    v, n = segs[k0]
-    if c0:
-        out.append((v, c0))
-    head = len(out)
-    if k0 == k1:
-        out.append((reflect[v], c1 - c0))
-    else:
-        out.append((reflect[v], n - c0))
-        for w, d in segs[k0 + 1 : k1]:
-            out.append((reflect[w], d))
-        if c1:
-            out.append((reflect[segs[k1][0]], c1))
+    for w, d in segs[k0:k1]:
+        out.append((reflect[w], d))
+    v, n = segs[k1]
+    out.append((reflect[v], c1))
     tail = len(out)
-    if k1 < len(segs):
-        v, n = segs[k1]
-        if n > c1:
-            out.append((v, n - c1))
-        out += segs[k1 + 1 :]
+    if n > c1:
+        out.append((v, n - c1))
+    out += segs[k1 + 1 :]
     merged = False
-    for seam in (tail, head):  # the later seam first, so the earlier one keeps its index
+    for seam in (tail, k0):  # the later seam first, so the earlier one keeps its index
         if 0 < seam < len(out) and out[seam - 1][0] == out[seam][0]:
             out[seam - 1 : seam + 1] = [(out[seam][0], out[seam - 1][1] + out[seam][1])]
             merged = True
@@ -309,6 +290,7 @@ def _endpoint(b) -> tuple:
 
 def wt(rs: RootSystem, b) -> Weight:
     """Endpoint weight of a path, or the coordinate sum over tensor factors."""
+    _check_rank(rs, b)
     return Weight(_endpoint(b))
 
 

@@ -195,7 +195,8 @@ class RootSystem:
         self._longest_words: dict = {}
         # (subset, word) pairs that blocks has verified; tuples only, too
         self._verified_words: set = set()
-        # s_i on path directions, one memo per i: directions lie in the Weyl orbits of the tops
+        # s_i on path directions, one memo per i: directions lie in the Weyl orbits of the tops,
+        # or of their negatives on the dual paths that e_i walks
         self._reflections = tuple(_ReflectionMemo(idx, col) for idx, col in enumerate(self._alpha_cols))
 
     @classmethod

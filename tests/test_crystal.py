@@ -17,6 +17,7 @@ from crystalcubes.crystal import (
     CrystalGraph,
     PathElement,
     TensorElement,
+    _dual,
     _f_strings,
     _path_string,
     _tensor_string,
@@ -529,6 +530,10 @@ def test_operators_reject_an_element_of_another_rank():
         path_f(A3, rank2, 3)
     with pytest.raises(ValueError, match="rank 2 .* rank 3"):
         path_e(A3, TensorElement([rank2]), 3)
+    with pytest.raises(ValueError, match="rank 2 .* rank 3"):
+        wt(A3, highest_path(A2, (1, 1)))
+    with pytest.raises(ValueError, match="rank 2 .* rank 3"):
+        wt(A3, TensorElement([rank2, rank2]))
 
 
 @st.composite
@@ -600,7 +605,8 @@ def test_carried_state_matches_segments(drawn):
     endpoint summed from the segments and the Fraction path model's ε_i and φ_i.
 
     `_ef` is the flat list [ε_1, φ_1, ..., ε_n, φ_n]: each pair is known in both slots or in
-    neither, and every known pair is checked."""
+    neither, and every known pair is checked.  A hand-built copy of each path, given to e_i
+    alone, knows every pair after it, and the dual of its dual is the path."""
     rs, elements = drawn
     for b in elements:
         for i in range(1, rs.n + 1):
@@ -617,6 +623,18 @@ def test_carried_state_matches_segments(drawn):
     for b in elements:  # f_i and e_i have run on every element, so each of its paths knows every pair
         for f in b.factors if isinstance(b, TensorElement) else (b,):
             assert None not in f._ef
+    # e_i alone fills the slots of the path it is given, from its walk on the dual path;
+    # a cold root system, so that no cached result answers for the fresh copy
+    cold = RootSystem(rs.cartan)
+    for p in paths:
+        fresh = PathElement(p.segs, p.den)
+        for i in range(1, rs.n + 1):
+            path_e(cold, fresh, i)
+        for idx in range(rs.n):
+            assert tuple(fresh._ef[2 * idx : 2 * idx + 2]) == oracle_eps_phi_path(p, idx + 1)
+        dual = _dual(p)
+        assert dual._end == tuple(-c for c in p._end) and _dual(dual) == p
+        assert dual._ef[::2] == p._ef[1::2] and dual._ef[1::2] == p._ef[::2]
 
 
 # -- B(λ) by breadth-first search under every f_i, kept as the oracle for the closure along w_0;
